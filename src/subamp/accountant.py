@@ -3,10 +3,12 @@
 The discretized loss masses are half-swapped, transformed, raised to the
 k-th power coefficientwise, transformed back, half-swapped again, and tail
 summed against (1 - e^{eps - s}). Running the same pipeline on the interval
-lower/upper masses gives strict bounds around the approximation. The
-additive residual term that appears for base mechanisms with delta(inf) > 0
-is identically zero here: loss models only exist for the Gaussian base, so
-it is omitted.
+lower/upper masses gives delta_lower and delta_upper around the
+approximation. They are not proven bounds: the interval masses come from
+endpoint and midpoint values of omega, and an under-resolved grid puts the
+true delta outside them. The additive residual term that appears for base
+mechanisms with delta(inf) > 0 is identically zero here: loss models only
+exist for the Gaussian base, so it is omitted.
 
 delta_direct is the independent verification route: the same delta(eps) as
 a one-dimensional adaptive quadrature over output space, touching neither
@@ -136,7 +138,11 @@ def _tail_weights(pld: DiscretizedPLD, epsilon: float) -> tuple[int, np.ndarray]
 
 
 def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
-    """delta(eps) after k-fold composition with strict lower/upper bounds."""
+    """delta(eps) after k-fold composition, with lower/upper values.
+
+    The lower/upper values compose the endpoint-and-midpoint interval masses
+    of the grid and can miss the true delta on an under-resolved grid.
+    """
     cells = compose_many(pld, [k], [epsilon])
     cell = cells[0]
     if cell.error is not None:

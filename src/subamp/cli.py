@@ -30,7 +30,7 @@ from .amplification import (
 from .mechanisms import Family, MechanismSpec, QuadratureError, profile
 from .pld import NoConvergenceError, PrivacyLossModel, discretize
 from .sampling import mc_stats
-from .schemes import MULTISET_SCHEMES, Poisson, SamplingScheme, scheme_from_dict
+from .schemes import SamplingScheme, scheme_from_dict
 
 SCHEMA_LINE = "# schema=1"
 
@@ -103,18 +103,29 @@ def _parse_int_range(spec: str, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def _scheme_from_args(args) -> SamplingScheme:
-    spec: dict = {"scheme": args.scheme}
-    for key in ("n", "b", "m", "gamma"):
-        value = getattr(args, key, None)
-        if value is not None:
-            spec[key] = value
-    if args.scheme == "poisson" and "gamma" not in spec:
-        raise ValueError("--gamma is required for the poisson scheme")
-    if args.scheme != "poisson":
-        spec.pop("gamma", None)
-        if args.scheme in ("wor", "wr"):
-            spec.pop("b", None)
+def _scheme(tag: str, args) -> SamplingScheme:
+    """Scheme `tag` from the --n/--b/--m/--gamma flags.
+
+    Poisson takes --gamma, or gamma = m/n from --n and --m; the other
+    schemes need --m, and the MUST schemes --b too. Flags a scheme does not
+    take are ignored.
+    """
+    spec = {"scheme": tag, "n": args.n}
+    if tag == "poisson":
+        if args.gamma is not None:
+            spec["gamma"] = args.gamma
+        elif args.m is not None and args.n:
+            spec["gamma"] = args.m / args.n
+        else:
+            raise ValueError("poisson needs --gamma (or --n and --m to use gamma = m/n)")
+        return scheme_from_dict(spec)
+    if args.m is None:
+        raise ValueError("--m is required for fixed-size schemes")
+    spec["m"] = args.m
+    if tag.startswith("must"):
+        if args.b is None:
+            raise ValueError(f"--b is required for scheme {tag}")
+        spec["b"] = args.b
     return scheme_from_dict(spec)
 
 
@@ -153,7 +164,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_amplify(args) -> int:
-    scheme = _scheme_from_args(args)
+    scheme = _scheme(args.scheme, args)
     mech = _mech_from_args(args)
     eps = args.eps
     if eps is None or eps <= 0:
@@ -192,7 +203,7 @@ def cmd_aligned(args) -> int:
     written = []
     for family in families:
         for tag in schemes:
-            scheme = _scheme_for_tag(tag, args)
+            scheme = _scheme(tag, args)
             rows = []
             for theta in thetas:
                 mech = MechanismSpec(Family(family), theta)
@@ -209,26 +220,6 @@ def cmd_aligned(args) -> int:
     for path in written:
         sys.stdout.write(f"{path}\n")
     return 0
-
-
-def _scheme_for_tag(tag: str, args) -> SamplingScheme:
-    spec = {"scheme": tag, "n": args.n}
-    if tag == "poisson":
-        if args.gamma is not None:
-            spec["gamma"] = args.gamma
-        elif args.m is not None:
-            spec["gamma"] = args.m / args.n
-        else:
-            raise ValueError("poisson needs --gamma (or --m to use gamma = m/n)")
-        return scheme_from_dict(spec)
-    if args.m is None:
-        raise ValueError("--m is required for fixed-size schemes")
-    spec["m"] = args.m
-    if tag.startswith("must"):
-        if args.b is None:
-            raise ValueError(f"--b is required for scheme {tag}")
-        spec["b"] = args.b
-    return scheme_from_dict(spec)
 
 
 def cmd_contour(args) -> int:
@@ -261,7 +252,7 @@ def cmd_contour(args) -> int:
                     delta_prime = amplify_delta(scheme, mech, args.eps)
                     row += [eps_prime, delta, delta_prime, delta_prime - delta]
                 else:
-                    row += [amplify_epsilon(eta_value, args.eps or 1.0)]
+                    row += [amplify_epsilon(eta_value, 1.0 if args.eps is None else args.eps)]
                 rows.append(row)
         path = outdir / f"contour_{tag}.csv"
         with open(path, "w") as fh:
@@ -271,7 +262,7 @@ def cmd_contour(args) -> int:
 
 
 def cmd_account(args) -> int:
-    scheme = _scheme_from_args(args)
+    scheme = _scheme(args.scheme, args)
     if args.sigma is None or args.sigma <= 0:
         raise ValueError("--sigma must be a positive real")
     k_list = [int(v) for v in args.k_list.split(",")]
@@ -320,7 +311,7 @@ def cmd_account(args) -> int:
 
 
 def cmd_sample_stats(args) -> int:
-    scheme = _scheme_from_args(args)
+    scheme = _scheme(args.scheme, args)
     stats = mc_stats(scheme, args.trials, args.seed)
     cols = _scheme_columns(scheme)
     header = [
@@ -335,66 +326,45 @@ def cmd_sample_stats(args) -> int:
     return 0
 
 
-def _run_experiment_bootstrap(cfg: dict) -> tuple[list[str], list[list]]:
-    header = ["repeat", "scheme", "sigma_mean", "sigma_var", "pp_mean", "pp_var"]
-    rows = []
-    seed = int(cfg.get("seed", 0))
-    repeats = int(cfg.get("repeats", 20))
-    n = int(cfg["n"])
-    for spec in cfg["schemes"]:
-        scheme = scheme_from_dict(spec)
-        for rep in range(repeats):
-            config = harness.BootstrapConfig(
-                scheme=scheme,
-                t_boot=int(cfg.get("t_boot", 500)),
-                bounds=tuple(cfg.get("bounds", (-4.0, 4.0))),
-                eps_prime=float(cfg.get("eps_prime", 0.1)),
-                delta_base=float(cfg.get("delta_base", 1.0 / n)),
-                repeats=repeats,
-                seed=seed + 1000 * rep,
-            )
-            data = harness.make_synthetic("gaussian_univariate", n, seed=seed + 1000 * rep)
-            result = harness.run_bootstrap(config, data)
-            rows.append([
-                rep, scheme.label, result["sigma_mean"], result["sigma_var"],
-                result["pp_mean"], result["pp_var"],
-            ])
-    return header, rows
+def _bootstrap_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
+    config = harness.BootstrapConfig(
+        scheme=scheme,
+        t_boot=int(cfg.get("t_boot", 500)),
+        bounds=tuple(cfg.get("bounds", (-4.0, 4.0))),
+        eps_prime=float(cfg.get("eps_prime", 0.1)),
+        delta_base=float(cfg.get("delta_base", 1.0 / n)),
+        repeats=int(cfg.get("repeats", 20)),
+        seed=seed,
+    )
+    data = harness.make_synthetic("gaussian_univariate", n, seed=seed)
+    result = harness.run_bootstrap(config, data)
+    return [result["sigma_mean"], result["sigma_var"], result["pp_mean"], result["pp_var"]]
 
 
-def _run_experiment_dpsgd(cfg: dict) -> tuple[list[str], list[list]]:
-    header = ["repeat", "scheme", "sigma", "final_loss", "rmse"]
-    rows = []
-    seed = int(cfg.get("seed", 0))
-    repeats = int(cfg.get("repeats", 20))
-    n = int(cfg["n"])
-    n_test = int(cfg.get("n_test", n))
-    for spec in cfg["schemes"]:
-        scheme = scheme_from_dict(spec)
-        for rep in range(repeats):
-            design, response = harness.make_synthetic(
-                "linear_regression", n, seed=seed + 1000 * rep
-            )
-            test_x, test_y = harness.make_synthetic(
-                "linear_regression", n_test, seed=seed + 1000 * rep + 7
-            )
-            config = harness.SGDConfig(
-                scheme=scheme,
-                eps_prime_per_iter=float(cfg.get("eps_prime", 0.01)),
-                delta_base=float(cfg.get("delta_base", 1.0 / n)),
-                clip_c=float(cfg.get("clip_c", 3.0)),
-                learning_rate=float(cfg.get("learning_rate", 0.04)),
-                iterations=int(cfg.get("iterations", 200)),
-                seed=seed + 1000 * rep,
-            )
-            result = harness.run_dpsgd_linear(config, design, response)
-            pred = test_x @ result["beta_hat"]
-            rmse = float(np.sqrt(np.mean((test_y - pred) ** 2)))
-            rows.append([
-                rep, scheme.label, result["sigma_used"],
-                float(result["loss_trace"][-1]), rmse,
-            ])
-    return header, rows
+def _dpsgd_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
+    design, response = harness.make_synthetic("linear_regression", n, seed=seed)
+    test_x, test_y = harness.make_synthetic(
+        "linear_regression", int(cfg.get("n_test", n)), seed=seed + 7
+    )
+    config = harness.SGDConfig(
+        scheme=scheme,
+        eps_prime_per_iter=float(cfg.get("eps_prime", 0.01)),
+        delta_base=float(cfg.get("delta_base", 1.0 / n)),
+        clip_c=float(cfg.get("clip_c", 3.0)),
+        learning_rate=float(cfg.get("learning_rate", 0.04)),
+        iterations=int(cfg.get("iterations", 200)),
+        seed=seed,
+    )
+    result = harness.run_dpsgd_linear(config, design, response)
+    pred = test_x @ result["beta_hat"]
+    rmse = float(np.sqrt(np.mean((test_y - pred) ** 2)))
+    return [result["sigma_used"], float(result["loss_trace"][-1]), rmse]
+
+
+_EXPERIMENTS = {
+    "bootstrap": (["sigma_mean", "sigma_var", "pp_mean", "pp_var"], _bootstrap_row),
+    "dpsgd_linear": (["sigma", "final_loss", "rmse"], _dpsgd_row),
+}
 
 
 def cmd_experiment(args) -> int:
@@ -405,16 +375,27 @@ def cmd_experiment(args) -> int:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"--config is not valid JSON: {exc}") from None
-    kind = cfg.get("experiment")
-    if kind == "bootstrap":
-        header, rows = _run_experiment_bootstrap(cfg)
-    elif kind == "dpsgd_linear":
-        header, rows = _run_experiment_dpsgd(cfg)
-    else:
+    kind = cfg.get("experiment") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
         raise ValueError(
             f"config field 'experiment' must be 'bootstrap' or 'dpsgd_linear', got {kind!r}"
         )
-    _emit(header, rows, args)
+    columns, run = _EXPERIMENTS[kind]
+    # Config fields are read as the runs go: a missing one raises KeyError
+    # there, and a value of the wrong type TypeError.
+    try:
+        seed = int(cfg.get("seed", 0))
+        n = int(cfg["n"])
+        rows = [
+            [rep, scheme.label, *run(cfg, scheme, n, seed + 1000 * rep)]
+            for scheme in map(scheme_from_dict, cfg["schemes"])
+            for rep in range(int(cfg.get("repeats", 20)))
+        ]
+    except KeyError as exc:
+        raise ValueError(f"config is missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"config has a malformed field: {exc}") from None
+    _emit(["repeat", "scheme", *columns], rows, args)
     return 0
 
 

@@ -5,7 +5,7 @@ the base-mechanism eps per scheme, then calibrate the Gaussian scale. The
 protocol quirks are reproduced as stated, not corrected: the classical
 calibration divides by the full data size n (not the subsample size m), and
 the bootstrap sensitivities are (U-L)/n for the mean and (U-L)^2/n for the
-variance. A sensitivity_denominator switch allows studying the m variant.
+variance.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .amplification import amplify_delta, amplify_epsilon, deamplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, calibrate_sigma
 from .sampling import Multiset, draw
-from .schemes import Poisson, SamplingScheme
+from .schemes import Poisson, SamplingScheme, population_size
 
 __all__ = [
     "SGDConfig",
@@ -54,7 +54,6 @@ class SGDConfig:
     iterations: int
     seed: int
     calibration: str = "classical"
-    sensitivity_denominator: str = "n"
     sigma_override: float | None = None  # force a noise scale (0 disables noise)
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class SGDConfig:
             raise ValueError("clip_c, learning_rate must be positive; iterations >= 1")
         if self.calibration not in ("classical", "exact"):
             raise ValueError("calibration must be 'classical' or 'exact'")
-        if self.sensitivity_denominator not in ("n", "m"):
-            raise ValueError("sensitivity_denominator must be 'n' or 'm'")
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,6 @@ class BootstrapConfig:
     repeats: int
     seed: int
     calibration: str = "classical"
-    sensitivity_denominator: str = "n"
 
     def __post_init__(self):
         lo, hi = self.bounds
@@ -93,38 +89,18 @@ class BootstrapConfig:
 
     @property
     def n(self) -> int:
-        scheme = self.scheme
-        if isinstance(scheme, Poisson):
-            if scheme.n is None:
-                raise ValueError("Poisson scheme needs n for the bootstrap")
-            return scheme.n
-        return scheme.n
+        return population_size(self.scheme)
 
     @property
     def m(self) -> int:
-        scheme = self.scheme
-        if isinstance(scheme, Poisson):
-            return max(1, round(scheme.gamma * self.n))
-        return scheme.m
-
-
-def _population_size(scheme: SamplingScheme) -> int:
-    if isinstance(scheme, Poisson):
-        if scheme.n is None:
-            raise ValueError("Poisson scheme needs n")
-        return scheme.n
-    return scheme.n
+        return _subsample_size(self.scheme)
 
 
 def _subsample_size(scheme: SamplingScheme) -> int:
     """Nominal subsample size m (expected size for Poisson)."""
     if isinstance(scheme, Poisson):
-        return max(1, round(scheme.gamma * _population_size(scheme)))
+        return max(1, round(scheme.gamma * population_size(scheme)))
     return scheme.m
-
-
-def _denominator(scheme: SamplingScheme, which: str) -> int:
-    return _population_size(scheme) if which == "n" else _subsample_size(scheme)
 
 
 def calibrate_for_scheme(
@@ -169,13 +145,12 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
     clamped = np.clip(data, lo, hi)
 
     width = hi - lo
-    denom = _denominator(config.scheme, config.sensitivity_denominator)
     sigma_mean, eps = calibrate_for_scheme(
-        config.scheme, config.eps_prime, config.delta_base, width / denom,
+        config.scheme, config.eps_prime, config.delta_base, width / n,
         config.calibration,
     )
     sigma_var, _ = calibrate_for_scheme(
-        config.scheme, config.eps_prime, config.delta_base, width**2 / denom,
+        config.scheme, config.eps_prime, config.delta_base, width**2 / n,
         config.calibration,
     )
 
@@ -218,19 +193,18 @@ def _dpsgd_loop(
     loss_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
 ) -> dict:
     n, p = design.shape
-    if _population_size(config.scheme) != n:
+    if population_size(config.scheme) != n:
         raise ValueError("scheme population size must match the data size")
 
     scheme = config.scheme
     m = _subsample_size(scheme)
-    denom = _denominator(scheme, config.sensitivity_denominator)
     if config.sigma_override is not None:
         sigma = float(config.sigma_override)
         eps = deamplify_epsilon(eta(scheme), config.eps_prime_per_iter)
     else:
         sigma, eps = calibrate_for_scheme(
             scheme, config.eps_prime_per_iter, config.delta_base,
-            config.clip_c / denom, config.calibration,
+            config.clip_c / n, config.calibration,
         )
 
     rng = np.random.default_rng([config.seed, 2])
@@ -269,7 +243,7 @@ def _dpsgd_loop(
     if config.sigma_override is not None:
         delta_prime = math.nan
     else:
-        theta = (config.clip_c / denom) / sigma
+        theta = (config.clip_c / n) / sigma
         delta_prime = amplify_delta(
             scheme, MechanismSpec(Family.GAUSSIAN, theta), eps
         )

@@ -16,7 +16,6 @@ from scipy.special import gammaln
 __all__ = [
     "log_binom",
     "log_binom_pmf",
-    "log_hypergeom_pmf",
     "stable_sum",
 ]
 
@@ -52,20 +51,6 @@ def log_binom_pmf(k, n, p):
     out[(p == 0) & (k == 0)] = 0.0
     out[(p == 1) & (k == n)] = 0.0
     return out if out.ndim else float(out)
-
-
-def log_hypergeom_pmf(u, total, hits, draws):
-    """log P[u successes] drawing `draws` without replacement.
-
-    Population of size `total` with `hits` marked elements; zero (-inf)
-    outside the hypergeometric support, matching the C(a, b) = 0 convention
-    for b < 0 or b > a.
-    """
-    return (
-        log_binom(hits, u)
-        + log_binom(total - hits, draws - u)
-        - log_binom(total, draws)
-    )
 
 
 def stable_sum(values) -> float:

@@ -5,12 +5,16 @@ random variable s = L(t) of the output t. For Poisson the reference density
 is the plain Gaussian and L has a closed-form inverse; for WOR the loss is
 the two-sided single-shift mixture ratio, also invertible in closed form.
 The multiset schemes (WR, MUSTwo, MUSTow, MUSTww) give binomial-mixture
-exponential sums whose inverse is found by safeguarded Newton and whose
-inverse-derivative is approximated by central difference quotients.
+exponential sums whose inverse is found by safeguarded Newton. The density
+omega(s) = f_X(t) dL^{-1}/ds takes the inverse derivative in closed form
+for Poisson and WOR and as 1/L'(t) at the Newton root otherwise.
 
 Discretization follows the accountant's grid contract: masses c_i at the
-left endpoints plus conservative per-interval lower/upper masses obtained
-from endpoint and midpoint evaluations.
+left endpoints plus per-interval lower/upper masses taken from omega at the
+two endpoints and the midpoint of each cell. These are not proven bounds:
+omega can peak or dip inside a cell, between the three samples, and the
+masses are not normalized, so an under-resolved grid gives interval masses
+that miss the true PLD.
 """
 
 from __future__ import annotations
@@ -197,16 +201,7 @@ def _poisson_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
 
 
 def _poisson_inverse_derivative(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    return model.sigma**2 * np.exp(s) / (np.expm1(s) + q_of(model))
-
-
-def q_of(model: PrivacyLossModel) -> float:
-    scheme = model.scheme
-    if isinstance(scheme, Poisson):
-        return scheme.gamma
-    if isinstance(scheme, WOR):
-        return scheme.m / scheme.n
-    raise TypeError(f"no single inclusion ratio for {scheme!r}")
+    return model.sigma**2 * np.exp(s) / (np.expm1(s) + model.scheme.gamma)
 
 
 def _wor_pieces(model: PrivacyLossModel, s: np.ndarray):
@@ -215,28 +210,28 @@ def _wor_pieces(model: PrivacyLossModel, s: np.ndarray):
     With P = (1-q)(1-e^s), Q = 4 (q e^{-1/(2 sigma^2)})^2 e^s, D = P^2 + Q:
     e^{t / sigma^2} = (-P + sqrt(D)) / (2 q e^{-1/(2 sigma^2)}). Both
     (-P + sqrt(D)) and (P + sqrt(D)) are assembled via the conjugate trick on
-    whichever side would cancel.
+    whichever side would cancel. Returns (q, a, sqrt(D), P + sqrt(D),
+    -P + sqrt(D)) with q = m/n and a = q e^{-1/(2 sigma^2)}.
     """
-    q = q_of(model)
+    q = model.scheme.m / model.scheme.n
     a = q * math.exp(-1.0 / (2.0 * model.sigma**2))
     p = (1.0 - q) * (-np.expm1(s))
     qq = 4.0 * a * a * np.exp(s)
     root = np.sqrt(p * p + qq)
     psum = np.where(p > 0, p + root, qq / (root - np.minimum(p, 0.0)))
     pdiff = np.where(p <= 0, root - p, qq / psum)  # -P + sqrt(D)
-    return a, p, qq, root, psum, pdiff
+    return q, a, root, psum, pdiff
 
 
 def _wor_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    a, _, _, _, _, pdiff = _wor_pieces(model, s)
+    _, a, _, _, pdiff = _wor_pieces(model, s)
     return model.sigma**2 * (np.log(pdiff) - math.log(2.0 * a))
 
 
 def _wor_inverse_derivative(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
     # Algebraically equal to the quotient-form derivative of the inverse;
     # this arrangement keeps every term positive at both tails.
-    q = q_of(model)
-    _, _, _, root, psum, _ = _wor_pieces(model, s)
+    q, _, root, psum, _ = _wor_pieces(model, s)
     return model.sigma**2 * (psum / 2.0 + (1.0 - q) * np.exp(s)) / root
 
 
@@ -267,7 +262,8 @@ def _invert_newton_chunk(
     tol: float,
     max_iter: int,
     start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, L'(t)) with |L(t) - s| <= tol; L' is taken at the accepted iterate."""
     sig2 = model.sigma**2
     if start is not None:
         t, lo, hi = (np.array(a, dtype=float) for a in start)
@@ -278,6 +274,7 @@ def _invert_newton_chunk(
         hi = np.full_like(s, 10.0 * sig2)
         _expand_brackets(model, s, lo, hi)
         t = np.clip(t, lo, hi)
+    dloss = np.empty_like(s)
     active = np.arange(s.size)
     for _ in range(max_iter):
         loss, slope = _sym_loss_and_slope(model, t[active])
@@ -288,9 +285,10 @@ def _invert_newton_chunk(
         hi[active[above]] = t[active[above]]
 
         live = np.abs(resid) > tol
+        dloss[active[~live]] = slope[~live]
         active = active[live]
         if active.size == 0:
-            return t
+            return t, dloss
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t[active] - resid[live] / slope[live]
         fallback = ~np.isfinite(t_new) | (t_new <= lo[active]) | (t_new >= hi[active])
@@ -331,19 +329,37 @@ def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
 
 def _invert_newton(
     model: PrivacyLossModel, s: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
-    starts = None
-    if s.size >= _PRESOLVE_MIN:
-        t0, lo, hi = _presolve_starts(model, s)
-        starts = (t0, lo, hi)
-    out = np.empty_like(s)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, L'(t)) at the Newton roots of L(t) = s."""
+    starts = _presolve_starts(model, s) if s.size >= _PRESOLVE_MIN else None
+    t = np.empty_like(s)
+    dloss = np.empty_like(s)
     for begin in range(0, s.size, _CHUNK):
         sl = slice(begin, min(begin + _CHUNK, s.size))
-        chunk_start = None
-        if starts is not None:
-            chunk_start = (starts[0][sl], starts[1][sl], starts[2][sl])
-        out[sl] = _invert_newton_chunk(model, s[sl], tol, max_iter, chunk_start)
-    return out
+        chunk_start = None if starts is None else tuple(a[sl] for a in starts)
+        t[sl], dloss[sl] = _invert_newton_chunk(model, s[sl], tol, max_iter, chunk_start)
+    return t, dloss
+
+
+def _inverse(
+    model: PrivacyLossModel,
+    s: np.ndarray,
+    tol: float = _NEWTON_TOL,
+    max_iter: int = _NEWTON_MAX_ITER,
+    force_newton: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, dL^{-1}/ds) at loss values s inside the image of L.
+
+    The one scheme dispatch of the inversion: closed forms for Poisson and
+    WOR, safeguarded Newton (inverse derivative 1/L'(t)) otherwise.
+    """
+    scheme = model.scheme
+    if isinstance(scheme, Poisson):
+        return _poisson_inverse(model, s), _poisson_inverse_derivative(model, s)
+    if isinstance(scheme, WOR) and not force_newton:
+        return _wor_inverse(model, s), _wor_inverse_derivative(model, s)
+    t, dloss = _invert_newton(model, s, tol, max_iter)
+    return t, 1.0 / dloss
 
 
 def invert_loss(
@@ -362,66 +378,48 @@ def invert_loss(
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(s_arr)):
         raise ValueError("s must be finite")
-    scheme = model.scheme
-    if isinstance(scheme, Poisson):
-        low = model.loss_domain_low
-        if np.any(s_arr <= low):
-            raise OutOfDomainError(
-                f"loss values must exceed log(1-q) = {low:.6g} for Poisson"
-            )
-        out = _poisson_inverse(model, s_arr)
-    elif isinstance(scheme, WOR) and not force_newton:
-        out = _wor_inverse(model, s_arr)
-    else:
-        out = _invert_newton(model, s_arr, tol, max_iter)
+    low = model.loss_domain_low
+    if np.any(s_arr <= low):
+        raise OutOfDomainError(
+            f"loss values must exceed log(1-q) = {low:.6g} for Poisson"
+        )
+    out, _ = _inverse(model, s_arr, tol, max_iter, force_newton)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _density_from_t(
-    model: PrivacyLossModel, t: np.ndarray, dinv: np.ndarray
-) -> np.ndarray:
-    return np.exp(log_output_density(model, t)) * dinv
+def _omega(model: PrivacyLossModel, s: np.ndarray, swapped: bool = False) -> np.ndarray:
+    """omega(s) = f_X(L^{-1}(s)) dL^{-1}/ds, zero below the image of L.
+
+    swapped exchanges X and X' (symmetric schemes only): f_X(-g(-s)) g'(-s).
+    """
+    if swapped:
+        s = -s
+    ok = s > model.loss_domain_low
+    # Only Poisson has a finite lower end; with every point inside, the
+    # grid-sized masked copies are skipped.
+    inside = ok.all()
+    t, dinv = _inverse(model, s if inside else s[ok])
+    omega = np.exp(log_output_density(model, -t if swapped else t)) * dinv
+    if inside:
+        return omega
+    out = np.zeros_like(s)
+    out[ok] = omega
+    return out
 
 
-def _quotient_step(s: np.ndarray, h: float | None) -> np.ndarray:
-    if h is not None:
-        return np.full_like(s, float(h))
-    return np.maximum(1e-6, 1e-6 * np.abs(s))
-
-
-def pld_density(model: PrivacyLossModel, s, h: float | None = None):
+def pld_density(model: PrivacyLossModel, s):
     """Density omega(s) of the privacy loss random variable.
 
     omega(s) = f_X(L^{-1}(s)) * d L^{-1}/ds. The derivative is closed-form
-    for Poisson and WOR; for the multiset schemes it is a central difference
-    quotient of step h (default max(1e-6, 1e-6 |s|); the accountant passes
-    its own grid length).
+    for Poisson and WOR, and 1/L'(t) at the Newton root for the multiset
+    schemes.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    scheme = model.scheme
-    if isinstance(scheme, Poisson):
-        low = model.loss_domain_low
-        out = np.zeros_like(s_arr)
-        ok = s_arr > low
-        if ok.any():
-            t = _poisson_inverse(model, s_arr[ok])
-            dinv = _poisson_inverse_derivative(model, s_arr[ok])
-            out[ok] = _density_from_t(model, t, dinv)
-    elif isinstance(scheme, WOR):
-        t = _wor_inverse(model, s_arr)
-        dinv = _wor_inverse_derivative(model, s_arr)
-        out = _density_from_t(model, t, dinv)
-    else:
-        step = _quotient_step(s_arr, h)
-        t = _invert_newton(model, s_arr, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        t_hi = _invert_newton(model, s_arr + step, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        t_lo = _invert_newton(model, s_arr - step, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        dinv = (t_hi - t_lo) / (2.0 * step)
-        out = _density_from_t(model, t, dinv)
+    out = _omega(model, s_arr)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def pld_density_swapped(model: PrivacyLossModel, s, h: float | None = None):
+def pld_density_swapped(model: PrivacyLossModel, s):
     """Density of the loss with X and X' exchanged (omega_{X'/X}).
 
     For the symmetric schemes L_{X'/X}(t) = -L_{X/X'}(t), so the swapped
@@ -431,27 +429,16 @@ def pld_density_swapped(model: PrivacyLossModel, s, h: float | None = None):
     if not model.is_symmetric:
         raise TypeError("swapped density implemented for symmetric schemes only")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    neg = -s_arr
-    if isinstance(model.scheme, WOR):
-        t = _wor_inverse(model, neg)
-        dinv = _wor_inverse_derivative(model, neg)
-    else:
-        step = _quotient_step(neg, h)
-        t = _invert_newton(model, neg, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        t_hi = _invert_newton(model, neg + step, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        t_lo = _invert_newton(model, neg - step, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        dinv = (t_hi - t_lo) / (2.0 * step)
-    # f_X'(t) = f_X(-t) by symmetry.
-    out = np.exp(log_output_density(model, -t)) * dinv
+    out = _omega(model, s_arr, swapped=True)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
 @dataclass(frozen=True)
 class DiscretizedPLD:
-    """Grid masses of a PLD over [-L, L) with conservative interval bounds.
+    """Grid masses of a PLD over [-L, L) with per-interval lower/upper masses.
 
-    bound_method records that interval extrema were approximated from
-    endpoint plus midpoint evaluations rather than true extremization.
+    The interval masses come from endpoint and midpoint values of omega, not
+    from its true extrema over each cell, so they can miss the true PLD.
     """
 
     trunc_L: float
@@ -462,7 +449,6 @@ class DiscretizedPLD:
     c_plus: np.ndarray
     scheme: SamplingScheme
     sigma: float
-    bound_method: str = "endpoint+midpoint"
 
     def __post_init__(self):
         if self.grid_r < 2 or self.grid_r % 2 != 0:
@@ -505,10 +491,10 @@ class DiscretizedPLD:
 def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> DiscretizedPLD:
     """Discretize omega onto the accountant grid.
 
-    c_i is the left-endpoint mass dx*omega(s_i); the interval bounds take
+    c_i is the left-endpoint mass dx*omega(s_i); the interval masses take
     the min/max of omega over {s_i, s_i + dx/2, s_{i+1}}. For the multiset
-    schemes the half-step grid is inverted once and the difference quotient
-    (step dx) reuses neighbors two half-steps away.
+    schemes the half-step grid is inverted once and dL^{-1}/ds is the
+    difference quotient over two cell widths.
     """
     if not (math.isfinite(trunc_L) and trunc_L > 0.0):
         raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
@@ -521,24 +507,19 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     n_half = 2 * grid_r + 5
     s_half = -trunc_L + half * (np.arange(n_half) - 2.0)
 
-    scheme = model.scheme
-    if isinstance(scheme, Poisson):
-        omega_half = np.zeros(n_half)
-        ok = s_half > model.loss_domain_low
-        if ok.any():
-            t = _poisson_inverse(model, s_half[ok])
-            dinv = _poisson_inverse_derivative(model, s_half[ok])
-            omega_half[ok] = _density_from_t(model, t, dinv)
-    elif isinstance(scheme, WOR):
-        t = _wor_inverse(model, s_half)
-        dinv = _wor_inverse_derivative(model, s_half)
-        omega_half = _density_from_t(model, t, dinv)
-    else:
-        t = _invert_newton(model, s_half, _NEWTON_TOL, _NEWTON_MAX_ITER)
+    if isinstance(model.scheme, MULTISET_SCHEMES):
+        # A large mixture has near-flat stretches of L where 1/L'(t) spikes
+        # far narrower than a cell; point values of it overstate the mass
+        # (MUSTww(1000, 10, 500), r=2e4: sum c is 3.96e8 with 1/L'(t)
+        # against 1.63 here, and k-fold composition overflows). The
+        # quotient averages dL^{-1}/ds over two cell widths.
+        t, _ = _invert_newton(model, s_half, _NEWTON_TOL, _NEWTON_MAX_ITER)
         dinv = (t[4:] - t[:-4]) / (2.0 * dx)
         omega_half = np.zeros(n_half)
-        omega_half[2:-2] = _density_from_t(model, t[2:-2], dinv)
+        omega_half[2:-2] = np.exp(log_output_density(model, t[2:-2])) * dinv
         # The two guard points at each end only feed the quotient above.
+    else:
+        omega_half = _omega(model, s_half)
 
     # omega on the working half-grid 0..2r (s = -L + i*dx/2).
     omega_work = omega_half[2 : 2 * grid_r + 3]
@@ -556,6 +537,6 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
         c=c,
         c_minus=c_minus,
         c_plus=c_plus,
-        scheme=scheme,
+        scheme=model.scheme,
         sigma=model.sigma,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import MUSTow, MUSTwo, MUSTww, Poisson, SamplingScheme, WOR, WR
+from .schemes import MUSTow, MUSTwo, MUSTww, Poisson, SamplingScheme, WOR, WR, population_size
 
 __all__ = ["Multiset", "RunStats", "draw", "mc_stats"]
 
@@ -67,18 +67,10 @@ class RunStats:
     weight_hat: np.ndarray  # P-hat[probe element appears exactly u times], u=1..len
 
 
-def _population_size(scheme: SamplingScheme) -> int:
-    if isinstance(scheme, Poisson):
-        if scheme.n is None:
-            raise ValueError("Poisson scheme needs n to draw samples")
-        return scheme.n
-    return scheme.n
-
-
 def _work_per_trial(scheme: SamplingScheme) -> int:
     match scheme:
         case Poisson():
-            return _population_size(scheme)
+            return population_size(scheme)
         case WOR(n=n, m=m):
             return max(n, m)
         case WR(m=m):
@@ -136,7 +128,7 @@ def draw(scheme: SamplingScheme, seed: int) -> Multiset:
     rng = np.random.default_rng(seed)
     match scheme:
         case Poisson(gamma=g):
-            n = _population_size(scheme)
+            n = population_size(scheme)
             included = np.flatnonzero(rng.random(n) < g)
             return Multiset(included, np.ones(included.size, dtype=np.int64))
         case MUSTow():
@@ -166,7 +158,7 @@ def mc_stats(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    n = _population_size(scheme)
+    n = population_size(scheme)
     if not 0 <= probe < n:
         raise ValueError(f"probe element must lie in [0, {n}), got {probe}")
 

@@ -11,7 +11,7 @@ dispatches on the concrete type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 __all__ = [
     "Poisson",
@@ -22,6 +22,7 @@ __all__ = [
     "MUSTww",
     "SamplingScheme",
     "MULTISET_SCHEMES",
+    "population_size",
     "scheme_from_dict",
 ]
 
@@ -38,6 +39,9 @@ class Poisson:
     Analyzed under the remove/add neighboring relation.
     """
 
+    label: ClassVar[str] = "poisson"
+    neighboring: ClassVar[str] = "R"
+
     gamma: float
     n: int | None = None  # population size; only needed to draw samples
 
@@ -47,18 +51,13 @@ class Poisson:
         if self.n is not None:
             _check_positive_int("n", self.n)
 
-    @property
-    def neighboring(self) -> str:
-        return "R"
-
-    @property
-    def label(self) -> str:
-        return "poisson"
-
 
 @dataclass(frozen=True)
 class WOR:
     """Uniform m-subset of n elements, no replacement."""
+
+    label: ClassVar[str] = "wor"
+    neighboring: ClassVar[str] = "S"
 
     n: int
     m: int
@@ -69,18 +68,13 @@ class WOR:
         if self.m > self.n:
             raise ValueError(f"WOR requires m <= n, got m={self.m}, n={self.n}")
 
-    @property
-    def neighboring(self) -> str:
-        return "S"
-
-    @property
-    def label(self) -> str:
-        return "wor"
-
 
 @dataclass(frozen=True)
 class WR:
     """m i.i.d. uniform draws from n elements (a multiset)."""
+
+    label: ClassVar[str] = "wr"
+    neighboring: ClassVar[str] = "S"
 
     n: int
     m: int
@@ -89,18 +83,13 @@ class WR:
         _check_positive_int("n", self.n)
         _check_positive_int("m", self.m)
 
-    @property
-    def neighboring(self) -> str:
-        return "S"
-
-    @property
-    def label(self) -> str:
-        return "wr"
-
 
 @dataclass(frozen=True)
 class MUSTwo:
     """Stage I: WR(n, b). Stage II: WOR(b, m) over the stage-I multiset."""
+
+    label: ClassVar[str] = "mustwo"
+    neighboring: ClassVar[str] = "S"
 
     n: int
     b: int
@@ -116,18 +105,13 @@ class MUSTwo:
                 f"got m={self.m}, b={self.b}"
             )
 
-    @property
-    def neighboring(self) -> str:
-        return "S"
-
-    @property
-    def label(self) -> str:
-        return "mustwo"
-
 
 @dataclass(frozen=True)
 class MUSTow:
     """Stage I: WOR(n, b). Stage II: m multinomial draws over the b picks."""
+
+    label: ClassVar[str] = "mustow"
+    neighboring: ClassVar[str] = "S"
 
     n: int
     b: int
@@ -142,18 +126,13 @@ class MUSTow:
                 f"MUSTow requires b <= n, got b={self.b}, n={self.n}"
             )
 
-    @property
-    def neighboring(self) -> str:
-        return "S"
-
-    @property
-    def label(self) -> str:
-        return "mustow"
-
 
 @dataclass(frozen=True)
 class MUSTww:
     """Stage I: WR(n, b). Stage II: WR(b, m) over the stage-I multiset."""
+
+    label: ClassVar[str] = "mustww"
+    neighboring: ClassVar[str] = "S"
 
     n: int
     b: int
@@ -164,28 +143,20 @@ class MUSTww:
         _check_positive_int("b", self.b)
         _check_positive_int("m", self.m)
 
-    @property
-    def neighboring(self) -> str:
-        return "S"
-
-    @property
-    def label(self) -> str:
-        return "mustww"
-
 
 SamplingScheme = Union[Poisson, WOR, WR, MUSTwo, MUSTow, MUSTww]
 
 # Schemes whose output can contain an element more than once.
 MULTISET_SCHEMES = (WR, MUSTwo, MUSTow, MUSTww)
 
-_SCHEME_TAGS = {
-    "poisson": Poisson,
-    "wor": WOR,
-    "wr": WR,
-    "mustwo": MUSTwo,
-    "mustow": MUSTow,
-    "mustww": MUSTww,
-}
+_SCHEME_TAGS = {cls.label: cls for cls in get_args(SamplingScheme)}
+
+
+def population_size(scheme: SamplingScheme) -> int:
+    """Population size n; a Poisson scheme carries it only to draw samples."""
+    if scheme.n is None:
+        raise ValueError("Poisson scheme needs n, the population size")
+    return scheme.n
 
 
 def scheme_from_dict(spec: dict) -> SamplingScheme:

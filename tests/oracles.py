@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Exact rational enumeration of the subsampling schemes (feasible for tiny
-configurations) and a float evaluation of the inclusion-probability double
-sum for the WR-then-WOR scheme. These never share code with the production
-formulas they verify.
+configurations), a float evaluation of the inclusion-probability double
+sum for the WR-then-WOR scheme, and privacy-loss masses of the multiset
+schemes from normal mixture CDFs. These never share code with the
+production formulas they verify.
 """
 
 from __future__ import annotations
@@ -97,3 +98,66 @@ def eta_mustwo_sum_form(n: int, b: int, m: int) -> float:
         log_miss = _log_binom(b - j, m) - _log_binom(b, m)
     hit = -np.expm1(np.where(np.isfinite(log_miss), log_miss, -np.inf))
     return math.fsum(weights * hit)
+
+
+def mixture_weights(scheme: SamplingScheme) -> np.ndarray:
+    """P[element occurs l times], l = 0..m, for WR, MUSTow and MUSTww.
+
+    Stage by stage from scipy's binomial pmf: WR is Binomial(m, 1/n);
+    MUSTow keeps the element with probability b/n and then draws it
+    Binomial(m, 1/b) times; MUSTww gives it j ~ Binomial(b, 1/n) stage-I
+    copies and then Binomial(m, j/b) draws.
+    """
+    from scipy.stats import binom as binom_dist
+
+    l_vals = np.arange(scheme.m + 1)
+    match scheme:
+        case WR(n=n, m=m):
+            return binom_dist.pmf(l_vals, m, 1.0 / n)
+        case MUSTow(n=n, b=b, m=m):
+            out = (b / n) * binom_dist.pmf(l_vals, m, 1.0 / b)
+            out[0] += 1.0 - b / n
+            return out
+        case MUSTww(n=n, b=b, m=m):
+            j = np.arange(b + 1)
+            stage1 = binom_dist.pmf(j, b, 1.0 / n)
+            stage2 = binom_dist.pmf(l_vals[None, :], m, j[:, None] / b)
+            return (stage1[:, None] * stage2).sum(axis=0)
+    raise TypeError(f"no mixture oracle for {scheme!r}")
+
+
+def mixture_loss_mass(scheme: SamplingScheme, sigma: float, s_lo: float, s_hi: float) -> float:
+    """P[s_lo <= L < s_hi] for a symmetric multiset scheme, from normal CDFs.
+
+    The output density is f(t) = sum_l w_l N(t; l, sigma^2) and the loss is
+    L(t) = log f(t) - log f(-t). Both ends are inverted by Brent's method
+    on that expression; the mass is then a difference of mixture CDFs, or
+    of survival functions right of the origin, where CDF differences cancel.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import logsumexp
+    from scipy.stats import norm
+
+    w = mixture_weights(scheme)
+    keep = w > 0.0
+    l_vals, log_w = np.arange(w.size)[keep], np.log(w[keep])
+
+    def loss(t: float) -> float:
+        return float(
+            logsumexp(log_w - (t - l_vals) ** 2 / (2 * sigma**2))
+            - logsumexp(log_w - (t + l_vals) ** 2 / (2 * sigma**2))
+        )
+
+    def invert(s: float) -> float:
+        lo, hi = -1.0, 1.0
+        while loss(lo) > s:
+            lo *= 2.0
+        while loss(hi) < s:
+            hi *= 2.0
+        return brentq(lambda t: loss(t) - s, lo, hi, xtol=1e-14, rtol=1e-15)
+
+    t_lo, t_hi = invert(s_lo), invert(s_hi)
+    w = w[keep]
+    if s_lo >= 0.0:
+        return float(np.sum(w * (norm.sf(t_lo, l_vals, sigma) - norm.sf(t_hi, l_vals, sigma))))
+    return float(np.sum(w * (norm.cdf(t_hi, l_vals, sigma) - norm.cdf(t_lo, l_vals, sigma))))

@@ -101,6 +101,17 @@ class TestAmplifyCommand:
         assert float(row["delta_prime"]) == 0.0
         assert row["pa_class"] == "strong"
 
+    def test_poisson_gamma_from_m_over_n(self, capsys):
+        flags = ["--family", "laplace", "--theta", "1", "--eps", "1"]
+        code, from_m, _ = run_cli(
+            capsys, "amplify", "--scheme", "poisson", "--n", "1000", "--m", "100", *flags
+        )
+        _, from_gamma, _ = run_cli(
+            capsys, "amplify", "--scheme", "poisson", "--n", "1000", "--gamma", "0.1", *flags
+        )
+        assert code == 0
+        assert from_m == from_gamma
+
     def test_invariant_violation_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "amplify", "--scheme", "mustwo", "--n", "1000", "--b", "50",
@@ -153,6 +164,22 @@ class TestContourCommand:
             header, rows = parse_csv((tmp_path / f"contour_{tag}.csv").read_text())
             assert len(rows) == 51 * 51
             assert "eta" in header and "delta_gap" in header
+
+    def test_eps_zero_without_family(self, capsys, tmp_path):
+        outputs = {}
+        for eps in ("0", "1"):
+            outdir = tmp_path / eps
+            code, _, _ = run_cli(
+                capsys, "contour", "--schemes", "mustow", "--n", "1000",
+                "--b-range", "150:151", "--m-range", "100:101", "--eps", eps,
+                "--output-dir", str(outdir),
+            )
+            assert code == 0
+            outputs[eps] = parse_csv((outdir / "contour_mustow.csv").read_text())
+        header, rows = outputs["0"]
+        col = header.index("eps_prime")
+        assert all(float(row[col]) == 0.0 for row in rows)
+        assert all(float(row[col]) > 0.0 for row in outputs["1"][1])
 
     def test_rejects_scheme_without_b(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -219,6 +246,20 @@ class TestExperimentCommand:
         code, _, err = run_cli(
             capsys, "experiment", "--config", str(tmp_path / "nope.json")
         )
+        assert code == 2
+        assert "config" in err
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "bootstrap", "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
+        {"experiment": "dpsgd_linear", "n": 400},
+        {"experiment": "bootstrap", "n": 300, "schemes": [5]},
+        {"experiment": "bootstrap", "n": 300, "bounds": 4,
+         "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
+    ])
+    def test_missing_or_malformed_field_exits_2(self, capsys, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
         assert "config" in err
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.stats import norm
 
 from subamp.pld import (
@@ -20,6 +21,8 @@ from subamp.pld import (
     pld_density_swapped,
 )
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
+
+from oracles import mixture_loss_mass
 
 MODELS = {
     "poisson": PrivacyLossModel(Poisson(0.02, n=100), 2.0),
@@ -121,8 +124,21 @@ class TestDensity:
     def test_symmetric_normalizes(self, tag):
         model = MODELS[tag]
         s = np.linspace(-12.0, 12.0, 20_001)
-        omega = pld_density(model, s, h=24.0 / 20_000)
+        omega = pld_density(model, s)
         assert np.trapezoid(omega, s) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("tag", ["wr", "mustow", "mustww"])
+    def test_multiset_interval_masses(self, tag):
+        # Where the mass sits, not only its total: omega integrated over
+        # intervals of s, from the bulk out to tails of 1e-40, against
+        # mixture CDFs at independently inverted interval ends.
+        model = MODELS[tag]
+        edges = (-4.0, -1.0, 0.0, 0.3, 1.5, 3.0, 5.0, 7.0)
+        for lo, hi in zip(edges, edges[1:]):
+            s = np.linspace(lo, hi, 4001)
+            mass = simpson(pld_density(model, s), x=s)
+            expected = mixture_loss_mass(model.scheme, model.sigma, lo, hi)
+            assert mass == pytest.approx(expected, rel=1e-6, abs=0.0), (lo, hi)
 
     def test_wor_swap_identity(self):
         # omega_{X/X'}(s) = e^s * omega_{X'/X}(-s) on a 50-point grid.
