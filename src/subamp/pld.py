@@ -9,6 +9,11 @@ exponential sums whose inverse is found by safeguarded Newton. The density
 omega(s) = f_X(t) dL^{-1}/ds takes the inverse derivative in closed form
 for Poisson and WOR and as 1/L'(t) at the Newton root otherwise.
 
+The Newton kernel writes L = log N - log D over the K mixture components
+and takes one exponential per side; N also gives log f_X at each iterate,
+so discretization needs no second pass over the mixture. Its temporaries
+hold at most _CELLS rows x K cells, so memory is bounded for any K.
+
 Discretization follows the accountant's grid contract: masses c_i at the
 left endpoints plus per-interval lower/upper masses taken from omega at the
 two endpoints and the midpoint of each cell. These are not proven bounds:
@@ -47,7 +52,14 @@ _LOG_WEIGHT_CUTOFF = 60.0
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
-_CHUNK = 1 << 16
+# Rows x components in one block of the Newton kernel (one exponential per
+# side, log f_X from N), which bounds every temporary of bracketing,
+# presolve and Newton for any mixture size. 1 MB of float64 stays in a
+# core's L2 cache across the kernel's passes; 8 MB made it 1.5x slower.
+_CELLS = 1 << 17
+# Shifted kernel terms are raised to this before exp: e^-700 ~ 1e-304 adds
+# nothing to a sum of at least 1, and exp stays off its slow underflow path.
+_EXP_FLOOR = -700.0
 
 
 class OutOfDomainError(ValueError):
@@ -141,21 +153,37 @@ def _sym_loss(model: PrivacyLossModel, t: np.ndarray) -> np.ndarray:
 
 def _sym_loss_and_slope(
     model: PrivacyLossModel, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L(t), L'(t), log f_X(t)): the Newton kernel.
+
+    L = log N - log D with N(t) = sum_l a_l e^{t l / sigma^2}, D(t) = N(-t).
+    One product with [1, l / sigma^2] gives each side's plain and slope-
+    weighted sums, so L' = N'/N - D'/D. As log a_l = log w_l - l^2 / (2
+    sigma^2), f_X(t) = N(t) e^{-t^2 / (2 sigma^2)} / (sigma sqrt(2 pi)).
+    """
     l_vals, _ = model._mixture
     sig2 = model.sigma**2
     slopes = l_vals / sig2
-    arg = t[:, None] * slopes[None, :]
-    log_a = model._log_a[None, :]
-    log_num = _lse(log_a + arg)
-    log_den = _lse(log_a - arg)
-    # l_vals[0] is always the l = 0 component; it contributes no slope.
-    log_slope_w = np.concatenate(([-np.inf], np.log(slopes[1:])))
-    log_num_d = _lse(log_a + arg + log_slope_w[None, :])
-    log_den_d = _lse(log_a - arg + log_slope_w[None, :])
-    loss = log_num - log_den
-    slope = np.exp(log_num_d - log_num) + np.exp(log_den_d - log_den)
-    return loss, slope
+    weights = np.stack([np.ones_like(slopes), slopes])
+    log_a = model._log_a[:, None]
+    log_sum = np.empty((2, t.size))
+    slope = np.zeros(t.size)
+    step = max(1, _CELLS // slopes.size)
+    for begin in range(0, t.size, step):
+        rows = slice(begin, begin + step)
+        for side, sign in enumerate((1.0, -1.0)):
+            # K x rows, so the max and the shift run along contiguous rows.
+            terms = np.multiply.outer(slopes, sign * t[rows])
+            terms += log_a
+            peak = terms.max(axis=0)
+            terms -= peak
+            np.maximum(terms, _EXP_FLOOR, out=terms)
+            np.exp(terms, out=terms)
+            sums = weights @ terms
+            log_sum[side, rows] = peak + np.log(sums[0])
+            slope[rows] += sums[1] / sums[0]
+    log_norm = -math.log(model.sigma) - 0.5 * math.log(2.0 * math.pi)
+    return log_sum[0] - log_sum[1], slope, log_sum[0] - t**2 / (2.0 * sig2) + log_norm
 
 
 def loss_at(model: PrivacyLossModel, t):
@@ -244,7 +272,7 @@ def _expand_brackets(
     for side, bound in (("low", lo), ("high", hi)):
         active = np.arange(s.size)
         for _ in range(200):
-            resid = _sym_loss(model, bound[active]) - s[active]
+            resid = _sym_loss_and_slope(model, bound[active])[0] - s[active]
             bad = resid > 0.0 if side == "low" else resid < 0.0
             if not bad.any():
                 break
@@ -256,28 +284,27 @@ def _expand_brackets(
             )
 
 
-def _invert_newton_chunk(
-    model: PrivacyLossModel,
-    s: np.ndarray,
-    tol: float,
-    max_iter: int,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, L'(t)) with |L(t) - s| <= tol; L' is taken at the accepted iterate."""
+def _invert_newton(
+    model: PrivacyLossModel, s: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, L'(t), log f_X(t)) with |L(t) - s| <= tol.
+
+    L' and log f_X come from the kernel at the accepted iterate.
+    """
     sig2 = model.sigma**2
-    if start is not None:
-        t, lo, hi = (np.array(a, dtype=float) for a in start)
+    if s.size >= _PRESOLVE_MIN:
+        t, lo, hi = _presolve_starts(model, s)
     else:
-        m_eff = model._mean_multiplicity_given_present
-        t = sig2 * s / m_eff + 0.5
+        t = sig2 * s / model._mean_multiplicity_given_present + 0.5
         lo = np.full_like(s, -10.0 * sig2)
         hi = np.full_like(s, 10.0 * sig2)
         _expand_brackets(model, s, lo, hi)
         t = np.clip(t, lo, hi)
     dloss = np.empty_like(s)
+    log_fx = np.empty_like(s)
     active = np.arange(s.size)
     for _ in range(max_iter):
-        loss, slope = _sym_loss_and_slope(model, t[active])
+        loss, slope, log_f = _sym_loss_and_slope(model, t[active])
         resid = loss - s[active]
         below = resid < 0.0
         lo[active[below]] = t[active[below]]
@@ -286,15 +313,16 @@ def _invert_newton_chunk(
 
         live = np.abs(resid) > tol
         dloss[active[~live]] = slope[~live]
+        log_fx[active[~live]] = log_f[~live]
         active = active[live]
         if active.size == 0:
-            return t, dloss
+            return t, dloss, log_fx
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t[active] - resid[live] / slope[live]
         fallback = ~np.isfinite(t_new) | (t_new <= lo[active]) | (t_new >= hi[active])
         t_new = np.where(fallback, 0.5 * (lo[active] + hi[active]), t_new)
         t[active] = t_new
-    worst = float(np.abs(_sym_loss(model, t[active]) - s[active]).max())
+    worst = float(np.abs(_sym_loss_and_slope(model, t[active])[0] - s[active]).max())
     raise NoConvergenceError(
         f"Newton inversion did not reach |L(t)-s| <= {tol:g} after "
         f"{max_iter} iterations ({active.size} points open, worst residual {worst:.3e})",
@@ -320,25 +348,11 @@ def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
     hi = np.full(2, 10.0 * sig2)
     _expand_brackets(model, edges, lo, hi)
     t_coarse = np.linspace(lo.min(), hi.max(), _PRESOLVE_GRID + 1)
-    s_coarse = _sym_loss(model, t_coarse)
+    s_coarse = _sym_loss_and_slope(model, t_coarse)[0]
     t0 = np.interp(s, s_coarse, t_coarse)
     idx = np.clip(np.searchsorted(s_coarse, s, side="right"), 1, _PRESOLVE_GRID)
     # One spare cell on each side absorbs ulp-level wiggles in s_coarse.
     return t0, t_coarse[np.maximum(idx - 2, 0)], t_coarse[np.minimum(idx + 1, _PRESOLVE_GRID)]
-
-
-def _invert_newton(
-    model: PrivacyLossModel, s: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, L'(t)) at the Newton roots of L(t) = s."""
-    starts = _presolve_starts(model, s) if s.size >= _PRESOLVE_MIN else None
-    t = np.empty_like(s)
-    dloss = np.empty_like(s)
-    for begin in range(0, s.size, _CHUNK):
-        sl = slice(begin, min(begin + _CHUNK, s.size))
-        chunk_start = None if starts is None else tuple(a[sl] for a in starts)
-        t[sl], dloss[sl] = _invert_newton_chunk(model, s[sl], tol, max_iter, chunk_start)
-    return t, dloss
 
 
 def _inverse(
@@ -358,7 +372,7 @@ def _inverse(
         return _poisson_inverse(model, s), _poisson_inverse_derivative(model, s)
     if isinstance(scheme, WOR) and not force_newton:
         return _wor_inverse(model, s), _wor_inverse_derivative(model, s)
-    t, dloss = _invert_newton(model, s, tol, max_iter)
+    t, dloss, _ = _invert_newton(model, s, tol, max_iter)
     return t, 1.0 / dloss
 
 
@@ -513,10 +527,10 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
         # (MUSTww(1000, 10, 500), r=2e4: sum c is 3.96e8 with 1/L'(t)
         # against 1.63 here, and k-fold composition overflows). The
         # quotient averages dL^{-1}/ds over two cell widths.
-        t, _ = _invert_newton(model, s_half, _NEWTON_TOL, _NEWTON_MAX_ITER)
+        t, _, log_fx = _invert_newton(model, s_half, _NEWTON_TOL, _NEWTON_MAX_ITER)
         dinv = (t[4:] - t[:-4]) / (2.0 * dx)
         omega_half = np.zeros(n_half)
-        omega_half[2:-2] = np.exp(log_output_density(model, t[2:-2])) * dinv
+        omega_half[2:-2] = np.exp(log_fx[2:-2]) * dinv
         # The two guard points at each end only feed the quotient above.
     else:
         omega_half = _omega(model, s_half)

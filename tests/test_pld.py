@@ -1,6 +1,10 @@
 """Loss functions, inversion, densities, discretization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.stats import norm
 
+import subamp
+from subamp.harness import calibrate_for_scheme
 from subamp.pld import (
     DiscretizedPLD,
     OutOfDomainError,
@@ -20,6 +26,7 @@ from subamp.pld import (
     pld_density,
     pld_density_swapped,
 )
+from subamp.pld import _expand_brackets, _sym_loss_and_slope
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 from oracles import mixture_loss_mass
@@ -112,6 +119,46 @@ class TestInvertLoss:
         assert isinstance(out, float)
 
 
+def _census_model(scheme) -> PrivacyLossModel:
+    # Noise of acceptance criterion 5(c): n=30969, m=100, C=1.5, eps'=5e-5.
+    sigma_alg, _ = calibrate_for_scheme(scheme, 5e-5, 1.0 / 30969, 1.5 / 100, "classical")
+    return PrivacyLossModel(scheme, sigma_alg / 1.5)
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            MODELS["wr"],
+            MODELS["mustow"],
+            PrivacyLossModel(MUSTww(100, 20, 10), 4.0),
+            PrivacyLossModel(MUSTww(1000, 10, 500), 4.0),  # 429 components
+            _census_model(WR(30969, 100)),
+            _census_model(MUSTow(30969, 200, 100)),
+            _census_model(MUSTww(30969, 200, 100)),
+        ],
+        ids=["wr", "mustow", "mustww", "mixture", "census_wr", "census_mustow", "census_mustww"],
+    )
+    def test_matches_independent_route(self, model):
+        # The kernel's L, log f_X and L' against loss_at, log_output_density
+        # and a central difference of loss_at, across the Newton bracket of
+        # s in [-10, 10].
+        sig2 = model.sigma**2
+        lo, hi = np.full(2, -10.0 * sig2), np.full(2, 10.0 * sig2)
+        _expand_brackets(model, np.array([-10.0, 10.0]), lo, hi)
+        t = np.linspace(lo.min(), hi.max(), 2001)
+        loss, slope, log_fx = _sym_loss_and_slope(model, t)
+        # The absolute floor covers L near 0, where log N - log D cancels
+        # on both routes (they differ by up to 1.1e-15 there).
+        np.testing.assert_allclose(loss, loss_at(model, t), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(log_fx, log_output_density(model, t), rtol=0.0, atol=1e-11)
+        h = 1e-4
+        diff = loss_at(model, t + h) - loss_at(model, t - h)
+        resolved = diff > 1e-8
+        assert resolved.sum() > 1500
+        np.testing.assert_allclose(slope[resolved], diff[resolved] / (2.0 * h), rtol=1e-6)
+
+
 class TestDensity:
     def test_poisson_normalizes(self):
         model = MODELS["poisson"]
@@ -199,6 +246,25 @@ class TestDiscretize:
         assert data.shape == (512, 4)
         assert np.allclose(data[:, 0], pld.s, atol=1e-10)
         assert np.allclose(data[:, 1], pld.c, rtol=1e-10)
+
+    def test_large_mixture_memory_is_bounded(self):
+        # MUSTww(1000, 10, 2000) keeps 1533 mixture components; the 40 005
+        # Newton rows of r=2e4 must not be held against all of them at once.
+        code = (
+            "import resource\n"
+            "from subamp.pld import PrivacyLossModel, discretize\n"
+            "from subamp.schemes import MUSTww\n"
+            "discretize(PrivacyLossModel(MUSTww(1000, 10, 2000), 4.0), 10.0, 20_000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=600,
+        )
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        peak_mb = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 400.0
 
     def test_construction_validates_bracketing(self):
         c = np.full(4, 0.25)
