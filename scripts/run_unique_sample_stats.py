@@ -1,8 +1,9 @@
 """Unique-sample statistics (min/mean/max distinct elements) per scheme.
 
 Runs the four studied (n, b, m) configurations at 10^4 Monte-Carlo trials
-each, for all five schemes, and prints one CSV. The last row family
-(n=60000) takes a few seconds per scheme.
+each, for all five schemes, and prints one CSV. The whole run takes about
+9 s on a 2-vCPU Xeon; the n=60000 row takes 0.4-2.7 s per scheme, Poisson
+the slowest.
 """
 
 import argparse

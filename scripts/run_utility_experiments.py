@@ -73,11 +73,13 @@ def main(argv=None) -> int:
             json.dump(cfg, fh)
             cfg_path = fh.name
         out_path = outdir / f"{name}.csv"
-        code = max(
-            code,
-            cli_main(["experiment", "--config", cfg_path, "--output", str(out_path)]),
-        )
-        Path(cfg_path).unlink()
+        try:
+            code = max(
+                code,
+                cli_main(["experiment", "--config", cfg_path, "--output", str(out_path)]),
+            )
+        finally:
+            Path(cfg_path).unlink()
         print(out_path)
     return code
 

@@ -6,6 +6,12 @@ unique-sample statistics. Draws are deterministic given a seed. mc_stats
 derives one substream per fixed-size block of trials from (seed, block
 index), so results are reproducible and independent of any scheduling or
 parallel partitioning, while staying vectorized inside each block.
+
+Poisson draws one uniform per element. Every fixed-size scheme is stage I,
+drawn from range(n), then stage II, m positions drawn into stage I (WOR and
+WR are stage I alone). A stage with replacement is ``rng.integers``; one
+without is ``_subsets``, a uniform k-subset per row, which ranks random keys
+when n <= _KEYS_MAX_N and calls ``rng.choice`` per row above it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ __all__ = ["Multiset", "RunStats", "draw", "mc_stats"]
 # Target number of scalar random variates held in memory per block.
 _BLOCK_BUDGET = 4_000_000
 _MAX_BLOCK = 8192
+# _subsets ranks random keys over the whole population up to this n, and
+# calls rng.choice once per row above it. Per row, choice costs about 7.5 us
+# of call overhead and keys about 9 ns per population element: at k <= n/10
+# the two break even near n = 1000, keys win below and choice above.
+_KEYS_MAX_N = 1024
 
 
 @dataclass(frozen=True)
@@ -69,14 +80,12 @@ class RunStats:
 
 def _work_per_trial(scheme: SamplingScheme) -> int:
     match scheme:
-        case Poisson():
+        case Poisson() | WOR():
             return population_size(scheme)
-        case WOR(n=n, m=m):
-            return max(n, m)
         case WR(m=m):
             return m
-        case MUSTow(b=b):
-            return 2 * b
+        case MUSTow(n=n, m=m):
+            return n + m
         case MUSTww(b=b, m=m) | MUSTwo(b=b, m=m):
             return b + m
     raise TypeError(f"not a sampling scheme: {scheme!r}")
@@ -86,60 +95,51 @@ def _block_size(scheme: SamplingScheme) -> int:
     return max(16, min(_MAX_BLOCK, _BLOCK_BUDGET // _work_per_trial(scheme)))
 
 
+def _subsets(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """A uniform k-subset of range(n) per row, in no particular order."""
+    if n <= _KEYS_MAX_N:
+        keys = rng.random((rows, n))
+        return np.argpartition(keys, k - 1, axis=1)[:, :k]
+    out = np.empty((rows, k), dtype=np.int64)
+    for i in range(rows):
+        out[i] = rng.choice(n, size=k, replace=False)
+    return out
+
+
 def _draw_values_block(
     scheme: SamplingScheme, rng: np.random.Generator, rows: int
 ) -> np.ndarray:
-    """Final-subsample element values, one row per trial (fixed-size schemes)."""
+    """Final-subsample element values, one row per trial (fixed-size schemes).
+
+    Stage I draws from range(n); stage II draws positions into stage I.
+    """
     match scheme:
         case WOR(n=n, m=m):
-            out = np.empty((rows, m), dtype=np.int64)
-            for i in range(rows):
-                out[i] = rng.choice(n, size=m, replace=False)
-            return out
+            return _subsets(rng, rows, n, m)
         case WR(n=n, m=m):
             return rng.integers(0, n, size=(rows, m))
+        case MUSTwo(n=n, b=b, m=m):
+            stage1 = rng.integers(0, n, size=(rows, b))
+            picks = _subsets(rng, rows, b, m)
+        case MUSTow(n=n, b=b, m=m):
+            stage1 = _subsets(rng, rows, n, b)
+            picks = rng.integers(0, b, size=(rows, m))
         case MUSTww(n=n, b=b, m=m):
             stage1 = rng.integers(0, n, size=(rows, b))
             picks = rng.integers(0, b, size=(rows, m))
-            return np.take_along_axis(stage1, picks, axis=1)
-        case MUSTwo(n=n, b=b, m=m):
-            stage1 = rng.integers(0, n, size=(rows, b))
-            # Uniform m-subset of the b stage-I slots via smallest random keys.
-            keys = rng.random((rows, b))
-            positions = np.argpartition(keys, m - 1, axis=1)[:, :m]
-            return np.take_along_axis(stage1, positions, axis=1)
-    raise TypeError(f"_draw_values_block does not handle {scheme!r}")
-
-
-def _draw_mustow_block(
-    scheme: MUSTow, rng: np.random.Generator, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(stage-I selections, multinomial counts) for MUSTow, one row per trial."""
-    n, b, m = scheme.n, scheme.b, scheme.m
-    selections = np.empty((rows, b), dtype=np.int64)
-    for i in range(rows):
-        selections[i] = rng.choice(n, size=b, replace=False)
-    counts = rng.multinomial(m, np.full(b, 1.0 / b), size=rows)
-    return selections, counts
+        case _:
+            raise TypeError(f"_draw_values_block does not handle {scheme!r}")
+    return np.take_along_axis(stage1, picks, axis=1)
 
 
 def draw(scheme: SamplingScheme, seed: int) -> Multiset:
     """One subsample under the scheme, deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    match scheme:
-        case Poisson(gamma=g):
-            n = population_size(scheme)
-            included = np.flatnonzero(rng.random(n) < g)
-            return Multiset(included, np.ones(included.size, dtype=np.int64))
-        case MUSTow():
-            sel, cnt = _draw_mustow_block(scheme, rng, 1)
-            keep = cnt[0] > 0
-            order = np.argsort(sel[0][keep])
-            return Multiset(sel[0][keep][order], cnt[0][keep][order])
-        case _:
-            values = _draw_values_block(scheme, rng, 1)[0]
-            elements, counts = np.unique(values, return_counts=True)
-            return Multiset(elements, counts)
+    if isinstance(scheme, Poisson):
+        included = np.flatnonzero(rng.random(population_size(scheme)) < scheme.gamma)
+        return Multiset(included, np.ones(included.size, dtype=np.int64))
+    values = _draw_values_block(scheme, rng, 1)[0]
+    return Multiset(*np.unique(values, return_counts=True))
 
 
 def _unique_per_row(values: np.ndarray) -> np.ndarray:
@@ -172,19 +172,14 @@ def mc_stats(
     while done < trials:
         rows = min(block, trials - done)
         rng = np.random.default_rng([seed, block_index])
-        match scheme:
-            case Poisson(gamma=g):
-                mask = rng.random((rows, n)) < g
-                uniques[done : done + rows] = mask.sum(axis=1)
-                probe_mult = mask[:, probe].astype(np.int64)
-            case MUSTow():
-                sel, cnt = _draw_mustow_block(scheme, rng, rows)
-                uniques[done : done + rows] = (cnt > 0).sum(axis=1)
-                probe_mult = (cnt * (sel == probe)).sum(axis=1)
-            case _:
-                values = _draw_values_block(scheme, rng, rows)
-                uniques[done : done + rows] = _unique_per_row(values)
-                probe_mult = (values == probe).sum(axis=1)
+        if isinstance(scheme, Poisson):
+            mask = rng.random((rows, n)) < scheme.gamma
+            uniques[done : done + rows] = mask.sum(axis=1)
+            probe_mult = mask[:, probe].astype(np.int64)
+        else:
+            values = _draw_values_block(scheme, rng, rows)
+            uniques[done : done + rows] = _unique_per_row(values)
+            probe_mult = (values == probe).sum(axis=1)
         mult_hist += np.bincount(
             np.minimum(probe_mult, max_mult), minlength=max_mult + 1
         )

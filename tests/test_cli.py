@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subamp.cli import SCHEMA_LINE, main
+from subamp.sampling import _KEYS_MAX_N
 
 from reference_values import check_printed
 
@@ -307,9 +308,16 @@ class TestDeterminism:
             "sample-stats", "--scheme", "mustww", "--n", "100", "--b", "20",
             "--m", "10", "--trials", "5000", "--seed", "9",
         ]
-        _, out_a, _ = run_cli(capsys, *argv)
-        _, out_b, _ = run_cli(capsys, *argv)
-        assert out_a == out_b
+        # WOR and MUSTow with n on both sides of the sampler's keys/choice switch.
+        argvs = [argv] + [
+            ["sample-stats", "--scheme", tag, "--n", str(n), "--b", "20",
+             "--m", "10", "--trials", "2000", "--seed", "9"]
+            for tag in ("wor", "mustow") for n in (_KEYS_MAX_N // 4, _KEYS_MAX_N + 1)
+        ]
+        for args in argvs:
+            _, out_a, _ = run_cli(capsys, *args)
+            _, out_b, _ = run_cli(capsys, *args)
+            assert out_a == out_b
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run_cli(

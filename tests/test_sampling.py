@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subamp.amplification import eta, multiplicity_weights
-from subamp.sampling import Multiset, draw, mc_stats
+from subamp.sampling import _KEYS_MAX_N, Multiset, draw, mc_stats
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 SMALL = {
@@ -17,6 +17,9 @@ SMALL = {
     "mustow": MUSTow(10, 5, 3),
     "mustww": MUSTww(10, 5, 3),
 }
+# Populations above _KEYS_MAX_N take the per-row rng.choice path of _subsets.
+LARGE_N = _KEYS_MAX_N + 1
+LARGE = {"wor_large": WOR(LARGE_N, 3), "mustow_large": MUSTow(LARGE_N, 5, 3)}
 
 
 class TestDraw:
@@ -38,16 +41,18 @@ class TestDraw:
         assert ms.elements.tolist() == list(range(7))
         assert ms.counts.tolist() == [1] * 7
 
-    @pytest.mark.parametrize("tag", ["wor", "wr", "mustwo", "mustow", "mustww"])
+    @pytest.mark.parametrize(
+        "tag", ["wor", "wr", "mustwo", "mustow", "mustww", "wor_large", "mustow_large"]
+    )
     def test_total_is_m(self, tag):
-        scheme = SMALL[tag]
+        scheme = {**SMALL, **LARGE}[tag]
         for seed in range(20):
             assert draw(scheme, seed).total == scheme.m
 
     def test_mustow_support_bound(self):
-        scheme = MUSTow(50, 4, 30)
-        for seed in range(20):
-            assert draw(scheme, seed).unique_count <= 4
+        for scheme in (MUSTow(50, 4, 30), MUSTow(LARGE_N, 4, 30)):
+            for seed in range(20):
+                assert draw(scheme, seed).unique_count <= 4
 
     def test_multiset_accessors(self):
         ms = Multiset(np.array([2, 5]), np.array([1, 3]))
@@ -71,9 +76,10 @@ class TestMcStats:
         assert np.array_equal(a.weight_hat, b.weight_hat)
 
     def test_wor_unique_is_constant(self):
-        stats = mc_stats(WOR(40, 12), 2000, seed=1)
-        assert stats.unique_min == stats.unique_max == 12
-        assert stats.unique_mean == 12.0
+        for scheme in (WOR(40, 12), WOR(LARGE_N, 12)):
+            stats = mc_stats(scheme, 2000, seed=1)
+            assert stats.unique_min == stats.unique_max == 12
+            assert stats.unique_mean == 12.0
 
     @pytest.mark.parametrize("tag", sorted(SMALL))
     def test_eta_hat_within_three_se(self, tag):
