@@ -2,9 +2,12 @@
 
 The discretized loss masses are half-swapped, transformed, raised to the
 k-th power coefficientwise, transformed back, half-swapped again, and tail
-summed against (1 - e^{eps - s}). Running the same pipeline on the interval
-lower/upper masses gives delta_lower and delta_upper around the
-approximation. They are not proven bounds: the interval masses come from
+summed against (1 - e^{eps - s}). Only frequencies with |spectrum| above
+exp(-750/k) are powered; the others are set to exactly 0. Their k-th power
+is at most e^-750, under 1% of the smallest subnormal 2^-1074, which pow
+rounds to +0, so the skip changes no output bit. Running the same pipeline
+on the interval lower/upper masses gives delta_lower and delta_upper around
+the approximation. They are not proven bounds: the interval masses come from
 endpoint and midpoint values of omega, and an under-resolved grid puts the
 true delta outside them. The additive residual term that appears for base
 mechanisms with delta(inf) > 0 is identically zero here: loss models only
@@ -36,11 +39,6 @@ __all__ = [
     "compose_many",
     "delta_direct",
 ]
-
-# Negative intensities after the inverse FFT up to this fraction of the peak
-# are expected round-off; they are floored to zero and their mass recorded.
-_NEG_FLOOR_FRACTION = 1e-14
-
 
 class EpsilonBeyondGridError(ValueError):
     """epsilon at or beyond the last grid point; the tail sum is empty."""
@@ -95,28 +93,47 @@ def _half_swap(vec: np.ndarray) -> np.ndarray:
     return np.roll(vec, vec.size // 2)
 
 
-def _check_finite(name: str, arr: np.ndarray, context: dict) -> None:
+def _check_finite(name: str, arr: np.ndarray, context: dict, size: int | None = None) -> None:
+    # size: the full array length when arr holds only some of its entries.
     bad = ~np.isfinite(arr)
     if bad.any():
         raise NonFiniteError(
-            f"non-finite values in {name} ({int(bad.sum())} of {arr.size} entries)",
+            f"non-finite values in {name} ({int(bad.sum())} of {size or arr.size} entries)",
             diagnostics={**context, "stage": name, "count": int(bad.sum())},
         )
 
 
-def _spectrum(vec: np.ndarray) -> np.ndarray:
-    return np.fft.fft(_half_swap(vec))
+def _survives(mag: np.ndarray, k: int) -> np.ndarray:
+    # Entries whose k-th power can be nonzero: |z| <= exp(-750/k) gives
+    # |z|^k <= e^-750 < 2^-1075. Written as ~(<=) so that NaN is kept.
+    return ~(mag <= math.exp(-750.0 / k))
 
 
-def _power_convolve(spectrum: np.ndarray, k: int, name: str, context: dict) -> tuple[np.ndarray, float]:
+def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, magnitudes and angles of the frequencies kept at k_min."""
+    spec = np.fft.fft(_half_swap(vec))
+    mag = np.abs(spec)
+    idx = np.flatnonzero(_survives(mag, k_min))
+    return idx, mag[idx], np.angle(spec[idx])
+
+
+def _power_convolve(
+    polar: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, name: str, context: dict
+) -> tuple[np.ndarray, float]:
     """Inverse transform of spectrum^k with the half-swap undone.
 
     The elementwise power runs in polar form (magnitude^k, angle*k) to limit
-    error growth at large k. Returns floored intensities and floored mass.
+    error growth at large k, on the frequencies with magnitude above
+    exp(-750/k) only; every other entry of spectrum^k is set to +0, the
+    value pow gives it. Returns floored intensities and floored mass.
     """
+    idx, mag, ang = polar
+    keep = _survives(mag, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        powered = np.abs(spectrum) ** k * np.exp(1j * k * np.angle(spectrum))
-    _check_finite(f"{name} spectrum^k", powered, context)
+        kept = mag[keep] ** k * np.exp(1j * k * ang[keep])
+    _check_finite(f"{name} spectrum^k", kept, context, context["grid_r"])
+    powered = np.zeros(context["grid_r"], dtype=complex)
+    powered[idx[keep]] = kept
     u = _half_swap(np.real(np.fft.ifft(powered)))
     _check_finite(f"{name} intensities", u, context)
     negative = u < 0.0
@@ -171,9 +188,10 @@ def compose_many(
         _check_finite(name, arr, context)
 
     mass_defect = 1.0 - pld.total_mass
-    spec_c = _spectrum(pld.c)
-    spec_lo = _spectrum(pld.c_minus)
-    spec_hi = _spectrum(pld.c_plus)
+    k_min = min(k_values, default=1)
+    spec_c = _spectrum(pld.c, k_min)
+    spec_lo = _spectrum(pld.c_minus, k_min)
+    spec_hi = _spectrum(pld.c_plus, k_min)
 
     cells: list[SweepCell] = []
     for k in k_values:

@@ -141,6 +141,46 @@ class TestSweep:
         assert res.delta_approx == pytest.approx(ref, abs=1e-12)
 
 
+def _full_power(c, k):
+    # spectrum^k in polar form on every frequency, none skipped.
+    spec = np.fft.fft(np.roll(c, c.size // 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(spec) ** k * np.exp(1j * k * np.angle(spec))
+
+
+def _full_power_deltas(pld, k, eps):
+    """(delta_lower, delta_approx, delta_upper) and floored mass, no skipping."""
+    i_eps = int(np.searchsorted(pld.s, eps, side="right"))
+    w = -np.expm1(eps - pld.s[i_eps:])
+    deltas, floored = [], []
+    for c in (pld.c_minus, pld.c, pld.c_plus):
+        u = np.roll(np.real(np.fft.ifft(_full_power(c, k))), c.size // 2)
+        negative = u < 0.0
+        floored.append(float(-u[negative].sum()) if negative.any() else 0.0)
+        u = np.where(negative, 0.0, u)
+        deltas.append(min(max(float(w @ u[i_eps:]), 0.0), 1.0))
+    lo, mid, hi = deltas
+    return (min(lo, mid), mid, max(hi, mid)), max(floored)
+
+
+class TestSkippedFrequencies:
+    # compose_many powers only the frequencies whose k-th power can be
+    # nonzero; powering all of them must give the same bits.
+    @pytest.mark.parametrize("which", ["wor", "mustow"])
+    def test_matches_full_array_power(self, which, fig_pld):
+        pld = discretize(WOR_MODEL, 10.0, 100_000) if which == "wor" else fig_pld
+        ks = [200, 1, 1000, 2]
+        cells = compose_many(pld, ks, [0.5, 1.0, 2.0])
+        assert len(cells) == 12
+        for cell in cells:
+            (lo, mid, hi), floored = _full_power_deltas(pld, cell.k, cell.epsilon)
+            res = cell.result
+            assert (res.delta_lower, res.delta_approx, res.delta_upper) == (lo, mid, hi)
+            assert res.diagnostics.floored_mass == floored
+        # At k = 1000 most frequencies underflow, so the skip is exercised.
+        assert np.count_nonzero(_full_power(pld.c, 1000)) < pld.grid_r // 4
+
+
 class TestFailureModes:
     def test_epsilon_beyond_grid(self, poisson_pld):
         with pytest.raises(EpsilonBeyondGridError):
@@ -158,7 +198,14 @@ class TestFailureModes:
         pld = discretize(model, 6.0, 1 << 17)
         with pytest.raises(NonFiniteError) as excinfo:
             compose(pld, 1000, 2.0)
-        assert "stage" in excinfo.value.diagnostics
+        # The count covers every frequency, skipped ones included.
+        count = int((~np.isfinite(_full_power(pld.c_plus, 1000))).sum())
+        assert count == 74979
+        assert excinfo.value.diagnostics["stage"] == "upper spectrum^k"
+        assert excinfo.value.diagnostics["count"] == count
+        assert str(excinfo.value) == (
+            f"non-finite values in upper spectrum^k ({count} of {1 << 17} entries)"
+        )
 
     def test_diagnostics_recorded(self, poisson_pld):
         res = compose(poisson_pld, 5, 0.5)

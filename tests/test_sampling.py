@@ -27,9 +27,9 @@ class TestDraw:
         for scheme in SMALL.values():
             a = draw(scheme, 123)
             b = draw(scheme, 123)
-            c = draw(scheme, 124)
             assert a.entries == b.entries
-            assert a.entries != c.entries or a.total != c.total or True  # c may collide
+            # One other seed may collide with 123; ten in a row may not.
+            assert any(draw(scheme, s).entries != a.entries for s in range(124, 134))
         # At least one scheme must differ across seeds in a short sweep.
         assert any(
             draw(SMALL["wr"], s).entries != draw(SMALL["wr"], s + 1).entries
