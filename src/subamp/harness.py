@@ -6,6 +6,9 @@ protocol quirks are reproduced as stated, not corrected: the classical
 calibration divides by the full data size n (not the subsample size m), and
 the bootstrap sensitivities are (U-L)/n for the mean and (U-L)^2/n for the
 variance.
+
+Each run draws all its subsamples from one generator, as rows of per-record
+multiplicities in blocks of at most 4e6 counts, so memory is bounded at any n.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .amplification import amplify_delta, amplify_epsilon, deamplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, calibrate_sigma
-from .sampling import Multiset, draw
+from .sampling import _count_blocks, _multiset
 from .schemes import Poisson, SamplingScheme, population_size
 
 __all__ = [
@@ -126,16 +129,13 @@ def calibrate_for_scheme(
     return sigma, eps
 
 
-def _expand(multiset: Multiset, values: np.ndarray) -> np.ndarray:
-    return np.repeat(values[multiset.elements], multiset.counts)
-
-
 def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
     """Privacy-preserving mean/variance via subsampling bootstrap.
 
-    Clamps the data, draws t_boot subsamples, sanitizes each subsample's
-    mean and variance with the Gaussian mechanism, and releases the
-    across-subsample averages.
+    Clamps the data and draws t_boot subsamples from one generator as count
+    rows, in blocks of at most 4e6 counts. Each row of two or more records
+    gives a mean and a ddof=1 variance; the Gaussian mechanism sanitizes
+    each, and the across-subsample averages are released.
     """
     data = np.asarray(data, dtype=float)
     n = config.n
@@ -155,23 +155,19 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
     )
 
     rng = np.random.default_rng([config.seed, 1])
-    seeds = rng.integers(0, 2**63 - 1, size=config.t_boot)
-    means = np.empty(config.t_boot)
-    variances = np.empty(config.t_boot)
-    kept = 0
-    for i in range(config.t_boot):
-        sample = draw(config.scheme, int(seeds[i]))
-        if sample.total < 2:
-            continue  # an (astronomically rare) empty/singleton Poisson draw
-        values = _expand(sample, clamped)
-        means[kept] = values.mean() + rng.normal(0.0, sigma_mean)
-        variances[kept] = values.var(ddof=1) + rng.normal(0.0, sigma_var)
-        kept += 1
-    if kept == 0:
+    stats = []
+    for counts in _count_blocks(config.scheme, rng, config.t_boot):
+        counts = counts[counts.sum(axis=1) >= 2]  # drop empty/singleton Poisson draws
+        total = counts.sum(axis=1)
+        mean = counts @ clamped / total
+        var = (counts * (clamped - mean[:, None]) ** 2).sum(axis=1) / (total - 1)
+        stats.append((mean, var))
+    means, variances = map(np.concatenate, zip(*stats))
+    if means.size == 0:
         raise RuntimeError("all bootstrap subsamples were degenerate")
     return {
-        "pp_mean": float(means[:kept].mean()),
-        "pp_var": float(variances[:kept].mean()),
+        "pp_mean": float((means + rng.normal(0.0, sigma_mean, means.size)).mean()),
+        "pp_var": float((variances + rng.normal(0.0, sigma_var, means.size)).mean()),
         "sigma_mean": sigma_mean,
         "sigma_var": sigma_var,
         "base_epsilon": eps,
@@ -208,12 +204,12 @@ def _dpsgd_loop(
         )
 
     rng = np.random.default_rng([config.seed, 2])
-    seeds = rng.integers(0, 2**63 - 1, size=config.iterations)
+    rows = (row for block in _count_blocks(scheme, rng, config.iterations) for row in block)
     beta = np.zeros(p)
     loss_trace = np.empty(config.iterations)
 
-    for t in range(config.iterations):
-        sample = draw(scheme, int(seeds[t]))
+    for t, row in enumerate(rows):
+        sample = _multiset(row)
         total = sample.total
         if total == 0:
             loss_trace[t] = loss_trace[t - 1] if t else math.nan

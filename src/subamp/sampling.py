@@ -132,14 +132,28 @@ def _draw_values_block(
     return np.take_along_axis(stage1, picks, axis=1)
 
 
+def _count_blocks(scheme: SamplingScheme, rng: np.random.Generator, rows: int):
+    """The multiplicity of every element of range(n), one row per draw, yielded
+    lazily as int64 blocks of at most max(1, _BLOCK_BUDGET // n) rows."""
+    n = population_size(scheme)
+    step = max(1, _BLOCK_BUDGET // n)
+    for start in range(0, rows, step):
+        size = min(step, rows - start)
+        if isinstance(scheme, Poisson):
+            yield (rng.random((size, n)) < scheme.gamma).astype(np.int64)
+        else:
+            values = _draw_values_block(scheme, rng, size) + n * np.arange(size)[:, None]
+            yield np.bincount(values.ravel(), minlength=size * n).reshape(size, n)
+
+
+def _multiset(row: np.ndarray) -> Multiset:
+    elements = np.flatnonzero(row)
+    return Multiset(elements, row[elements])
+
+
 def draw(scheme: SamplingScheme, seed: int) -> Multiset:
     """One subsample under the scheme, deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    if isinstance(scheme, Poisson):
-        included = np.flatnonzero(rng.random(population_size(scheme)) < scheme.gamma)
-        return Multiset(included, np.ones(included.size, dtype=np.int64))
-    values = _draw_values_block(scheme, rng, 1)[0]
-    return Multiset(*np.unique(values, return_counts=True))
+    return _multiset(next(_count_blocks(scheme, np.random.default_rng(seed), 1))[0])
 
 
 def _unique_per_row(values: np.ndarray) -> np.ndarray:

@@ -1,9 +1,15 @@
-"""`subamp account` output pinned byte for byte: stdout, stderr and exit code.
+"""CLI output pinned byte for byte: stdout, stderr and exit code.
 
-The expected bytes live in golden/account.json. They cover all six schemes
-at r = 2^14 with k up to 1000, an epsilon beyond the grid (exit 3 with one
-stderr line per k) and the spike config whose upper spectrum overflows at
-k = 1000 (exit 3 with the NonFiniteError message and diagnostics).
+golden/account.json holds `subamp account` on all six schemes at r = 2^14
+with k up to 1000, an epsilon beyond the grid (exit 3 with one stderr line
+per k) and the spike config whose upper spectrum overflows at k = 1000
+(exit 3 with the NonFiniteError message and diagnostics).
+
+golden/streams.json pins the random streams:
+- `subamp sample-stats` on all six schemes, with populations on both sides
+  of the subset sampler's keys/choice switch (n = 1024);
+- `sampling.draw` on the same schemes over three seeds;
+- one small `subamp experiment` config each for bootstrap and dpsgd_linear.
 
 The file was written with numpy 2.4.6 and scipy 1.17.1 on x86-64. Values
 near the FFT round-off floor (deltas below about 1e-14) depend in their low
@@ -17,13 +23,17 @@ Regenerate only for an intended output change, and say so in CHANGES.md:
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from subamp.cli import main
+from subamp.sampling import draw
+from subamp.schemes import scheme_from_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "account.json"
+STREAMS = Path(__file__).parent / "golden" / "streams.json"
 
 _GRID = ["--k-list", "1,10,200,1000", "--r", "16384"]
 CASES = [
@@ -46,11 +56,70 @@ CASES = [
 ]
 
 
-def _run(args: list[str]) -> dict:
+# Scheme specs with n (b for MUSTwo's stage II) on both sides of 1024.
+SCHEMES = [
+    {"scheme": "poisson", "gamma": 0.05, "n": 300},
+    {"scheme": "poisson", "gamma": 0.01, "n": 3000},
+    {"scheme": "wor", "n": 300, "m": 30},
+    {"scheme": "wor", "n": 3000, "m": 40},
+    {"scheme": "wr", "n": 300, "m": 30},
+    {"scheme": "wr", "n": 3000, "m": 40},
+    {"scheme": "mustwo", "n": 300, "b": 60, "m": 30},
+    {"scheme": "mustwo", "n": 3000, "b": 1500, "m": 40},
+    {"scheme": "mustow", "n": 300, "b": 50, "m": 30},
+    {"scheme": "mustow", "n": 3000, "b": 100, "m": 40},
+    {"scheme": "mustww", "n": 300, "b": 50, "m": 30},
+    {"scheme": "mustww", "n": 3000, "b": 100, "m": 40},
+]
+SAMPLE_STATS = [
+    [arg for key, value in spec.items() for arg in (f"--{key}", str(value))]
+    + ["--trials", "3000", "--seed", "7"]
+    for spec in SCHEMES
+]
+EXPERIMENTS = [
+    {"experiment": "bootstrap", "n": 120, "t_boot": 100, "repeats": 2, "seed": 3,
+     "schemes": [{"scheme": "poisson", "gamma": 0.1, "n": 120},
+                 {"scheme": "wor", "n": 120, "m": 12},
+                 {"scheme": "mustow", "n": 120, "b": 30, "m": 12},
+                 {"scheme": "mustww", "n": 120, "b": 30, "m": 12}]},
+    {"experiment": "dpsgd_linear", "n": 200, "iterations": 30, "repeats": 2, "seed": 3,
+     "schemes": [{"scheme": "poisson", "gamma": 0.1, "n": 200},
+                 {"scheme": "wr", "n": 200, "m": 20},
+                 {"scheme": "mustwo", "n": 200, "b": 40, "m": 20}]},
+]
+
+
+def _run(args: list[str], command: str = "account") -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["account", *args])
+        code = main([command, *args])
     return {"argv": args, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _experiment(cfg: dict) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        result = _run(["--config", str(path)], "experiment")
+    return {**result, "argv": cfg}
+
+
+def _draws(spec: dict) -> dict:
+    multisets = [draw(scheme_from_dict(spec), seed) for seed in (0, 1, 2)]
+    return {
+        "spec": spec,
+        "elements": [s.elements.tolist() for s in multisets],
+        "counts": [s.counts.tolist() for s in multisets],
+        "dtypes": sorted({str(a.dtype) for s in multisets for a in (s.elements, s.counts)}),
+    }
+
+
+def _streams() -> dict:
+    return {
+        "sample_stats": [_run(args, "sample-stats") for args in SAMPLE_STATS],
+        "draw": [_draws(spec) for spec in SCHEMES],
+        "experiment": [_experiment(cfg) for cfg in EXPERIMENTS],
+    }
 
 
 def _golden() -> dict:
@@ -70,6 +139,34 @@ def test_every_case_has_golden_output():
     assert sorted(_golden()) == sorted(" ".join(args) for args in CASES)
 
 
+def _stream_golden(kind: str, key: str) -> dict:
+    return {json.dumps(case[key]): case for case in json.loads(STREAMS.read_text())[kind]}
+
+
+@pytest.mark.parametrize("args", SAMPLE_STATS, ids=lambda args: "-".join(args[1:6:2]))
+def test_sample_stats_output_is_byte_identical(args):
+    assert _run(args, "sample-stats") == _stream_golden("sample_stats", "argv")[json.dumps(args)]
+
+
+@pytest.mark.parametrize("spec", SCHEMES, ids=lambda spec: f"{spec['scheme']}-n{spec['n']}")
+def test_draw_output_is_unchanged(spec):
+    assert _draws(spec) == _stream_golden("draw", "spec")[json.dumps(spec)]
+
+
+@pytest.mark.parametrize("cfg", EXPERIMENTS, ids=lambda cfg: cfg["experiment"])
+def test_experiment_output_is_byte_identical(cfg):
+    assert _experiment(cfg) == _stream_golden("experiment", "argv")[json.dumps(cfg)]
+
+
+def test_every_stream_case_has_golden_output():
+    for kind, key, cases in (
+        ("sample_stats", "argv", SAMPLE_STATS), ("draw", "spec", SCHEMES),
+        ("experiment", "argv", EXPERIMENTS),
+    ):
+        assert sorted(_stream_golden(kind, key)) == sorted(map(json.dumps, cases))
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([_run(args) for args in CASES], indent=1) + "\n")
+    STREAMS.write_text(json.dumps(_streams(), indent=1) + "\n")

@@ -1,11 +1,16 @@
 """Bootstrap and DP-SGD harness behavior."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import subamp
 from subamp.amplification import amplify_delta, amplify_epsilon, deamplify_epsilon, eta
 from subamp.harness import (
     BootstrapConfig,
@@ -19,7 +24,8 @@ from subamp.harness import (
     run_dpsgd_logistic,
 )
 from subamp.mechanisms import Family, MechanismSpec
-from subamp.schemes import MUSTow, MUSTwo, Poisson, WOR, WR
+from subamp.sampling import _count_blocks
+from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 
 class TestSynthetic:
@@ -106,6 +112,66 @@ class TestBootstrap:
     def test_data_length_checked(self):
         with pytest.raises(ValueError):
             run_bootstrap(self.config(WOR(300, 30)), np.zeros(100))
+
+    @pytest.mark.parametrize(
+        "scheme", [Poisson(2 / 300, n=300), WR(300, 30), MUSTww(300, 10, 30)], ids=repr
+    )
+    def test_matches_per_subsample_loop(self, scheme):
+        # Reference: the same count rows, each expanded to its records and
+        # reduced by np.mean and np.var, then the same two noise vectors. The
+        # summation order differs, so agreement is to float64 round-off.
+        cfg = self.config(scheme, seed=4)
+        data = make_synthetic("gaussian_univariate", 300, seed=4)
+        res = run_bootstrap(cfg, data)
+        clamped = np.clip(data, -4.0, 4.0)
+        rng = np.random.default_rng([4, 1])
+        rows = [row for block in _count_blocks(scheme, rng, cfg.t_boot) for row in block]
+        values = [np.repeat(clamped, row) for row in rows if row.sum() >= 2]
+        means = [v.mean() for v in values] + rng.normal(0.0, res["sigma_mean"], len(values))
+        variances = [v.var(ddof=1) for v in values] + rng.normal(0.0, res["sigma_var"], len(values))
+        assert res["pp_mean"] == pytest.approx(means.mean(), rel=1e-12, abs=1e-14)
+        assert res["pp_var"] == pytest.approx(variances.mean(), rel=1e-12, abs=1e-14)
+
+    def test_all_degenerate_subsamples_raise(self):
+        # At gamma = 1e-6 a subsample of two or more records has probability
+        # about 4.5e-8, so every one of the 200 rows is dropped.
+        data = make_synthetic("gaussian_univariate", 300, seed=0)
+        with pytest.raises(RuntimeError, match="all bootstrap subsamples were degenerate"):
+            run_bootstrap(self.config(Poisson(1e-6, n=300)), data)
+
+    def test_degenerate_subsamples_are_dropped(self):
+        # Subsample sizes are about Poisson(2): some 40% of rows have fewer
+        # than two records and are dropped, and the rest still give finite
+        # estimates.
+        data = make_synthetic("gaussian_univariate", 300, seed=0)
+        res = run_bootstrap(self.config(Poisson(2 / 300, n=300)), data)
+        assert np.isfinite(res["pp_mean"]) and np.isfinite(res["pp_var"])
+
+    def test_large_population_memory_is_bounded(self):
+        # One (rows, n) count block for all 2000 rows of WR(60000, 30) would
+        # be 960 MB; the harness draws them in blocks of _BLOCK_BUDGET counts.
+        code = (
+            "import resource\n"
+            "from subamp.harness import BootstrapConfig, SGDConfig, make_synthetic,"
+            " run_bootstrap, run_dpsgd_linear\n"
+            "from subamp.schemes import WR\n"
+            "n, scheme = 60_000, WR(60_000, 30)\n"
+            "run_bootstrap(BootstrapConfig(scheme=scheme, t_boot=2000, bounds=(-4.0, 4.0),"
+            " eps_prime=0.1, delta_base=1 / n, repeats=1, seed=0),"
+            " make_synthetic('gaussian_univariate', n, seed=0))\n"
+            "run_dpsgd_linear(SGDConfig(scheme=scheme, eps_prime_per_iter=0.01,"
+            " delta_base=1 / n, clip_c=3.0, learning_rate=0.04, iterations=2000, seed=0),"
+            " *make_synthetic('linear_regression', n, seed=0))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=600,
+        )
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        peak_mb = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 400.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
