@@ -1,17 +1,23 @@
 """k-fold privacy loss composition via FFT convolution (Fourier accountant).
 
-The discretized loss masses are half-swapped, transformed, raised to the
-k-th power coefficientwise, transformed back, half-swapped again, and tail
-summed against (1 - e^{eps - s}). Only frequencies with |spectrum| above
-exp(-750/k) are powered; the others are set to exactly 0. Their k-th power
-is at most e^-750, under 1% of the smallest subnormal 2^-1074, which pow
-rounds to +0, so the skip changes no output bit. Running the same pipeline
-on the interval lower/upper masses gives delta_lower and delta_upper around
-the approximation. They are not proven bounds: the interval masses come from
-endpoint and midpoint values of omega, and an under-resolved grid puts the
-true delta outside them. The additive residual term that appears for base
-mechanisms with delta(inf) > 0 is identically zero here: loss models only
-exist for the Gaussian base, so it is omitted.
+The exact cell masses of the discretized loss are half-swapped, transformed
+once, raised to the k-th power coefficientwise, transformed back,
+half-swapped again, and tail summed against (1 - e^{eps - s}). Only
+frequencies with |spectrum| above exp(-750/k) are powered; the others are
+set to exactly 0. Their k-th power is at most e^-750, under 1% of the
+smallest subnormal 2^-1074, which pow rounds to +0, so the skip changes no
+output bit.
+
+The composed array places each loss at its cell's left edge. Placing the
+same masses at the right edges shifts the composed array by k dx, so the
+three deltas are tails of one array: delta_lower at eps, delta_approx
+(centres) at eps - k dx/2 and delta_upper at eps - k dx, plus a union
+bound over the mass outside the grid. They are ordered by construction.
+The bounds hold for the exact masses up to FFT round-off and wrap-around
+of the composed loss past +-L, neither of which is bounded yet. The
+additive residual term that appears for base mechanisms with
+delta(inf) > 0 is identically zero here: loss models only exist for the
+Gaussian base, so it is omitted.
 
 delta_direct is the independent verification route: the same delta(eps) as
 a one-dimensional adaptive quadrature over output space, touching neither
@@ -28,7 +34,6 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .pld import DiscretizedPLD, PrivacyLossModel, log_output_density, loss_at
-from .schemes import Poisson
 
 __all__ = [
     "AccountantResult",
@@ -45,11 +50,11 @@ class EpsilonBeyondGridError(ValueError):
 
 
 class NonFiniteError(RuntimeError):
-    """NaN/Inf appeared in the composition pipeline.
+    """NaN/Inf appeared in the composed intensities.
 
-    Carries structured diagnostics so under-resolved configurations (spiky
-    loss densities, overflowing upper-bound spectra) stay analyzable instead
-    of being silently clamped.
+    The cell masses are finite and sum to at most 1, so every power of
+    their spectrum is bounded by 1; this is a guard, with structured
+    diagnostics, not an expected outcome.
     """
 
     def __init__(self, message: str, diagnostics: dict):
@@ -61,8 +66,8 @@ class NonFiniteError(RuntimeError):
 class Diagnostics:
     grid_r: int
     trunc_L: float
-    mass_defect: float
-    nonfinite_flag: bool
+    mass_defect: float  # mass_outside: P[L < -L]
+    max_cell_mass: float  # the largest c_i; near 1 when one cell holds the loss
     floored_mass: float
 
 
@@ -93,12 +98,11 @@ def _half_swap(vec: np.ndarray) -> np.ndarray:
     return np.roll(vec, vec.size // 2)
 
 
-def _check_finite(name: str, arr: np.ndarray, context: dict, size: int | None = None) -> None:
-    # size: the full array length when arr holds only some of its entries.
+def _check_finite(name: str, arr: np.ndarray, context: dict) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
         raise NonFiniteError(
-            f"non-finite values in {name} ({int(bad.sum())} of {size or arr.size} entries)",
+            f"non-finite values in {name} ({int(bad.sum())} of {arr.size} entries)",
             diagnostics={**context, "stage": name, "count": int(bad.sum())},
         )
 
@@ -118,7 +122,7 @@ def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _power_convolve(
-    polar: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, name: str, context: dict
+    polar: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, context: dict
 ) -> tuple[np.ndarray, float]:
     """Inverse transform of spectrum^k with the half-swap undone.
 
@@ -129,36 +133,32 @@ def _power_convolve(
     """
     idx, mag, ang = polar
     keep = _survives(mag, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kept = mag[keep] ** k * np.exp(1j * k * ang[keep])
-    _check_finite(f"{name} spectrum^k", kept, context, context["grid_r"])
     powered = np.zeros(context["grid_r"], dtype=complex)
-    powered[idx[keep]] = kept
+    powered[idx[keep]] = mag[keep] ** k * np.exp(1j * k * ang[keep])
     u = _half_swap(np.real(np.fft.ifft(powered)))
-    _check_finite(f"{name} intensities", u, context)
+    _check_finite("intensities", u, context)
     negative = u < 0.0
     floored = float(-u[negative].sum()) if negative.any() else 0.0
     u = np.where(negative, 0.0, u)
     return u, floored
 
 
-def _tail_weights(pld: DiscretizedPLD, epsilon: float) -> tuple[int, np.ndarray]:
-    s = pld.s
-    last = s[-1]
-    if epsilon >= last:
-        raise EpsilonBeyondGridError(
-            f"epsilon={epsilon:g} must lie below the last grid point "
-            f"L - dx = {last:g}; enlarge trunc_L or grid_r"
-        )
-    i_eps = int(np.searchsorted(s, epsilon, side="right"))
-    return i_eps, -np.expm1(epsilon - s[i_eps:])
+def _tail(s: np.ndarray, u: np.ndarray, epsilons: tuple[float, ...]) -> list[float]:
+    """sum over s_i > eps of (1 - e^{eps - s_i}) u_i, for each eps.
+
+    Every sum runs over the same slice of u in the same order, with weights
+    that are 0 below their eps, so a larger eps never gives a larger sum.
+    """
+    start = int(np.searchsorted(s, min(epsilons), side="right"))
+    tail = s[start:]
+    return [float(np.maximum(-np.expm1(eps - tail), 0.0) @ u[start:]) for eps in epsilons]
 
 
 def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
-    """delta(eps) after k-fold composition, with lower/upper values.
+    """delta(eps) after k-fold composition, with lower and upper bounds.
 
-    The lower/upper values compose the endpoint-and-midpoint interval masses
-    of the grid and can miss the true delta on an under-resolved grid.
+    The bounds hold for the exact cell masses of the grid, up to FFT
+    round-off and wrap-around of the composed loss past +-L.
     """
     cells = compose_many(pld, [k], [epsilon])
     cell = cells[0]
@@ -170,11 +170,18 @@ def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
 def compose_many(
     pld: DiscretizedPLD, k_list: Sequence[int], eps_grid: Sequence[float]
 ) -> list[SweepCell]:
-    """compose over the k x epsilon grid, sharing spectra per k.
+    """compose over the k x epsilon grid: one forward FFT, one inverse per k.
 
-    Per-cell epsilon validation failures are collected into the returned
-    cells; numerical (non-finite) failures abort, as the whole composition
-    for that k is meaningless.
+    The composed masses u place each loss at the sum of its cells' left
+    edges, so the true sum lies in [s_i, s_i + k dx). The tail at eps is
+    delta_lower (left edges), at eps - k dx/2 delta_approx (centres) and at
+    eps - k dx delta_upper (right edges). delta_upper adds what the grid
+    does not dominate, by a union bound over the k terms: mass_outside for
+    a loss below -L, and for a loss above L (held in the last cell, at L)
+    its excess over placing it at L, at most c[-1] e^{eps - L} M^{k-1} with
+    M = sum_i c_i e^{-(s_i + dx)}. Per-cell epsilon validation failures are
+    collected into the returned cells; numerical (non-finite) failures
+    abort, as the whole composition for that k is meaningless.
     """
     k_values = [int(k) for k in k_list]
     if any(k < 1 for k in k_values):
@@ -184,52 +191,32 @@ def compose_many(
         raise ValueError(f"all epsilon must be finite and >= 0, got {eps_grid!r}")
 
     context = {"grid_r": pld.grid_r, "trunc_L": pld.trunc_L, "scheme": pld.scheme.label}
-    for name, arr in (("c", pld.c), ("c_minus", pld.c_minus), ("c_plus", pld.c_plus)):
-        _check_finite(name, arr, context)
-
-    mass_defect = 1.0 - pld.total_mass
-    k_min = min(k_values, default=1)
-    spec_c = _spectrum(pld.c, k_min)
-    spec_lo = _spectrum(pld.c_minus, k_min)
-    spec_hi = _spectrum(pld.c_plus, k_min)
+    s, dx, c = pld.s, pld.dx, pld.c
+    last, c_last = s[-1], float(c[-1])
+    # As e^(log c - s - dx): e^-(s+dx) alone overflows for L above 709.
+    with np.errstate(divide="ignore"):
+        m_right = float(np.exp(np.log(c) - (s + dx)).sum())
+    spectrum = _spectrum(c, min(k_values, default=1))
 
     cells: list[SweepCell] = []
     for k in k_values:
-        u, fl_c = _power_convolve(spec_c, k, "approx", context)
-        u_lo, fl_lo = _power_convolve(spec_lo, k, "lower", context)
-        u_hi, fl_hi = _power_convolve(spec_hi, k, "upper", context)
-        floored = max(fl_c, fl_lo, fl_hi)
+        u, floored = _power_convolve(spectrum, k, context)
         diag = Diagnostics(
             grid_r=pld.grid_r,
             trunc_L=pld.trunc_L,
-            mass_defect=mass_defect,
-            nonfinite_flag=False,
+            mass_defect=pld.mass_outside,
+            max_cell_mass=float(c.max()),
             floored_mass=floored,
         )
         for eps in eps_values:
-            try:
-                i_eps, w = _tail_weights(pld, eps)
-            except EpsilonBeyondGridError as exc:
-                cells.append(SweepCell(k=k, epsilon=eps, error=str(exc)))
+            if eps >= last:
+                cells.append(SweepCell(k=k, epsilon=eps, error=(
+                    f"epsilon={eps:g} must lie below the last grid point "
+                    f"L - dx = {last:g}; enlarge trunc_L or grid_r"
+                )))
                 continue
-            da = float(w @ u[i_eps:])
-            dl = float(w @ u_lo[i_eps:])
-            du = float(w @ u_hi[i_eps:])
-            da = min(max(da, 0.0), 1.0)
-            dl = min(max(dl, 0.0), 1.0)
-            du = min(max(du, 0.0), 1.0)
-            # Pointwise ordering of the intensities survives convolution in
-            # exact arithmetic; absorb FFT round-off crossings if tiny.
-            if dl > da or da > du:
-                if dl - da > 1e-9 or da - du > 1e-9:
-                    raise NonFiniteError(
-                        "bound ordering violated beyond round-off",
-                        diagnostics={**context, "k": k, "epsilon": eps,
-                                     "delta_lower": dl, "delta_approx": da,
-                                     "delta_upper": du},
-                    )
-                dl = min(dl, da)
-                du = max(du, da)
+            dl, da, du = _tail(s, u, (eps, eps - k * dx / 2.0, eps - k * dx))
+            outside = pld.mass_outside + c_last * math.exp(eps - pld.trunc_L) * m_right ** (k - 1)
             cells.append(
                 SweepCell(
                     k=k,
@@ -237,9 +224,9 @@ def compose_many(
                     result=AccountantResult(
                         epsilon=eps,
                         k=k,
-                        delta_lower=dl,
-                        delta_approx=da,
-                        delta_upper=du,
+                        delta_lower=min(dl, 1.0),
+                        delta_approx=min(da, 1.0),
+                        delta_upper=min(du + k * outside, 1.0),
                         diagnostics=diag,
                     ),
                 )
@@ -262,11 +249,7 @@ def delta_direct(model: PrivacyLossModel, epsilon: float, tol: float = 1e-9) -> 
         raise ValueError("epsilon lies below the loss image; delta would be ill-defined")
 
     sigma = model.sigma
-    if isinstance(model.scheme, Poisson):
-        l_max = 1.0
-    else:
-        l_vals, _ = model._mixture
-        l_max = float(l_vals.max())
+    l_max = float(model._mixture[0].max())
     lo = -l_max - 40.0 * sigma
     hi = l_max + 40.0 * sigma
 

@@ -1,25 +1,26 @@
 """Privacy loss random variables of subsampled Gaussian mechanisms.
 
 One application of scheme-then-Gaussian induces a log-likelihood-ratio
-random variable s = L(t) of the output t. For Poisson the reference density
-is the plain Gaussian and L has a closed-form inverse; for WOR the loss is
-the two-sided single-shift mixture ratio, also invertible in closed form.
-The multiset schemes (WR, MUSTwo, MUSTow, MUSTww) give binomial-mixture
-exponential sums whose inverse is found by safeguarded Newton. The density
-omega(s) = f_X(t) dL^{-1}/ds takes the inverse derivative in closed form
-for Poisson and WOR and as 1/L'(t) at the Newton root otherwise.
+random variable s = L(t) of the output t. Every scheme's output density
+under X is a normal mixture f_X(t) = sum_l w_l N(t; l, sigma^2) over the
+multiplicities l of the record (Poisson and WOR: l in {0, 1}). For Poisson
+the reference density is the plain Gaussian and L has a closed-form
+inverse; for WOR the loss is the two-sided single-shift mixture ratio, also
+invertible in closed form. The multiset schemes (WR, MUSTwo, MUSTow,
+MUSTww) give binomial-mixture exponential sums whose inverse is found by
+safeguarded Newton. The density omega(s) = f_X(t) dL^{-1}/ds takes the
+inverse derivative in closed form for Poisson and WOR and as 1/L'(t) at the
+Newton root otherwise.
 
 The Newton kernel writes L = log N - log D over the K mixture components
-and takes one exponential per side; N also gives log f_X at each iterate,
-so discretization needs no second pass over the mixture. Its temporaries
-hold at most _CELLS rows x K cells, so memory is bounded for any K.
+and takes one exponential per side. Its temporaries hold at most _CELLS
+rows x K cells, so memory is bounded for any K.
 
-Discretization follows the accountant's grid contract: masses c_i at the
-left endpoints plus per-interval lower/upper masses taken from omega at the
-two endpoints and the midpoint of each cell. These are not proven bounds:
-omega can peak or dip inside a cell, between the three samples, and the
-masses are not normalized, so an under-resolved grid gives interval masses
-that miss the true PLD.
+Discretization follows the accountant's grid contract: c_i is the exact
+mass P[L in [s_i, s_i + dx)], a difference of mixture CDFs at the inverted
+cell edges (survival functions right of s = 0, where CDF differences would
+cancel). The last cell also holds the mass above L; the mass below -L is
+kept as one scalar, so the masses and that scalar sum to 1.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
-from .schemes import MULTISET_SCHEMES, Poisson, SamplingScheme, WOR
+from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
     "PrivacyLossModel",
@@ -46,16 +48,20 @@ __all__ = [
     "discretize",
 ]
 
-# Mixture weights whose log falls this far below the largest are dropped;
-# the induced relative error in any density or loss value is < 1e-20.
-_LOG_WEIGHT_CUTOFF = 60.0
+# Mixture weights whose log falls this far below the largest are dropped.
+# Each is below 8e-53 of the largest, so together they move any probability
+# by less than m * 8e-53. A cutoff of 60 moved the WR(1000, 200), sigma=4
+# loss mass on [5, 7), 2.2e-40, by 2.9e-7 of itself: in the far tail the
+# largest multiplicities dominate the mixture despite their weights.
+_LOG_WEIGHT_CUTOFF = 120.0
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
 # Rows x components in one block of the Newton kernel (one exponential per
-# side, log f_X from N), which bounds every temporary of bracketing,
-# presolve and Newton for any mixture size. 1 MB of float64 stays in a
-# core's L2 cache across the kernel's passes; 8 MB made it 1.5x slower.
+# side) and of the CDF pass, which bounds every temporary of bracketing,
+# presolve, Newton and the cell masses for any mixture size. 1 MB of
+# float64 stays in a core's L2 cache across the kernel's passes; 8 MB made
+# it 1.5x slower.
 _CELLS = 1 << 17
 # Shifted kernel terms are raised to this before exp: e^-700 ~ 1e-304 adds
 # nothing to a sum of at least 1, and exp stays off its slow underflow path.
@@ -104,10 +110,11 @@ class PrivacyLossModel:
 
     @cached_property
     def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """(multiplicities l, log mixture weights) with l = 0 included."""
+        """(multiplicities l, log mixture weights) of f_X, l = 0 included."""
         scheme = self.scheme
         if isinstance(scheme, Poisson):
-            raise TypeError("Poisson loss is one-sided; no symmetric mixture")
+            q = scheme.gamma
+            return np.array([0.0, 1.0]), np.array([math.log1p(-q), math.log(q)])
         log_w0 = log_miss_probability(scheme)
         if isinstance(scheme, WOR):
             l_vals = np.array([0.0, 1.0])
@@ -151,27 +158,23 @@ def _sym_loss(model: PrivacyLossModel, t: np.ndarray) -> np.ndarray:
     return _lse(log_a + arg) - _lse(log_a - arg)
 
 
-def _sym_loss_and_slope(
-    model: PrivacyLossModel, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L(t), L'(t), log f_X(t)): the Newton kernel.
+def _sym_loss_and_slope(model: PrivacyLossModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L(t), L'(t)): the Newton kernel.
 
     L = log N - log D with N(t) = sum_l a_l e^{t l / sigma^2}, D(t) = N(-t).
     One product with [1, l / sigma^2] gives each side's plain and slope-
-    weighted sums, so L' = N'/N - D'/D. As log a_l = log w_l - l^2 / (2
-    sigma^2), f_X(t) = N(t) e^{-t^2 / (2 sigma^2)} / (sigma sqrt(2 pi)).
+    weighted sums, so L' = N'/N - D'/D.
     """
     l_vals, _ = model._mixture
-    sig2 = model.sigma**2
-    slopes = l_vals / sig2
+    slopes = l_vals / model.sigma**2
     weights = np.stack([np.ones_like(slopes), slopes])
     log_a = model._log_a[:, None]
-    log_sum = np.empty((2, t.size))
+    loss = np.zeros(t.size)
     slope = np.zeros(t.size)
     step = max(1, _CELLS // slopes.size)
     for begin in range(0, t.size, step):
         rows = slice(begin, begin + step)
-        for side, sign in enumerate((1.0, -1.0)):
+        for sign in (1.0, -1.0):
             # K x rows, so the max and the shift run along contiguous rows.
             terms = np.multiply.outer(slopes, sign * t[rows])
             terms += log_a
@@ -180,10 +183,9 @@ def _sym_loss_and_slope(
             np.maximum(terms, _EXP_FLOOR, out=terms)
             np.exp(terms, out=terms)
             sums = weights @ terms
-            log_sum[side, rows] = peak + np.log(sums[0])
+            loss[rows] += sign * (peak + np.log(sums[0]))
             slope[rows] += sums[1] / sums[0]
-    log_norm = -math.log(model.sigma) - 0.5 * math.log(2.0 * math.pi)
-    return log_sum[0] - log_sum[1], slope, log_sum[0] - t**2 / (2.0 * sig2) + log_norm
+    return loss, slope
 
 
 def loss_at(model: PrivacyLossModel, t):
@@ -204,18 +206,9 @@ def log_output_density(model: PrivacyLossModel, t):
     """log f_X(t): the subsampled-mechanism output density under X."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     sig = model.sigma
-    log_norm = -math.log(sig) - 0.5 * math.log(2.0 * math.pi)
-    if isinstance(model.scheme, Poisson):
-        q = model.scheme.gamma
-        out = np.logaddexp(
-            math.log(q) - (t_arr - 1.0) ** 2 / (2.0 * sig**2),
-            math.log1p(-q) - t_arr**2 / (2.0 * sig**2),
-        )
-    else:
-        l_vals, log_w = model._mixture
-        terms = log_w[None, :] - (t_arr[:, None] - l_vals[None, :]) ** 2 / (2.0 * sig**2)
-        out = _lse(terms)
-    out = out + log_norm
+    l_vals, log_w = model._mixture
+    terms = log_w[None, :] - (t_arr[:, None] - l_vals[None, :]) ** 2 / (2.0 * sig**2)
+    out = _lse(terms) - math.log(sig) - 0.5 * math.log(2.0 * math.pi)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -286,11 +279,8 @@ def _expand_brackets(
 
 def _invert_newton(
     model: PrivacyLossModel, s: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, L'(t), log f_X(t)) with |L(t) - s| <= tol.
-
-    L' and log f_X come from the kernel at the accepted iterate.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, L'(t)) with |L(t) - s| <= tol; L' comes from the kernel at the accepted iterate."""
     sig2 = model.sigma**2
     if s.size >= _PRESOLVE_MIN:
         t, lo, hi = _presolve_starts(model, s)
@@ -301,10 +291,9 @@ def _invert_newton(
         _expand_brackets(model, s, lo, hi)
         t = np.clip(t, lo, hi)
     dloss = np.empty_like(s)
-    log_fx = np.empty_like(s)
     active = np.arange(s.size)
     for _ in range(max_iter):
-        loss, slope, log_f = _sym_loss_and_slope(model, t[active])
+        loss, slope = _sym_loss_and_slope(model, t[active])
         resid = loss - s[active]
         below = resid < 0.0
         lo[active[below]] = t[active[below]]
@@ -313,10 +302,9 @@ def _invert_newton(
 
         live = np.abs(resid) > tol
         dloss[active[~live]] = slope[~live]
-        log_fx[active[~live]] = log_f[~live]
         active = active[live]
         if active.size == 0:
-            return t, dloss, log_fx
+            return t, dloss
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t[active] - resid[live] / slope[live]
         fallback = ~np.isfinite(t_new) | (t_new <= lo[active]) | (t_new >= hi[active])
@@ -332,7 +320,10 @@ def _invert_newton(
 
 
 _PRESOLVE_MIN = 4096
-_PRESOLVE_GRID = 4096
+# Coarse nodes of the presolve. On the r = 3e5 grids 16384 nodes start
+# Newton close enough that one step meets the tolerance almost everywhere:
+# two kernel passes over the grid where 4096 nodes needed three.
+_PRESOLVE_GRID = 16384
 
 
 def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
@@ -372,7 +363,7 @@ def _inverse(
         return _poisson_inverse(model, s), _poisson_inverse_derivative(model, s)
     if isinstance(scheme, WOR) and not force_newton:
         return _wor_inverse(model, s), _wor_inverse_derivative(model, s)
-    t, dloss, _ = _invert_newton(model, s, tol, max_iter)
+    t, dloss = _invert_newton(model, s, tol, max_iter)
     return t, 1.0 / dloss
 
 
@@ -449,18 +440,17 @@ def pld_density_swapped(model: PrivacyLossModel, s):
 
 @dataclass(frozen=True)
 class DiscretizedPLD:
-    """Grid masses of a PLD over [-L, L) with per-interval lower/upper masses.
+    """Exact masses of a PLD on the grid s_i = -L + i*dx, i = 0..r-1.
 
-    The interval masses come from endpoint and midpoint values of omega, not
-    from its true extrema over each cell, so they can miss the true PLD.
+    c[i] = P[L in [s_i, s_i + dx)], except that the last cell also holds
+    P[L >= L]; mass_outside = P[L < -L], so c.sum() + mass_outside = 1.
     """
 
     trunc_L: float
     grid_r: int
     dx: float
     c: np.ndarray
-    c_minus: np.ndarray
-    c_plus: np.ndarray
+    mass_outside: float
     scheme: SamplingScheme
     sigma: float
 
@@ -469,16 +459,22 @@ class DiscretizedPLD:
             raise ValueError(f"grid_r must be a positive even integer, got {self.grid_r}")
         if not math.isclose(self.dx, 2.0 * self.trunc_L / self.grid_r, rel_tol=1e-12):
             raise ValueError("dx must equal 2*trunc_L/grid_r")
-        for name in ("c", "c_minus", "c_plus"):
-            arr = getattr(self, name)
-            if arr.shape != (self.grid_r,):
-                raise ValueError(f"{name} must have length grid_r")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite mass in {name}")
-            if np.any(arr < 0.0):
-                raise ValueError(f"negative mass in {name}")
-        if np.any(self.c_minus > self.c) or np.any(self.c > self.c_plus):
-            raise ValueError("interval bounds must bracket the point masses")
+        if self.c.shape != (self.grid_r,):
+            raise ValueError("c must have length grid_r")
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("non-finite mass in c")
+        if np.any(self.c < 0.0) or not 0.0 <= self.mass_outside <= 1.0:
+            raise ValueError("negative mass in c or mass_outside outside [0, 1]")
+
+    @property
+    def c_minus(self) -> np.ndarray:
+        """The masses c; kept for readers of the former three-array layout."""
+        return self.c
+
+    @property
+    def c_plus(self) -> np.ndarray:
+        """The masses c; kept for readers of the former three-array layout."""
+        return self.c
 
     @property
     def s(self) -> np.ndarray:
@@ -490,25 +486,40 @@ class DiscretizedPLD:
         return float(self.c.sum())
 
     def to_csv(self, path) -> None:
-        """Flat debug dump: one row (s, c, c_minus, c_plus) per grid cell."""
-        data = np.column_stack([self.s, self.c, self.c_minus, self.c_plus])
+        """Flat debug dump: one row (s, c) per grid cell."""
         np.savetxt(
-            path,
-            data,
-            delimiter=",",
-            header="s,c,c_minus,c_plus",
-            comments="",
-            fmt="%.12g",
+            path, np.column_stack([self.s, self.c]), delimiter=",", header="s,c",
+            comments="", fmt="%.12g",
         )
 
 
-def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> DiscretizedPLD:
-    """Discretize omega onto the accountant grid.
+def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> np.ndarray:
+    """P[L < s_j] for j < split and P[L >= s_j] from split on, at t_j = L^{-1}(s_j).
 
-    c_i is the left-endpoint mass dx*omega(s_i); the interval masses take
-    the min/max of omega over {s_i, s_i + dx/2, s_{i+1}}. For the multiset
-    schemes the half-step grid is inverted once and dL^{-1}/ds is the
-    difference quotient over two cell widths.
+    The mixture CDF (survival function) of f_X at t_j: ndtr per component
+    and one product with the weights, in blocks of _CELLS // K rows.
+    """
+    l_vals, log_w = model._mixture
+    weights = np.exp(log_w)
+    sign = np.where(np.arange(t.size) < split, 1.0, -1.0) / model.sigma
+    out = np.empty(t.size)
+    step = max(1, _CELLS // l_vals.size)
+    for begin in range(0, t.size, step):
+        rows = slice(begin, begin + step)
+        z = np.subtract.outer(t[rows], l_vals)
+        z *= sign[rows, None]
+        out[rows] = ndtr(z) @ weights
+    return out
+
+
+def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> DiscretizedPLD:
+    """Exact cell masses of the PLD on the accountant grid.
+
+    The left cell edges s_j = -L + j*dx are inverted once, t_j =
+    L^{-1}(s_j) (-inf below Poisson's loss floor log(1-q)), and each cell's
+    mass is a difference of mixture CDFs at its two edges left of s = 0 and
+    of survival functions right of it, so no tail mass cancels against 1.
+    The last cell's mass is the survival function at its left edge.
     """
     if not (math.isfinite(trunc_L) and trunc_L > 0.0):
         raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
@@ -516,41 +527,24 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
         raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")
 
     dx = 2.0 * trunc_L / grid_r
-    half = dx / 2.0
-    # Half-step grid from -L - dx to L + dx inclusive: indices -2 .. 2r+2.
-    n_half = 2 * grid_r + 5
-    s_half = -trunc_L + half * (np.arange(n_half) - 2.0)
-
-    if isinstance(model.scheme, MULTISET_SCHEMES):
-        # A large mixture has near-flat stretches of L where 1/L'(t) spikes
-        # far narrower than a cell; point values of it overstate the mass
-        # (MUSTww(1000, 10, 500), r=2e4: sum c is 3.96e8 with 1/L'(t)
-        # against 1.63 here, and k-fold composition overflows). The
-        # quotient averages dL^{-1}/ds over two cell widths.
-        t, _, log_fx = _invert_newton(model, s_half, _NEWTON_TOL, _NEWTON_MAX_ITER)
-        dinv = (t[4:] - t[:-4]) / (2.0 * dx)
-        omega_half = np.zeros(n_half)
-        omega_half[2:-2] = np.exp(log_fx[2:-2]) * dinv
-        # The two guard points at each end only feed the quotient above.
-    else:
-        omega_half = _omega(model, s_half)
-
-    # omega on the working half-grid 0..2r (s = -L + i*dx/2).
-    omega_work = omega_half[2 : 2 * grid_r + 3]
-    left = omega_work[0 : 2 * grid_r : 2]
-    mid = omega_work[1 : 2 * grid_r : 2]
-    right = omega_work[2 : 2 * grid_r + 1 : 2]
-
-    c = dx * left
-    c_minus = dx * np.minimum(np.minimum(left, mid), right)
-    c_plus = dx * np.maximum(np.maximum(left, mid), right)
+    half = grid_r // 2
+    edges = dx * (np.arange(grid_r) - half)  # s_half = 0 exactly
+    inside = edges > model.loss_domain_low
+    t = np.full(grid_r, -math.inf)
+    t[inside] = _inverse(model, edges[inside])[0]
+    prob = _edge_probabilities(model, t, half)
+    cdf = prob[: half + 1].copy()
+    cdf[half] = 1.0 - prob[half]
+    survival = prob[half:]
+    c = np.concatenate((np.diff(cdf), -np.diff(survival), survival[-1:]))
     return DiscretizedPLD(
         trunc_L=float(trunc_L),
         grid_r=int(grid_r),
         dx=dx,
-        c=c,
-        c_minus=c_minus,
-        c_plus=c_plus,
+        # Round-off and the Newton tolerance can leave a difference of two
+        # nearly equal probabilities a few ulps below 0.
+        c=np.maximum(c, 0.0),
+        mass_outside=float(cdf[0]),
         scheme=model.scheme,
         sigma=model.sigma,
     )

@@ -5,13 +5,12 @@ import pytest
 
 from subamp.accountant import (
     EpsilonBeyondGridError,
-    NonFiniteError,
     compose,
     compose_many,
     delta_direct,
 )
 from subamp.pld import PrivacyLossModel, discretize
-from subamp.schemes import MUSTow, MUSTww, Poisson, WOR, WR
+from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 POISSON_MODEL = PrivacyLossModel(Poisson(0.02, n=100), 2.0)
 WOR_MODEL = PrivacyLossModel(WOR(1000, 200), 2.0)
@@ -30,9 +29,7 @@ def fig_pld():
 
 @pytest.fixture(scope="module")
 def fig_pld_fine():
-    # The k-sweep needs the finer production grid: at r = 2^17 the lower
-    # bound's sub-probability mass (sum c- = 0.9922) decays faster with k
-    # than its tail grows, and monotonicity genuinely breaks past k = 800.
+    # The k-sweep runs on the grid of the benchmark's sweep config.
     return discretize(FIG_MODEL, 10.0, 300_000)
 
 
@@ -124,7 +121,9 @@ class TestSweep:
         assert cells[1].error is not None and cells[1].result is None
 
     def test_direct_convolution_cross_check(self):
-        # k = 2 against an explicit linear convolution wrapped onto the grid.
+        # k = 2 against an explicit linear convolution wrapped onto the grid,
+        # tail summed at eps (left edges), eps - dx (centres) and eps - 2 dx
+        # (right edges, plus the union bound of the mass outside the grid).
         pld = discretize(WOR_MODEL, 6.0, 512)
         r, dx = pld.grid_r, pld.dx
         full = np.convolve(pld.c, pld.c)  # support starts at -2L
@@ -134,11 +133,24 @@ class TestSweep:
             j = round((s_val + 6.0) / dx) % r
             wrapped[j] += full[idx]
         res = compose(pld, 2, 0.5)
-        i_eps = int(np.searchsorted(pld.s, 0.5, side="right"))
-        ref = float(
-            (-np.expm1(0.5 - pld.s[i_eps:])) @ wrapped[i_eps:]
-        )
-        assert res.delta_approx == pytest.approx(ref, abs=1e-12)
+        refs = [_tail(pld, wrapped, eps) for eps in (0.5, 0.5 - dx, 0.5 - 2.0 * dx)]
+        assert res.delta_lower == pytest.approx(refs[0], abs=1e-12)
+        assert res.delta_approx == pytest.approx(refs[1], abs=1e-12)
+        assert res.delta_upper == pytest.approx(refs[2] + _outside(pld, 2, 0.5), abs=1e-12)
+        assert refs[0] < refs[1] < refs[2]
+
+
+def _tail(pld, u, eps):
+    i_eps = int(np.searchsorted(pld.s, eps, side="right"))
+    return float((-np.expm1(eps - pld.s[i_eps:])) @ u[i_eps:])
+
+
+def _outside(pld, k, eps):
+    # k times the mass below -L, plus k times the excess of a loss above L
+    # over its placement at L: c[-1] e^{eps - L} M^{k-1}.
+    with np.errstate(divide="ignore"):
+        m_right = np.exp(np.log(pld.c) - (pld.s + pld.dx)).sum()
+    return k * (pld.mass_outside + pld.c[-1] * np.exp(eps - pld.trunc_L) * m_right ** (k - 1))
 
 
 def _full_power(c, k):
@@ -149,18 +161,22 @@ def _full_power(c, k):
 
 
 def _full_power_deltas(pld, k, eps):
-    """(delta_lower, delta_approx, delta_upper) and floored mass, no skipping."""
-    i_eps = int(np.searchsorted(pld.s, eps, side="right"))
-    w = -np.expm1(eps - pld.s[i_eps:])
-    deltas, floored = [], []
-    for c in (pld.c_minus, pld.c, pld.c_plus):
-        u = np.roll(np.real(np.fft.ifft(_full_power(c, k))), c.size // 2)
-        negative = u < 0.0
-        floored.append(float(-u[negative].sum()) if negative.any() else 0.0)
-        u = np.where(negative, 0.0, u)
-        deltas.append(min(max(float(w @ u[i_eps:]), 0.0), 1.0))
-    lo, mid, hi = deltas
-    return (min(lo, mid), mid, max(hi, mid)), max(floored)
+    """(delta_lower, delta_approx, delta_upper) and floored mass, no skipping.
+
+    One composed array, tail summed at eps, eps - k dx / 2 and eps - k dx
+    over the slice that starts at the lowest of the three.
+    """
+    u = np.roll(np.real(np.fft.ifft(_full_power(pld.c, k))), pld.c.size // 2)
+    negative = u < 0.0
+    floored = float(-u[negative].sum()) if negative.any() else 0.0
+    u = np.where(negative, 0.0, u)
+    shifted = (eps, eps - k * pld.dx / 2.0, eps - k * pld.dx)
+    start = int(np.searchsorted(pld.s, shifted[-1], side="right"))
+    tails = [
+        float(np.maximum(-np.expm1(e - pld.s[start:]), 0.0) @ u[start:]) for e in shifted
+    ]
+    lo, mid, hi = tails
+    return (min(lo, 1.0), min(mid, 1.0), min(hi + _outside(pld, k, eps), 1.0)), floored
 
 
 class TestSkippedFrequencies:
@@ -190,51 +206,69 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             compose(poisson_pld, 0, 1.0)
 
-    def test_unresolved_spike_surfaces_nonfinite(self):
+    def test_unresolved_spike_shows_in_max_cell_mass(self):
         # Exactly-calibrated noise on a rare-inclusion scheme concentrates
-        # the loss in ~1 grid cell; the upper-bound spectrum overflows and
-        # must surface as diagnostics instead of a silently clamped number.
+        # the loss in ~1 grid cell. The bracket still holds quadrature, and
+        # the diagnostics show that one cell carries half the mass.
         model = PrivacyLossModel(Poisson(100 / 30969, n=30969), 144.4)
         pld = discretize(model, 6.0, 1 << 17)
-        with pytest.raises(NonFiniteError) as excinfo:
-            compose(pld, 1000, 2.0)
-        # The count covers every frequency, skipped ones included.
-        count = int((~np.isfinite(_full_power(pld.c_plus, 1000))).sum())
-        assert count == 74979
-        assert excinfo.value.diagnostics["stage"] == "upper spectrum^k"
-        assert excinfo.value.diagnostics["count"] == count
-        assert str(excinfo.value) == (
-            f"non-finite values in upper spectrum^k ({count} of {1 << 17} entries)"
-        )
+        for eps in (0.0, 1e-4):
+            res = compose(pld, 1, eps)
+            assert res.delta_lower <= delta_direct(model, eps) <= res.delta_upper
+            assert res.diagnostics.max_cell_mass > 0.5
 
     def test_diagnostics_recorded(self, poisson_pld):
         res = compose(poisson_pld, 5, 0.5)
         d = res.diagnostics
         assert d.grid_r == 100_000
         assert d.trunc_L == 10.0
-        assert abs(d.mass_defect) < 2e-3
+        assert abs(d.mass_defect) < 1e-13
         assert d.floored_mass >= 0.0
-        assert not d.nonfinite_flag
+        assert d.max_cell_mass == float(poisson_pld.c.max()) < 0.5
 
 
-class TestKnownWrongBounds:
-    # delta_upper at k=1 falls below quadrature on these configs. The cell
-    # masses come from density samples, not exact CDF differences; these
-    # pass once they do, and the marker must then go.
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+class TestBoundsContainQuadrature:
+    # Configs whose upper bound fell below quadrature while the cell masses
+    # came from density samples; with exact cell masses the bracket holds.
     def test_spike_upper_dominates_quadrature(self):
-        # Measured: delta_upper 4.14e-8 against delta_direct 8.92e-6.
+        # Formerly delta_upper 4.14e-8 against delta_direct 8.92e-6.
         model = PrivacyLossModel(Poisson(100 / 30969, n=30969), 144.4)
         pld = discretize(model, 6.0, 1 << 17)
-        assert compose(pld, 1, 0.0).delta_upper >= delta_direct(model, 0.0)
+        res = compose(pld, 1, 0.0)
+        assert res.delta_lower <= delta_direct(model, 0.0) <= res.delta_upper
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_large_mixture_upper_dominates_quadrature(self):
-        # Measured: delta_upper 2.45e-36 against delta_direct 9.96e-3; the
-        # cell masses sum to 2.2e-26, missing the absent-record spike at s=0.
+        # Formerly delta_upper 2.45e-36 against delta_direct 9.96e-3, with
+        # cell masses summing to 2.2e-26. The mass above L carries the delta.
         model = PrivacyLossModel(MUSTww(1000, 10, 2000), 4.0)
         pld = discretize(model, 10.0, 20_000)
-        assert compose(pld, 1, 1.0).delta_upper >= delta_direct(model, 1.0)
+        res = compose(pld, 1, 1.0)
+        assert res.delta_lower <= delta_direct(model, 1.0) <= res.delta_upper
+
+    @pytest.mark.parametrize(
+        "model, trunc_L, eps_list",
+        [
+            (POISSON_MODEL, 10.0, (0.1, 0.5, 1.0, 2.0)),
+            (WOR_MODEL, 8.0, (0.5, 1.0, 2.0)),
+            (PrivacyLossModel(WR(1000, 200), 2.0), 8.0, (0.5, 1.0, 2.0)),
+            (PrivacyLossModel(MUSTwo(1000, 100, 50), 2.0), 8.0, (0.5, 1.0, 2.0)),
+            (FIG_MODEL, 10.0, (0.5, 1.0, 2.0)),
+            (PrivacyLossModel(MUSTww(1000, 100, 50), 2.0), 8.0, (0.5, 1.0, 2.0)),
+        ],
+        ids=["poisson", "wor", "wr", "mustwo", "mustow", "mustww"],
+    )
+    def test_k1_bracket_every_scheme(self, model, trunc_L, eps_list):
+        # The golden account configs at r = 2^14, k = 1, wherever quadrature
+        # lies above its own 1e-12 accuracy.
+        pld = discretize(model, trunc_L, 1 << 14)
+        checked = 0
+        for cell in compose_many(pld, [1], eps_list):
+            direct = delta_direct(model, cell.epsilon)
+            if direct > 1e-12:
+                res = cell.result
+                assert res.delta_lower <= direct <= res.delta_upper, cell.epsilon
+                checked += 1
+        assert checked >= 1
 
 
 class TestAmplifyPathConsistency:

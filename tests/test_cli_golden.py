@@ -2,8 +2,8 @@
 
 golden/account.json holds `subamp account` on all six schemes at r = 2^14
 with k up to 1000, an epsilon beyond the grid (exit 3 with one stderr line
-per k) and the spike config whose upper spectrum overflows at k = 1000
-(exit 3 with the NonFiniteError message and diagnostics).
+per k) and the spike config at k = 1000, where one grid cell holds half
+the loss mass.
 
 golden/streams.json pins the random streams:
 - `subamp sample-stats` on all six schemes, with populations on both sides
@@ -49,8 +49,7 @@ CASES = [
      "--L", "10", "--eps-list", "0.5,1,2", *_GRID],
     ["--scheme", "mustww", "--n", "1000", "--b", "100", "--m", "50", "--sigma", "2",
      "--L", "8", "--eps-list", "0.5,1,2", *_GRID],
-    # The spike config: the upper spectrum^k overflows on 74981 of the 131072
-    # frequencies.
+    # The spike config: one of the 131072 cells holds half the loss mass.
     ["--scheme", "poisson", "--gamma", "0.00322901", "--n", "30969", "--sigma", "144.4",
      "--k-list", "1000", "--eps-list", "2", "--L", "6", "--r", "131072"],
 ]

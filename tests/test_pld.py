@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 import subamp
@@ -140,18 +141,16 @@ class TestNewtonKernel:
         ids=["wr", "mustow", "mustww", "mixture", "census_wr", "census_mustow", "census_mustww"],
     )
     def test_matches_independent_route(self, model):
-        # The kernel's L, log f_X and L' against loss_at, log_output_density
-        # and a central difference of loss_at, across the Newton bracket of
-        # s in [-10, 10].
+        # The kernel's L and L' against loss_at and a central difference of
+        # loss_at, across the Newton bracket of s in [-10, 10].
         sig2 = model.sigma**2
         lo, hi = np.full(2, -10.0 * sig2), np.full(2, 10.0 * sig2)
         _expand_brackets(model, np.array([-10.0, 10.0]), lo, hi)
         t = np.linspace(lo.min(), hi.max(), 2001)
-        loss, slope, log_fx = _sym_loss_and_slope(model, t)
+        loss, slope = _sym_loss_and_slope(model, t)
         # The absolute floor covers L near 0, where log N - log D cancels
         # on both routes (they differ by up to 1.1e-15 there).
         np.testing.assert_allclose(loss, loss_at(model, t), rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(log_fx, log_output_density(model, t), rtol=0.0, atol=1e-11)
         h = 1e-4
         diff = loss_at(model, t + h) - loss_at(model, t - h)
         resolved = diff > 1e-8
@@ -211,6 +210,41 @@ class TestDensity:
             pld_density_swapped(MODELS["poisson"], 0.1)
 
 
+def _loss_mass(model: PrivacyLossModel, s_lo: float, s_hi: float) -> float:
+    """P[s_lo <= L < s_hi]; Poisson and WOR from scipy normal CDFs."""
+    scheme = model.scheme
+    if not isinstance(scheme, (Poisson, WOR)):
+        return mixture_loss_mass(scheme, model.sigma, s_lo, s_hi)
+    sig = model.sigma
+    q = scheme.gamma if isinstance(scheme, Poisson) else scheme.m / scheme.n
+
+    def log_f(t, shift):  # log of (1 - q) N(t; 0) + q N(t; shift)
+        return np.logaddexp(math.log1p(-q) + norm.logpdf(t, 0.0, sig),
+                            math.log(q) + norm.logpdf(t, shift, sig))
+
+    def loss(t):
+        if isinstance(scheme, Poisson):
+            return log_f(t, 1.0) - norm.logpdf(t, 0.0, sig)
+        return log_f(t, 1.0) - log_f(t, -1.0)
+
+    def invert(s):
+        if isinstance(scheme, Poisson) and s <= math.log1p(-q):
+            return -math.inf
+        lo, hi = -1.0, 1.0
+        while loss(lo) > s:
+            lo *= 2.0
+        while loss(hi) < s:
+            hi *= 2.0
+        return brentq(lambda t: loss(t) - s, lo, hi, xtol=1e-14, rtol=1e-15)
+
+    t_lo, t_hi = invert(s_lo), invert(s_hi)
+    dist = norm.sf if s_lo >= 0.0 else norm.cdf
+    masses = [dist(t_lo, l, sig) - dist(t_hi, l, sig) for l in (0.0, 1.0)]
+    if s_lo < 0.0:
+        masses = [-m for m in masses]
+    return (1.0 - q) * masses[0] + q * masses[1]
+
+
 class TestDiscretize:
     def test_grid_layout(self):
         pld = discretize(MODELS["poisson"], 10.0, 2000)
@@ -219,12 +253,22 @@ class TestDiscretize:
         assert pld.s[-1] == pytest.approx(10.0 - pld.dx)
         assert pld.c.shape == (2000,)
 
-    def test_bounds_bracket_everywhere(self):
-        for tag in ("poisson", "wor", "wr"):
-            pld = discretize(MODELS[tag], 8.0, 4096)
-            assert np.all(pld.c_minus <= pld.c)
-            assert np.all(pld.c <= pld.c_plus)
-            assert np.all(pld.c_minus >= 0.0)
+    def test_exact_masses(self):
+        # Sums of c over grid-aligned intervals, from the bulk out to the far
+        # tails, against independently inverted interval ends: mixture CDFs
+        # for the multiset schemes, normal CDF differences for Poisson and WOR.
+        for tag in ("poisson", "wor", "wr", "mustow", "mustww"):
+            model = MODELS[tag]
+            pld = discretize(model, 8.0, 4096)
+            assert pld.c.sum() + pld.mass_outside == pytest.approx(1.0, rel=0.0, abs=1e-13)
+            edges = (-4.0, -1.0, 0.0, 0.3, 1.5, 3.0, 5.0, 7.0)
+            if tag == "poisson":  # the loss lies above log(0.98) = -0.0202
+                edges = (-8.0, -0.01, 0.0, 0.02, 0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
+            cells = [round((edge + 8.0) / pld.dx) for edge in edges]
+            for lo, hi in zip(cells, cells[1:]):
+                expected = _loss_mass(model, pld.s[lo], pld.s[hi])
+                assert pld.c[lo:hi].sum() == pytest.approx(expected, rel=1e-9, abs=0.0), (
+                    tag, pld.s[lo], pld.s[hi])
 
     def test_poisson_mass_below_domain_is_zero(self):
         pld = discretize(MODELS["poisson"], 10.0, 100_000)
@@ -242,8 +286,9 @@ class TestDiscretize:
         pld = discretize(MODELS["wor"], 4.0, 512)
         path = tmp_path / "pld.csv"
         pld.to_csv(path)
+        assert path.read_text().splitlines()[0] == "s,c"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (512, 4)
+        assert data.shape == (512, 2)
         assert np.allclose(data[:, 0], pld.s, atol=1e-10)
         assert np.allclose(data[:, 1], pld.c, rtol=1e-10)
 
@@ -266,11 +311,11 @@ class TestDiscretize:
         peak_mb = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
         assert peak_mb < 400.0
 
-    def test_construction_validates_bracketing(self):
-        c = np.full(4, 0.25)
+    def test_construction_validates_masses(self):
+        c = np.array([0.5, -0.25, 0.5, 0.25])
         with pytest.raises(ValueError):
             DiscretizedPLD(
-                trunc_L=1.0, grid_r=4, dx=0.5, c=c, c_minus=c + 1.0, c_plus=c,
+                trunc_L=1.0, grid_r=4, dx=0.5, c=c, mass_outside=0.0,
                 scheme=WOR(10, 2), sigma=1.0,
             )
 
