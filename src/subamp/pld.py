@@ -13,8 +13,11 @@ inverse derivative in closed form for Poisson and WOR and as 1/L'(t) at the
 Newton root otherwise.
 
 The Newton kernel writes L = log N - log D over the K mixture components
-and takes one exponential per side. Its temporaries hold at most _CELLS
-rows x K cells, so memory is bounded for any K.
+and takes one exponential per side. It and the CDF pass work in blocks of
+_CELLS // K rows, which run on one thread per CPU in the process's
+affinity mask. Their temporaries hold a few blocks of _CELLS cells per
+thread, so memory is bounded for any K, and the outputs are bit-identical
+to one CPU (`taskset -c 0` gives the serial path).
 
 Discretization follows the accountant's grid contract: c_i is the exact
 mass P[L in [s_i, s_i + dx)], a difference of mixture CDFs at the inverted
@@ -25,7 +28,11 @@ kept as one scalar, so the masses and that scalar sum to 1.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,9 +66,11 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
 # Rows x components in one block of the Newton kernel (one exponential per
 # side) and of the CDF pass, which bounds every temporary of bracketing,
-# presolve, Newton and the cell masses for any mixture size. 1 MB of
+# presolve, Newton and the cell masses for any mixture size: threads x one
+# block's temporaries, one thread per CPU in the affinity mask. 1 MB of
 # float64 stays in a core's L2 cache across the kernel's passes; 8 MB made
-# it 1.5x slower.
+# it 1.5x slower. The block boundaries fix the BLAS calls and so the output
+# bits: changing _CELLS can change them (doubling the block did).
 _CELLS = 1 << 17
 # Shifted kernel terms are raised to this before exp: e^-700 ~ 1e-304 adds
 # nothing to a sum of at least 1, and exp stays off its slow underflow path.
@@ -142,6 +151,44 @@ class PrivacyLossModel:
         return float((l_vals[1:] * w).sum() / w.sum())
 
 
+def _map_blocks(block: Callable[[slice], None], n_rows: int, step: int) -> None:
+    """Call block(rows) for each slice of step rows of range(n_rows).
+
+    The blocks run on one thread per CPU in the process's affinity mask, at
+    most one per block, and inline when that is one thread (as under
+    `taskset -c 0`). Thread i runs blocks i, i + threads, ... as one task,
+    so the caller waits on one future per thread, not one per block. Each
+    call writes only its own rows of preallocated outputs, and the slices
+    are those of the serial loop, so the outputs are bit-identical for any
+    number of threads. Blocks run in a copy of the caller's context, so the
+    caller's np.errstate holds in them, and an exception raised in a block
+    reaches the caller. The pool lives for one call: a pool kept between
+    calls would leave a child made by fork waiting on threads that were not
+    copied into it.
+    """
+    blocks = [slice(begin, begin + step) for begin in range(0, n_rows, step)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    threads = min(cpus, len(blocks))
+
+    def run(share: list[slice]) -> None:
+        for rows in share:
+            block(rows)
+
+    if threads <= 1:
+        run(blocks)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, run, blocks[i::threads])
+            for i in range(threads)
+        ]
+        for future in futures:
+            future.result()
+
+
 def _lse(terms: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of a 2-d array."""
     peak = terms.max(axis=1)
@@ -171,12 +218,13 @@ def _sym_loss_and_slope(model: PrivacyLossModel, t: np.ndarray) -> tuple[np.ndar
     log_a = model._log_a[:, None]
     loss = np.zeros(t.size)
     slope = np.zeros(t.size)
-    step = max(1, _CELLS // slopes.size)
-    for begin in range(0, t.size, step):
-        rows = slice(begin, begin + step)
+
+    def block(rows: slice) -> None:
+        # K x rows, so the max and the shift run along contiguous rows; one
+        # buffer serves both sides.
+        terms = np.empty((slopes.size, t[rows].size))
         for sign in (1.0, -1.0):
-            # K x rows, so the max and the shift run along contiguous rows.
-            terms = np.multiply.outer(slopes, sign * t[rows])
+            np.multiply.outer(slopes, sign * t[rows], out=terms)
             terms += log_a
             peak = terms.max(axis=0)
             terms -= peak
@@ -185,6 +233,8 @@ def _sym_loss_and_slope(model: PrivacyLossModel, t: np.ndarray) -> tuple[np.ndar
             sums = weights @ terms
             loss[rows] += sign * (peak + np.log(sums[0]))
             slope[rows] += sums[1] / sums[0]
+
+    _map_blocks(block, t.size, max(1, _CELLS // slopes.size))
     return loss, slope
 
 
@@ -352,19 +402,21 @@ def _inverse(
     tol: float = _NEWTON_TOL,
     max_iter: int = _NEWTON_MAX_ITER,
     force_newton: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, dL^{-1}/ds) at loss values s inside the image of L.
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """(t, dinv) at loss values s inside the image of L; dinv() is dL^{-1}/ds.
 
     The one scheme dispatch of the inversion: closed forms for Poisson and
-    WOR, safeguarded Newton (inverse derivative 1/L'(t)) otherwise.
+    WOR, safeguarded Newton (inverse derivative 1/L'(t)) otherwise. The
+    derivative is computed only when dinv is called, so callers that need t
+    alone (discretize) skip the closed forms' second pass.
     """
     scheme = model.scheme
     if isinstance(scheme, Poisson):
-        return _poisson_inverse(model, s), _poisson_inverse_derivative(model, s)
+        return _poisson_inverse(model, s), lambda: _poisson_inverse_derivative(model, s)
     if isinstance(scheme, WOR) and not force_newton:
-        return _wor_inverse(model, s), _wor_inverse_derivative(model, s)
+        return _wor_inverse(model, s), lambda: _wor_inverse_derivative(model, s)
     t, dloss = _invert_newton(model, s, tol, max_iter)
-    return t, 1.0 / dloss
+    return t, lambda: 1.0 / dloss
 
 
 def invert_loss(
@@ -404,7 +456,7 @@ def _omega(model: PrivacyLossModel, s: np.ndarray, swapped: bool = False) -> np.
     # grid-sized masked copies are skipped.
     inside = ok.all()
     t, dinv = _inverse(model, s if inside else s[ok])
-    omega = np.exp(log_output_density(model, -t if swapped else t)) * dinv
+    omega = np.exp(log_output_density(model, -t if swapped else t)) * dinv()
     if inside:
         return omega
     out = np.zeros_like(s)
@@ -503,12 +555,13 @@ def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> n
     weights = np.exp(log_w)
     sign = np.where(np.arange(t.size) < split, 1.0, -1.0) / model.sigma
     out = np.empty(t.size)
-    step = max(1, _CELLS // l_vals.size)
-    for begin in range(0, t.size, step):
-        rows = slice(begin, begin + step)
+
+    def block(rows: slice) -> None:
         z = np.subtract.outer(t[rows], l_vals)
         z *= sign[rows, None]
-        out[rows] = ndtr(z) @ weights
+        out[rows] = ndtr(z, out=z) @ weights
+
+    _map_blocks(block, t.size, max(1, _CELLS // l_vals.size))
     return out
 
 

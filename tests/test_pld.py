@@ -1,9 +1,11 @@
 """Loss functions, inversion, densities, discretization."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from subamp.pld import (
     pld_density,
     pld_density_swapped,
 )
-from subamp.pld import _expand_brackets, _sym_loss_and_slope
+from subamp.pld import _expand_brackets, _map_blocks, _sym_loss_and_slope
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 from oracles import mixture_loss_mass
@@ -311,6 +313,55 @@ class TestDiscretize:
         peak_mb = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
         assert peak_mb < 400.0
 
+    def test_needs_no_inverse_derivative(self, monkeypatch):
+        # discretize inverts the edges for t alone; only the density pays for
+        # the closed-form derivatives.
+        def fail(model, s):
+            raise AssertionError("inverse derivative evaluated")
+
+        monkeypatch.setattr(subamp.pld, "_poisson_inverse_derivative", fail)
+        monkeypatch.setattr(subamp.pld, "_wor_inverse_derivative", fail)
+        for tag in ("poisson", "wor"):
+            discretize(MODELS[tag], 10.0, 2000)
+        with pytest.raises(AssertionError):
+            pld_density(MODELS["wor"], 0.5)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs an affinity mask of at least two CPUs",
+    )
+    def test_threaded_matches_one_cpu(self):
+        # discretize in two child processes, one pinned to a single CPU (the
+        # inline path) and one with this process's mask (one thread per
+        # CPU): every c and mass_outside must agree to the bit.
+        code = (
+            "import hashlib, os, sys\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from subamp.pld import PrivacyLossModel, discretize\n"
+            "from subamp.schemes import MUSTow, MUSTww, Poisson, WOR\n"
+            "print(len(os.sched_getaffinity(0)))\n"
+            "for scheme, sigma, L, r in (\n"
+            "    (Poisson(0.02, n=100), 2.0, 10.0, 1 << 18),\n"
+            "    (WOR(1000, 200), 2.0, 10.0, 1 << 18),\n"
+            "    (MUSTow(10_000, 118, 200), 4.0, 10.0, 1 << 15),\n"
+            "    (MUSTww(1000, 10, 500), 4.0, 10.0, 20_000),\n"
+            "):\n"
+            "    pld = discretize(PrivacyLossModel(scheme, sigma), L, r)\n"
+            "    print(hashlib.sha256(pld.c.tobytes()).hexdigest(), pld.mass_outside.hex())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
+        runs = {
+            mode: subprocess.run(
+                [sys.executable, "-c", code, mode], env=env, capture_output=True, text=True,
+                check=True, timeout=600,
+            ).stdout.splitlines()
+            for mode in ("pin", "free")
+        }
+        assert runs["pin"][0] == "1" and int(runs["free"][0]) >= 2
+        assert len(runs["pin"]) == 5
+        assert runs["pin"][1:] == runs["free"][1:]
+
     def test_construction_validates_masses(self):
         c = np.array([0.5, -0.25, 0.5, 0.25])
         with pytest.raises(ValueError):
@@ -318,6 +369,83 @@ class TestDiscretize:
                 trunc_L=1.0, grid_r=4, dx=0.5, c=c, mass_outside=0.0,
                 scheme=WOR(10, 2), sigma=1.0,
             )
+
+
+def _discretize_in_child(expected: bytes) -> None:
+    pld = discretize(MODELS["mustow"], 10.0, 1 << 15)
+    sys.exit(0 if pld.c.tobytes() == expected else 1)
+
+
+class TestMapBlocks:
+    """The row-block helper of the Newton kernel and the CDF pass."""
+
+    @pytest.fixture(params=[1, 4], ids=["one_cpu", "four_cpus"])
+    def cpus(self, request, monkeypatch):
+        # The helper sizes its pool from the affinity mask; a fixed mask
+        # runs the threaded path on any host.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False
+        )
+        return request.param
+
+    def test_every_row_once(self, cpus):
+        seen = np.zeros(1000, dtype=int)
+
+        def block(rows):
+            seen[rows] += 1
+
+        _map_blocks(block, seen.size, 64)
+        assert np.all(seen == 1)
+        _map_blocks(block, 0, 64)  # no rows, no blocks
+
+    def test_block_exception_reaches_caller(self, cpus):
+        error = ArithmeticError("block 7")
+
+        def block(rows):
+            if rows.start == 7 * 10:
+                raise error
+
+        with pytest.raises(ArithmeticError) as info:
+            _map_blocks(block, 200, 10)
+        assert info.value is error
+
+    def test_callers_errstate_holds_in_blocks(self, cpus):
+        def block(rows):
+            np.log(np.zeros(2))
+
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _map_blocks(block, 40, 10)
+
+    def test_no_thread_outlives_the_call(self, cpus):
+        baseline = threading.active_count()
+        during = []
+
+        def block(rows):
+            during.append(threading.active_count())
+
+        _map_blocks(block, 100, 10)
+        assert (max(during) > baseline) == (cpus > 1)
+        assert threading.active_count() == baseline
+        discretize(MODELS["mustow"], 10.0, 1 << 15)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_fork_child_runs_discretize(self, cpus):
+        # A pool kept after the parent's call would leave the child waiting
+        # on threads that fork did not copy.
+        expected = discretize(MODELS["mustow"], 10.0, 1 << 15).c.tobytes()
+        child = multiprocessing.get_context("fork").Process(
+            target=_discretize_in_child, args=(expected,)
+        )
+        child.start()
+        child.join(timeout=120)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("discretize in the forked child did not finish within 120 s")
+        assert child.exitcode == 0
 
 
 @given(t=st.floats(-50.0, 50.0))
