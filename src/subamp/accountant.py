@@ -1,12 +1,16 @@
 """k-fold privacy loss composition via FFT convolution (Fourier accountant).
 
-The exact cell masses of the discretized loss are half-swapped, transformed
-once, raised to the k-th power coefficientwise, transformed back,
-half-swapped again, and tail summed against (1 - e^{eps - s}). Only
-frequencies with |spectrum| above exp(-750/k) are powered; the others are
-set to exactly 0. Their k-th power is at most e^-750, under 1% of the
-smallest subnormal 2^-1074, which pow rounds to +0, so the skip changes no
-output bit.
+The exact cell masses of the discretized loss are real, so their spectrum
+is Hermitian: they are transformed once with a real FFT, each of the r/2+1
+frequencies of the half-spectrum is raised to the k-th power, and one real
+inverse FFT per k gives the composed masses, which are tail summed against
+(1 - e^{eps - s}). Only frequencies with |spectrum| above exp(-750/k) are
+powered; the others are set to exactly 0. Their k-th power is at most
+e^-750, under 1% of the smallest subnormal 2^-1074, which pow rounds to
++0, so the skip changes no output bit. The per-k work (power, inverse,
+floor, tails) runs on one thread per CPU in the process's affinity mask,
+one k per task, and reduces with numpy's own sums, never BLAS, so the
+output bits do not depend on the number of CPUs or of BLAS threads.
 
 The composed array places each loss at its cell's left edge. Placing the
 same masses at the right edges shifts the composed array by k dx, so the
@@ -33,6 +37,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate, optimize
 
+from .numerics import _map_blocks
 from .pld import DiscretizedPLD, PrivacyLossModel, log_output_density, loss_at
 
 __all__ = [
@@ -93,11 +98,6 @@ class SweepCell:
     error: str | None = None
 
 
-def _half_swap(vec: np.ndarray) -> np.ndarray:
-    # Exchange of the front and back halves; self-inverse for even length.
-    return np.roll(vec, vec.size // 2)
-
-
 def _check_finite(name: str, arr: np.ndarray, context: dict) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -114,33 +114,38 @@ def _survives(mag: np.ndarray, k: int) -> np.ndarray:
 
 
 def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices, magnitudes and angles of the frequencies kept at k_min."""
-    spec = np.fft.fft(_half_swap(vec))
+    """Indices, magnitudes and angles of the half-spectrum kept at k_min.
+
+    The masses are half-swapped first, so that index 0 holds the loss 0:
+    the spectrum of a loss centred near 0 has small angles, which k * angle
+    magnifies less than angles near pi (at k = 1000 the unswapped transform
+    gave 1.4x the absolute error of the composed masses).
+    """
+    spec = np.fft.rfft(np.roll(vec, vec.size // 2))
     mag = np.abs(spec)
     idx = np.flatnonzero(_survives(mag, k_min))
     return idx, mag[idx], np.angle(spec[idx])
 
 
-def _power_convolve(
-    polar: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, context: dict
-) -> tuple[np.ndarray, float]:
-    """Inverse transform of spectrum^k with the half-swap undone.
+def _powered(
+    polar: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, grid_r: int
+) -> np.ndarray:
+    """The half-spectrum of the k-fold composed masses, half-swapped back.
 
     The elementwise power runs in polar form (magnitude^k, angle*k) to limit
     error growth at large k, on the frequencies with magnitude above
-    exp(-750/k) only; every other entry of spectrum^k is set to +0, the
-    value pow gives it. Returns floored intensities and floored mass.
+    exp(-750/k) only; every other entry is set to +0, the value pow gives
+    it. Half-swapping the inverse transform multiplies frequency f by
+    (-1)^f, which is applied to the powered entries instead.
     """
     idx, mag, ang = polar
     keep = _survives(mag, k)
-    powered = np.zeros(context["grid_r"], dtype=complex)
-    powered[idx[keep]] = mag[keep] ** k * np.exp(1j * k * ang[keep])
-    u = _half_swap(np.real(np.fft.ifft(powered)))
-    _check_finite("intensities", u, context)
-    negative = u < 0.0
-    floored = float(-u[negative].sum()) if negative.any() else 0.0
-    u = np.where(negative, 0.0, u)
-    return u, floored
+    freq = idx[keep]
+    values = mag[keep] ** k * np.exp(1j * k * ang[keep])
+    np.negative(values, out=values, where=freq % 2 == 1)
+    out = np.zeros(grid_r // 2 + 1, dtype=complex)
+    out[freq] = values
+    return out
 
 
 def _tail(s: np.ndarray, u: np.ndarray, epsilons: tuple[float, ...]) -> list[float]:
@@ -148,10 +153,12 @@ def _tail(s: np.ndarray, u: np.ndarray, epsilons: tuple[float, ...]) -> list[flo
 
     Every sum runs over the same slice of u in the same order, with weights
     that are 0 below their eps, so a larger eps never gives a larger sum.
+    numpy sums the weighted terms: a BLAS dot product splits its sum by the
+    BLAS thread count, so its bits would depend on the CPUs.
     """
     start = int(np.searchsorted(s, min(epsilons), side="right"))
-    tail = s[start:]
-    return [float(np.maximum(-np.expm1(eps - tail), 0.0) @ u[start:]) for eps in epsilons]
+    tail, mass = s[start:], u[start:]
+    return [float((np.maximum(-np.expm1(eps - tail), 0.0) * mass).sum()) for eps in epsilons]
 
 
 def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
@@ -170,7 +177,7 @@ def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
 def compose_many(
     pld: DiscretizedPLD, k_list: Sequence[int], eps_grid: Sequence[float]
 ) -> list[SweepCell]:
-    """compose over the k x epsilon grid: one forward FFT, one inverse per k.
+    """compose over the k x epsilon grid: one forward rfft, one irfft per k.
 
     The composed masses u place each loss at the sum of its cells' left
     edges, so the true sum lies in [s_i, s_i + k dx). The tail at eps is
@@ -182,6 +189,13 @@ def compose_many(
     M = sum_i c_i e^{-(s_i + dx)}. Per-cell epsilon validation failures are
     collected into the returned cells; numerical (non-finite) failures
     abort, as the whole composition for that k is meaningless.
+
+    The values of k run on one thread per CPU in the affinity mask, each
+    writing its own slot, and the cells come back in k-list order. Memory
+    is the kept half-spectrum plus threads x one k's arrays: the powered
+    half-spectrum (8 (r + 2) bytes), the composed masses (8 r) and the
+    tail sums' temporaries, 16 MB per thread at r = 2^20 (a tracemalloc
+    peak of 24 MB at one thread and 41 MB at two).
     """
     k_values = [int(k) for k in k_list]
     if any(k < 1 for k in k_values):
@@ -197,25 +211,42 @@ def compose_many(
     with np.errstate(divide="ignore"):
         m_right = float(np.exp(np.log(c) - (s + dx)).sum())
     spectrum = _spectrum(c, min(k_values, default=1))
+    per_k: list = [None] * len(k_values)  # (floored mass, tails per eps) of each k
 
+    def compose_k(items: slice) -> None:
+        for i in range(len(k_values))[items]:
+            k = k_values[i]
+            u = np.fft.irfft(_powered(spectrum, k, pld.grid_r), n=pld.grid_r)
+            _check_finite("intensities", u, context)
+            negative = u < 0.0
+            floored = float(-u[negative].sum()) if negative.any() else 0.0
+            u[negative] = 0.0
+            tails = [
+                _tail(s, u, (eps, eps - k * dx / 2.0, eps - k * dx)) if eps < last else None
+                for eps in eps_values
+            ]
+            per_k[i] = floored, tails
+
+    _map_blocks(compose_k, len(k_values), 1)
+
+    max_cell_mass = float(c.max())
     cells: list[SweepCell] = []
-    for k in k_values:
-        u, floored = _power_convolve(spectrum, k, context)
+    for k, (floored, tails) in zip(k_values, per_k):
         diag = Diagnostics(
             grid_r=pld.grid_r,
             trunc_L=pld.trunc_L,
             mass_defect=pld.mass_outside,
-            max_cell_mass=float(c.max()),
+            max_cell_mass=max_cell_mass,
             floored_mass=floored,
         )
-        for eps in eps_values:
-            if eps >= last:
+        for eps, sums in zip(eps_values, tails):
+            if sums is None:
                 cells.append(SweepCell(k=k, epsilon=eps, error=(
                     f"epsilon={eps:g} must lie below the last grid point "
                     f"L - dx = {last:g}; enlarge trunc_L or grid_r"
                 )))
                 continue
-            dl, da, du = _tail(s, u, (eps, eps - k * dx / 2.0, eps - k * dx))
+            dl, da, du = sums
             outside = pld.mass_outside + c_last * math.exp(eps - pld.trunc_L) * m_right ** (k - 1)
             cells.append(
                 SweepCell(

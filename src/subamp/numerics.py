@@ -1,14 +1,22 @@
-"""Log-space combinatorial helpers shared across the package.
+"""Log-space combinatorial helpers and the one parallel helper of the package.
 
 Binomial and hypergeometric coefficients are always accumulated through
 log-gamma: the configurations this package targets (b up to a few thousand,
 m up to a couple thousand) overflow direct factorials long before the
 probabilities themselves underflow.
+
+_map_blocks runs independent slices of a loop on one thread per CPU: the
+row blocks of `pld`'s Newton kernel and CDF pass, and the per-k transforms
+of `accountant.compose_many`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,3 +64,42 @@ def log_binom_pmf(k, n, p):
 def stable_sum(values) -> float:
     """Exactly rounded float sum (math.fsum) of an iterable/array."""
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _map_blocks(block: Callable[[slice], None], n_rows: int, step: int) -> None:
+    """Call block(rows) for each slice of step rows of range(n_rows).
+
+    The blocks run on one thread per CPU in the process's affinity mask, at
+    most one per block, and inline when that is one thread (as under
+    `taskset -c 0`). Thread i runs blocks i, i + threads, ... as one task,
+    so the caller waits on one future per thread, not one per block. Each
+    call writes only its own rows of preallocated outputs (`compose_many`
+    passes step 1, one k per block), and the slices are those of the serial
+    loop, so the outputs are bit-identical for any number of threads.
+    Blocks run in a copy of the caller's context, so the caller's
+    np.errstate holds in them, and an exception raised in a block reaches
+    the caller. The pool lives for one call: a pool kept between calls
+    would leave a child made by fork waiting on threads that were not
+    copied into it.
+    """
+    blocks = [slice(begin, begin + step) for begin in range(0, n_rows, step)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    threads = min(cpus, len(blocks))
+
+    def run(share: list[slice]) -> None:
+        for rows in share:
+            block(rows)
+
+    if threads <= 1:
+        run(blocks)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, run, blocks[i::threads])
+            for i in range(threads)
+        ]
+        for future in futures:
+            future.result()

@@ -28,11 +28,8 @@ kept as one scalar, so the masses and that scalar sum to 1.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +37,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
+from .numerics import _map_blocks
 from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
@@ -149,44 +147,6 @@ class PrivacyLossModel:
         l_vals, log_w = self._mixture
         w = np.exp(log_w[1:])
         return float((l_vals[1:] * w).sum() / w.sum())
-
-
-def _map_blocks(block: Callable[[slice], None], n_rows: int, step: int) -> None:
-    """Call block(rows) for each slice of step rows of range(n_rows).
-
-    The blocks run on one thread per CPU in the process's affinity mask, at
-    most one per block, and inline when that is one thread (as under
-    `taskset -c 0`). Thread i runs blocks i, i + threads, ... as one task,
-    so the caller waits on one future per thread, not one per block. Each
-    call writes only its own rows of preallocated outputs, and the slices
-    are those of the serial loop, so the outputs are bit-identical for any
-    number of threads. Blocks run in a copy of the caller's context, so the
-    caller's np.errstate holds in them, and an exception raised in a block
-    reaches the caller. The pool lives for one call: a pool kept between
-    calls would leave a child made by fork waiting on threads that were not
-    copied into it.
-    """
-    blocks = [slice(begin, begin + step) for begin in range(0, n_rows, step)]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    threads = min(cpus, len(blocks))
-
-    def run(share: list[slice]) -> None:
-        for rows in share:
-            block(rows)
-
-    if threads <= 1:
-        run(blocks)
-        return
-    with ThreadPoolExecutor(threads) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, run, blocks[i::threads])
-            for i in range(threads)
-        ]
-        for future in futures:
-            future.result()
 
 
 def _lse(terms: np.ndarray) -> np.ndarray:

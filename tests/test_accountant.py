@@ -1,8 +1,16 @@
 """FFT composition against quadrature, direct convolution, and its own bounds."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import subamp
 from subamp.accountant import (
     EpsilonBeyondGridError,
     compose,
@@ -154,29 +162,45 @@ def _outside(pld, k, eps):
 
 
 def _full_power(c, k):
-    # spectrum^k in polar form on every frequency, none skipped.
-    spec = np.fft.fft(np.roll(c, c.size // 2))
+    # The half-spectrum^k of the half-swapped masses, in polar form on every
+    # frequency, none skipped, times (-1)^f to half-swap the inverse back.
+    spec = np.fft.rfft(np.roll(c, c.size // 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(spec) ** k * np.exp(1j * k * np.angle(spec))
+        powered = np.abs(spec) ** k * np.exp(1j * k * np.angle(spec))
+    powered[1::2] = -powered[1::2]
+    return powered
 
 
-def _full_power_deltas(pld, k, eps):
-    """(delta_lower, delta_approx, delta_upper) and floored mass, no skipping.
+def _deltas(pld, u, k, eps):
+    """(delta_lower, delta_approx, delta_upper) and floored mass of composed u.
 
-    One composed array, tail summed at eps, eps - k dx / 2 and eps - k dx
+    u is floored at 0 and tail summed at eps, eps - k dx / 2 and eps - k dx
     over the slice that starts at the lowest of the three.
     """
-    u = np.roll(np.real(np.fft.ifft(_full_power(pld.c, k))), pld.c.size // 2)
     negative = u < 0.0
     floored = float(-u[negative].sum()) if negative.any() else 0.0
     u = np.where(negative, 0.0, u)
     shifted = (eps, eps - k * pld.dx / 2.0, eps - k * pld.dx)
     start = int(np.searchsorted(pld.s, shifted[-1], side="right"))
     tails = [
-        float(np.maximum(-np.expm1(e - pld.s[start:]), 0.0) @ u[start:]) for e in shifted
+        float((np.maximum(-np.expm1(e - pld.s[start:]), 0.0) * u[start:]).sum())
+        for e in shifted
     ]
     lo, mid, hi = tails
     return (min(lo, 1.0), min(mid, 1.0), min(hi + _outside(pld, k, eps), 1.0)), floored
+
+
+def _full_power_deltas(pld, k, eps):
+    """The deltas and floored mass with every frequency powered, none skipped."""
+    return _deltas(pld, np.fft.irfft(_full_power(pld.c, k), n=pld.grid_r), k, eps)
+
+
+def _complex_composed(c, k):
+    # The composed masses by the complex fft/ifft of the whole spectrum.
+    spec = np.fft.fft(np.roll(c, c.size // 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = np.abs(spec) ** k * np.exp(1j * k * np.angle(spec))
+    return np.roll(np.real(np.fft.ifft(powered)), c.size // 2)
 
 
 class TestSkippedFrequencies:
@@ -194,7 +218,124 @@ class TestSkippedFrequencies:
             assert (res.delta_lower, res.delta_approx, res.delta_upper) == (lo, mid, hi)
             assert res.diagnostics.floored_mass == floored
         # At k = 1000 most frequencies underflow, so the skip is exercised.
-        assert np.count_nonzero(_full_power(pld.c, 1000)) < pld.grid_r // 4
+        powered = _full_power(pld.c, 1000)
+        assert np.count_nonzero(powered) < powered.size // 4
+
+
+class TestRealPipeline:
+    def test_matches_complex_pipeline(self, fig_pld):
+        # The real half-spectrum pipeline against the complex transform of
+        # the whole spectrum: only round-off may separate them.
+        ks, eps_list = [1, 200, 1000], [0.5, 1.0, 2.0]
+        worst = 0.0
+        for cell in compose_many(fig_pld, ks, eps_list):
+            u = _complex_composed(fig_pld.c, cell.k)
+            ref, floored = _deltas(fig_pld, u, cell.k, cell.epsilon)
+            res = cell.result
+            got = (res.delta_lower, res.delta_approx, res.delta_upper)
+            worst = max(worst, *(abs(a - b) for a, b in zip(got, ref)))
+            worst = max(worst, abs(res.diagnostics.floored_mass - floored))
+        assert worst <= 1e-13, worst
+
+
+_COMPOSE_CHILD = (
+    "import hashlib, os, sys\n"
+    "if sys.argv[1] == 'pin':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "import numpy as np\n"
+    "from subamp.accountant import compose_many\n"
+    "from subamp.pld import PrivacyLossModel, discretize\n"
+    "from subamp.schemes import MUSTow, Poisson, WOR\n"
+    "print(len(os.sched_getaffinity(0)))\n"
+    "for scheme, sigma, r in (\n"
+    "    (WOR(1000, 200), 2.0, 1 << 18),\n"
+    "    (MUSTow(10_000, 118, 200), 4.0, 1 << 16),\n"
+    "    (Poisson(0.02, n=100), 2.0, 1 << 16),\n"
+    "):\n"
+    "    pld = discretize(PrivacyLossModel(scheme, sigma), 10.0, r)\n"
+    "    cells = compose_many(pld, [1, 2, 200, 600, 1000], [0.5, 1.0, 2.0])\n"
+    "    values = [\n"
+    "        (c.result.delta_lower, c.result.delta_approx, c.result.delta_upper,\n"
+    "         c.result.diagnostics.floored_mass) for c in cells\n"
+    "    ]\n"
+    "    print(hashlib.sha256(np.array(values).tobytes()).hexdigest())\n"
+)
+
+
+def _compose_in_child(pld, expected: bytes) -> None:
+    cells = compose_many(pld, [1, 200], [0.5, 1.0])
+    got = np.array([(c.result.delta_lower, c.result.delta_upper) for c in cells])
+    sys.exit(0 if got.tobytes() == expected else 1)
+
+
+class TestThreadedCompose:
+    """compose_many runs its values of k on one thread per CPU."""
+
+    @pytest.fixture(params=[1, 4], ids=["one_cpu", "four_cpus"])
+    def cpus(self, request, monkeypatch):
+        # _map_blocks sizes its pool from the affinity mask; a fixed mask
+        # runs the threaded path on any host.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False
+        )
+        return request.param
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs an affinity mask of at least two CPUs",
+    )
+    def test_threaded_matches_one_cpu(self):
+        # compose_many in two child processes with BLAS threads left to
+        # their default, one pinned to a single CPU (the inline path, one
+        # BLAS thread) and one with this process's mask (one thread per
+        # CPU): every delta and floored mass must agree to the bit.
+        env = {
+            key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["PYTHONPATH"] = str(Path(subamp.__file__).parents[1])
+        runs = {
+            mode: subprocess.run(
+                [sys.executable, "-c", _COMPOSE_CHILD, mode], env=env, capture_output=True,
+                text=True, check=True, timeout=600,
+            ).stdout.splitlines()
+            for mode in ("pin", "free")
+        }
+        assert runs["pin"][0] == "1" and int(runs["free"][0]) >= 2
+        assert len(runs["pin"]) == 4
+        assert runs["pin"][1:] == runs["free"][1:]
+
+    def test_cells_in_k_list_order(self, cpus, poisson_pld):
+        ks, eps_list = [200, 1, 1000, 2, 1], [0.5, 99.0, 1.0]
+        cells = compose_many(poisson_pld, ks, eps_list)
+        assert [(c.k, c.epsilon) for c in cells] == [(k, e) for k in ks for e in eps_list]
+        for cell in cells:
+            if cell.epsilon < poisson_pld.trunc_L:
+                assert cell.result == compose(poisson_pld, cell.k, cell.epsilon)
+
+    def test_no_thread_outlives_the_call(self, cpus, poisson_pld):
+        baseline = threading.active_count()
+        compose_many(poisson_pld, [1, 2, 3, 200], [0.5])
+        assert threading.active_count() == baseline
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_fork_child_runs_compose_many(self, cpus, fig_pld):
+        # A pool kept after the parent's call would leave the child waiting
+        # on threads that fork did not copy.
+        cells = compose_many(fig_pld, [1, 200], [0.5, 1.0])
+        expected = np.array([(c.result.delta_lower, c.result.delta_upper) for c in cells])
+        child = multiprocessing.get_context("fork").Process(
+            target=_compose_in_child, args=(fig_pld, expected.tobytes())
+        )
+        child.start()
+        child.join(timeout=120)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("compose_many in the forked child did not finish within 120 s")
+        assert child.exitcode == 0
 
 
 class TestFailureModes:
