@@ -130,6 +130,8 @@ def _scheme(tag: str, args) -> SamplingScheme:
 
 
 def _mech_from_args(args) -> MechanismSpec:
+    if args.theta is None:
+        raise ValueError("--theta is required when --family is given")
     try:
         return MechanismSpec(Family(args.family), args.theta)
     except ValueError as exc:
@@ -228,7 +230,7 @@ def cmd_contour(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     mech = None
     if args.family is not None:
-        mech = MechanismSpec(Family(args.family), args.theta)
+        mech = _mech_from_args(args)
         if args.eps is None or args.eps <= 0:
             raise ValueError("--eps must be positive when a mechanism is given")
     outdir = Path(args.output_dir)

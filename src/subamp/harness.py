@@ -218,7 +218,7 @@ def _dpsgd_loop(
         y = response[sample.elements]
         counts = sample.counts.astype(float)
 
-        loss = loss_fn(beta, _expand_rows(x, sample.counts), np.repeat(y, sample.counts))
+        loss = loss_fn(beta, np.repeat(x, sample.counts, axis=0), np.repeat(y, sample.counts))
         loss_trace[t] = loss
         if not math.isfinite(loss) or loss > _DIVERGENCE_LIMIT:
             raise DivergenceError(
@@ -252,10 +252,6 @@ def _dpsgd_loop(
         "delta_prime_per_iter": delta_prime,
         "calibration": config.calibration,
     }
-
-
-def _expand_rows(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    return np.repeat(x, counts, axis=0)
 
 
 def _linear_grads(beta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

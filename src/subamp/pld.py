@@ -9,8 +9,8 @@ inverse; for WOR the loss is the two-sided single-shift mixture ratio, also
 invertible in closed form. The multiset schemes (WR, MUSTwo, MUSTow,
 MUSTww) give binomial-mixture exponential sums whose inverse is found by
 safeguarded Newton. The density omega(s) = f_X(t) dL^{-1}/ds takes the
-inverse derivative in closed form for Poisson and WOR and as 1/L'(t) at the
-Newton root otherwise.
+inverse derivative in closed form for Poisson and as 1/L'(t) at t = L^{-1}(s)
+for every symmetric scheme.
 
 The Newton kernel writes L = log N - log D over the K mixture components
 and takes one exponential per side. It and the CDF pass work in blocks of
@@ -29,7 +29,6 @@ kept as one scalar, so the masses and that scalar sum to 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,12 +141,6 @@ class PrivacyLossModel:
         l_vals, log_w = self._mixture
         return log_w - l_vals**2 / (2.0 * self.sigma**2)
 
-    @cached_property
-    def _mean_multiplicity_given_present(self) -> float:
-        l_vals, log_w = self._mixture
-        w = np.exp(log_w[1:])
-        return float((l_vals[1:] * w).sum() / w.sum())
-
 
 def _lse(terms: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of a 2-d array."""
@@ -235,35 +228,20 @@ def _poisson_inverse_derivative(model: PrivacyLossModel, s: np.ndarray) -> np.nd
     return model.sigma**2 * np.exp(s) / (np.expm1(s) + model.scheme.gamma)
 
 
-def _wor_pieces(model: PrivacyLossModel, s: np.ndarray):
-    """Shared stable pieces of the WOR closed-form inverse.
+def _wor_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of the WOR loss.
 
-    With P = (1-q)(1-e^s), Q = 4 (q e^{-1/(2 sigma^2)})^2 e^s, D = P^2 + Q:
-    e^{t / sigma^2} = (-P + sqrt(D)) / (2 q e^{-1/(2 sigma^2)}). Both
-    (-P + sqrt(D)) and (P + sqrt(D)) are assembled via the conjugate trick on
-    whichever side would cancel. Returns (q, a, sqrt(D), P + sqrt(D),
-    -P + sqrt(D)) with q = m/n and a = q e^{-1/(2 sigma^2)}.
+    With q = m/n, a = q e^{-1/(2 sigma^2)}, P = (1-q)(1-e^s) and
+    Q = 4 a^2 e^s: e^{t / sigma^2} = (-P + sqrt(P^2 + Q)) / (2a). Where P > 0
+    the difference would cancel, so it is taken as Q / (P + sqrt(P^2 + Q)).
     """
     q = model.scheme.m / model.scheme.n
     a = q * math.exp(-1.0 / (2.0 * model.sigma**2))
     p = (1.0 - q) * (-np.expm1(s))
     qq = 4.0 * a * a * np.exp(s)
     root = np.sqrt(p * p + qq)
-    psum = np.where(p > 0, p + root, qq / (root - np.minimum(p, 0.0)))
-    pdiff = np.where(p <= 0, root - p, qq / psum)  # -P + sqrt(D)
-    return q, a, root, psum, pdiff
-
-
-def _wor_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    _, a, _, _, pdiff = _wor_pieces(model, s)
+    pdiff = np.where(p <= 0, root - p, qq / (root + np.maximum(p, 0.0)))
     return model.sigma**2 * (np.log(pdiff) - math.log(2.0 * a))
-
-
-def _wor_inverse_derivative(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    # Algebraically equal to the quotient-form derivative of the inverse;
-    # this arrangement keeps every term positive at both tails.
-    q, _, root, psum, _ = _wor_pieces(model, s)
-    return model.sigma**2 * (psum / 2.0 + (1.0 - q) * np.exp(s)) / root
 
 
 # -- safeguarded Newton for the multiset schemes ----------------------------
@@ -287,22 +265,13 @@ def _expand_brackets(
             )
 
 
-def _invert_newton(
-    model: PrivacyLossModel, s: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, L'(t)) with |L(t) - s| <= tol; L' comes from the kernel at the accepted iterate."""
-    sig2 = model.sigma**2
-    if s.size >= _PRESOLVE_MIN:
-        t, lo, hi = _presolve_starts(model, s)
-    else:
-        t = sig2 * s / model._mean_multiplicity_given_present + 0.5
-        lo = np.full_like(s, -10.0 * sig2)
-        hi = np.full_like(s, 10.0 * sig2)
-        _expand_brackets(model, s, lo, hi)
-        t = np.clip(t, lo, hi)
-    dloss = np.empty_like(s)
+def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
+    """t with |L(t) - s| <= _NEWTON_TOL, started from the presolve."""
+    if s.size == 0:  # the presolve spans [s.min(), s.max()]
+        return np.empty(0)
+    t, lo, hi = _presolve_starts(model, s)
     active = np.arange(s.size)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         loss, slope = _sym_loss_and_slope(model, t[active])
         resid = loss - s[active]
         below = resid < 0.0
@@ -310,11 +279,10 @@ def _invert_newton(
         above = resid > 0.0
         hi[active[above]] = t[active[above]]
 
-        live = np.abs(resid) > tol
-        dloss[active[~live]] = slope[~live]
+        live = np.abs(resid) > _NEWTON_TOL
         active = active[live]
         if active.size == 0:
-            return t, dloss
+            return t
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t[active] - resid[live] / slope[live]
         fallback = ~np.isfinite(t_new) | (t_new <= lo[active]) | (t_new >= hi[active])
@@ -322,14 +290,13 @@ def _invert_newton(
         t[active] = t_new
     worst = float(np.abs(_sym_loss_and_slope(model, t[active])[0] - s[active]).max())
     raise NoConvergenceError(
-        f"Newton inversion did not reach |L(t)-s| <= {tol:g} after "
-        f"{max_iter} iterations ({active.size} points open, worst residual {worst:.3e})",
-        iterations=max_iter,
+        f"Newton inversion did not reach |L(t)-s| <= {_NEWTON_TOL:g} after "
+        f"{_NEWTON_MAX_ITER} iterations ({active.size} points open, worst residual {worst:.3e})",
+        iterations=_NEWTON_MAX_ITER,
         worst_residual=worst,
     )
 
 
-_PRESOLVE_MIN = 4096
 # Coarse nodes of the presolve. On the r = 3e5 grids 16384 nodes start
 # Newton close enough that one step meets the tolerance almost everywhere:
 # two kernel passes over the grid where 4096 nodes needed three.
@@ -356,41 +323,24 @@ def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
     return t0, t_coarse[np.maximum(idx - 2, 0)], t_coarse[np.minimum(idx + 1, _PRESOLVE_GRID)]
 
 
-def _inverse(
-    model: PrivacyLossModel,
-    s: np.ndarray,
-    tol: float = _NEWTON_TOL,
-    max_iter: int = _NEWTON_MAX_ITER,
-    force_newton: bool = False,
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """(t, dinv) at loss values s inside the image of L; dinv() is dL^{-1}/ds.
+def _inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
+    """t = L^{-1}(s) at loss values s inside the image of L.
 
     The one scheme dispatch of the inversion: closed forms for Poisson and
-    WOR, safeguarded Newton (inverse derivative 1/L'(t)) otherwise. The
-    derivative is computed only when dinv is called, so callers that need t
-    alone (discretize) skip the closed forms' second pass.
+    WOR, safeguarded Newton otherwise.
     """
-    scheme = model.scheme
-    if isinstance(scheme, Poisson):
-        return _poisson_inverse(model, s), lambda: _poisson_inverse_derivative(model, s)
-    if isinstance(scheme, WOR) and not force_newton:
-        return _wor_inverse(model, s), lambda: _wor_inverse_derivative(model, s)
-    t, dloss = _invert_newton(model, s, tol, max_iter)
-    return t, lambda: 1.0 / dloss
+    if isinstance(model.scheme, Poisson):
+        return _poisson_inverse(model, s)
+    if isinstance(model.scheme, WOR):
+        return _wor_inverse(model, s)
+    return _invert_newton(model, s)
 
 
-def invert_loss(
-    model: PrivacyLossModel,
-    s,
-    tol: float = _NEWTON_TOL,
-    max_iter: int = _NEWTON_MAX_ITER,
-    force_newton: bool = False,
-):
+def invert_loss(model: PrivacyLossModel, s):
     """t with L(t) = s.
 
     Poisson and WOR use the closed-form inverses; the multiset schemes use
-    bracketed Newton to |L(t) - s| <= tol. force_newton runs the root finder
-    for WOR too (cross-check path).
+    bracketed Newton to |L(t) - s| <= _NEWTON_TOL.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(s_arr)):
@@ -400,7 +350,7 @@ def invert_loss(
         raise OutOfDomainError(
             f"loss values must exceed log(1-q) = {low:.6g} for Poisson"
         )
-    out, _ = _inverse(model, s_arr, tol, max_iter, force_newton)
+    out = _inverse(model, s_arr)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
@@ -412,15 +362,13 @@ def _omega(model: PrivacyLossModel, s: np.ndarray, swapped: bool = False) -> np.
     if swapped:
         s = -s
     ok = s > model.loss_domain_low
-    # Only Poisson has a finite lower end; with every point inside, the
-    # grid-sized masked copies are skipped.
-    inside = ok.all()
-    t, dinv = _inverse(model, s if inside else s[ok])
-    omega = np.exp(log_output_density(model, -t if swapped else t)) * dinv()
-    if inside:
-        return omega
+    t = _inverse(model, s[ok])
+    if model.is_symmetric:
+        dinv = 1.0 / _sym_loss_and_slope(model, t)[1]
+    else:
+        dinv = _poisson_inverse_derivative(model, s[ok])
     out = np.zeros_like(s)
-    out[ok] = omega
+    out[ok] = np.exp(log_output_density(model, -t if swapped else t)) * dinv
     return out
 
 
@@ -428,8 +376,7 @@ def pld_density(model: PrivacyLossModel, s):
     """Density omega(s) of the privacy loss random variable.
 
     omega(s) = f_X(L^{-1}(s)) * d L^{-1}/ds. The derivative is closed-form
-    for Poisson and WOR, and 1/L'(t) at the Newton root for the multiset
-    schemes.
+    for Poisson and 1/L'(t) at t = L^{-1}(s) for the symmetric schemes.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = _omega(model, s_arr)
@@ -544,7 +491,7 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     edges = dx * (np.arange(grid_r) - half)  # s_half = 0 exactly
     inside = edges > model.loss_domain_low
     t = np.full(grid_r, -math.inf)
-    t[inside] = _inverse(model, edges[inside])[0]
+    t[inside] = _inverse(model, edges[inside])
     prob = _edge_probabilities(model, t, half)
     cdf = prob[: half + 1].copy()
     cdf[half] = 1.0 - prob[half]

@@ -182,6 +182,15 @@ class TestContourCommand:
         assert all(float(row[col]) == 0.0 for row in rows)
         assert all(float(row[col]) > 0.0 for row in outputs["1"][1])
 
+    def test_family_without_theta(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "contour", "--schemes", "mustow", "--n", "1000",
+            "--b-range", "150:151", "--m-range", "100:101",
+            "--family", "gaussian", "--eps", "1", "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "--theta" in err
+
     def test_rejects_scheme_without_b(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "contour", "--schemes", "wor", "--n", "1000",

@@ -29,7 +29,13 @@ from subamp.pld import (
     pld_density,
     pld_density_swapped,
 )
-from subamp.pld import _expand_brackets, _map_blocks, _sym_loss_and_slope
+from subamp.pld import (
+    _expand_brackets,
+    _invert_newton,
+    _map_blocks,
+    _sym_loss_and_slope,
+    _wor_inverse,
+)
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 from oracles import mixture_loss_mass
@@ -111,15 +117,24 @@ class TestInvertLoss:
             invert_loss(model, math.log(1.0 - 0.02) - 0.1)
 
     def test_wor_closed_form_matches_newton(self):
-        model = PrivacyLossModel(WOR(1000, 200), 4.0)
-        for s in (-2.0, -0.3, 0.05, 1.5):
-            closed = invert_loss(model, s)
-            newton = invert_loss(model, s, force_newton=True)
-            assert closed == pytest.approx(newton, abs=1e-10)
+        # Both branches of the closed form (s < 0 and s >= 0) and its far
+        # tails against the root finder the multiset schemes use.
+        for model in (
+            PrivacyLossModel(WOR(1000, 200), 4.0), PrivacyLossModel(WOR(30969, 100), 3.0)
+        ):
+            for s in (-12.0, -8.0, -2.0, -0.3, 0.0, 0.05, 1.5, 8.0, 12.0):
+                closed = invert_loss(model, s)
+                newton = float(_invert_newton(model, np.array([s]))[0])
+                assert closed == pytest.approx(newton, abs=1e-10)
 
     def test_scalar_in_scalar_out(self):
         out = invert_loss(MODELS["wr"], 0.25)
         assert isinstance(out, float)
+
+    @pytest.mark.parametrize("tag", sorted(MODELS))
+    def test_empty_in_empty_out(self, tag):
+        assert invert_loss(MODELS[tag], np.array([])).shape == (0,)
+        assert pld_density(MODELS[tag], np.array([])).shape == (0,)
 
 
 def _census_model(scheme) -> PrivacyLossModel:
@@ -197,15 +212,14 @@ class TestDensity:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
     def test_wor_derivative_matches_quotient(self):
-        # Closed-form inverse derivative against a central difference.
+        # The density's inverse derivative 1/L'(t) against a central
+        # difference of the closed-form inverse.
         model = MODELS["wor"]
-        from subamp.pld import _wor_inverse, _wor_inverse_derivative
-
         s = np.linspace(-2.0, 2.0, 21)
         h = 1e-6
         quotient = (_wor_inverse(model, s + h) - _wor_inverse(model, s - h)) / (2 * h)
-        closed = _wor_inverse_derivative(model, s)
-        assert np.max(np.abs(quotient / closed - 1.0)) <= 1e-6
+        dinv = 1.0 / _sym_loss_and_slope(model, _wor_inverse(model, s))[1]
+        assert np.max(np.abs(quotient / dinv - 1.0)) <= 1e-6
 
     def test_swapped_rejects_poisson(self):
         with pytest.raises(TypeError):
@@ -315,12 +329,12 @@ class TestDiscretize:
 
     def test_needs_no_inverse_derivative(self, monkeypatch):
         # discretize inverts the edges for t alone; only the density pays for
-        # the closed-form derivatives.
+        # the inverse derivatives (closed form for Poisson, 1/L'(t) for WOR).
         def fail(model, s):
             raise AssertionError("inverse derivative evaluated")
 
         monkeypatch.setattr(subamp.pld, "_poisson_inverse_derivative", fail)
-        monkeypatch.setattr(subamp.pld, "_wor_inverse_derivative", fail)
+        monkeypatch.setattr(subamp.pld, "_sym_loss_and_slope", fail)
         for tag in ("poisson", "wor"):
             discretize(MODELS[tag], 10.0, 2000)
         with pytest.raises(AssertionError):
