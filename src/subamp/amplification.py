@@ -198,9 +198,12 @@ def amplify_delta(
     """
     if isinstance(scheme, (Poisson, WOR)):
         return eta(scheme) * profile(mech, epsilon)
-    weights = multiplicity_weights(scheme)
-    u = np.arange(1, scheme.m + 1)
-    deltas = group_profile_vector(mech, u, epsilon)
+    return _weighted_delta(multiplicity_weights(scheme), mech, epsilon)
+
+
+def _weighted_delta(weights: np.ndarray, mech: MechanismSpec, epsilon: float) -> float:
+    """sum_u weights[u-1] delta_u(eps), clamped to [0, 1]."""
+    deltas = group_profile_vector(mech, np.arange(1, weights.size + 1), epsilon)
     return min(max(stable_sum(weights * deltas), 0.0), 1.0)
 
 
@@ -251,12 +254,17 @@ def aligned_profile(
         raise ValueError("eps_grid must be strictly positive and increasing")
 
     eta_value = eta(scheme)
+    # The multiplicity weights do not depend on eps: one evaluation per profile.
+    weights = None if isinstance(scheme, (Poisson, WOR)) else multiplicity_weights(scheme)
     points = []
     for eps in grid:
         eps = float(eps)
         eps_prime = amplify_epsilon(eta_value, eps)
         delta = profile(mech, eps)
-        delta_prime = amplify_delta(scheme, mech, eps)
+        if weights is None:
+            delta_prime = amplify_delta(scheme, mech, eps)
+        else:
+            delta_prime = _weighted_delta(weights, mech, eps)
         ratio = eps_prime / eps
         gap = delta_prime - delta
         points.append(

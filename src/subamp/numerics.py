@@ -6,8 +6,8 @@ m up to a couple thousand) overflow direct factorials long before the
 probabilities themselves underflow.
 
 _map_blocks runs independent slices of a loop on one thread per CPU: the
-row blocks of `pld`'s Newton kernel and CDF pass, and the per-k transforms
-of `accountant.compose_many`.
+row blocks of `pld`'s Newton kernel and CDF pass, the per-k transforms of
+`accountant.compose_many`, and the trial blocks of `sampling.mc_stats`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ This module is the Monte-Carlo ground truth for the closed-form eta and
 multiplicity weights in :mod:`subamp.amplification`, and the source of the
 unique-sample statistics. Draws are deterministic given a seed. mc_stats
 derives one substream per fixed-size block of trials from (seed, block
-index), so results are reproducible and independent of any scheduling or
-parallel partitioning, while staying vectorized inside each block.
+index) and runs the blocks on one thread per CPU (numerics._map_blocks),
+each writing only its own trials, so results are the same for any number
+of threads. Memory is the number of threads times one block's draws.
 
 Poisson draws one uniform per element. Every fixed-size scheme is stage I,
 drawn from range(n), then stage II, m positions drawn into stage I (WOR and
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _map_blocks
 from .schemes import MUSTow, MUSTwo, MUSTww, Poisson, SamplingScheme, WOR, WR, population_size
 
 __all__ = ["Multiset", "RunStats", "draw", "mc_stats"]
@@ -27,6 +29,8 @@ __all__ = ["Multiset", "RunStats", "draw", "mc_stats"]
 # Target number of scalar random variates held in memory per block.
 _BLOCK_BUDGET = 4_000_000
 _MAX_BLOCK = 8192
+# mc_stats draws a Poisson block's uniforms at most this many at a time.
+_CHUNK = 1 << 17
 # _subsets ranks random keys over the whole population up to this n, and
 # calls rng.choice once per row above it. Per row, choice costs about 7.5 us
 # of call overhead and keys about 9 ns per population element: at k <= n/10
@@ -78,21 +82,19 @@ class RunStats:
     weight_hat: np.ndarray  # P-hat[probe element appears exactly u times], u=1..len
 
 
-def _work_per_trial(scheme: SamplingScheme) -> int:
+def _block_size(scheme: SamplingScheme) -> int:
     match scheme:
         case Poisson() | WOR():
-            return population_size(scheme)
+            work = population_size(scheme)
         case WR(m=m):
-            return m
+            work = m
         case MUSTow(n=n, m=m):
-            return n + m
+            work = n + m
         case MUSTww(b=b, m=m) | MUSTwo(b=b, m=m):
-            return b + m
-    raise TypeError(f"not a sampling scheme: {scheme!r}")
-
-
-def _block_size(scheme: SamplingScheme) -> int:
-    return max(16, min(_MAX_BLOCK, _BLOCK_BUDGET // _work_per_trial(scheme)))
+            work = b + m
+        case _:
+            raise TypeError(f"not a sampling scheme: {scheme!r}")
+    return max(16, min(_MAX_BLOCK, _BLOCK_BUDGET // work))
 
 
 def _subsets(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
@@ -106,9 +108,7 @@ def _subsets(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _draw_values_block(
-    scheme: SamplingScheme, rng: np.random.Generator, rows: int
-) -> np.ndarray:
+def _draw_values_block(scheme: SamplingScheme, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Final-subsample element values, one row per trial (fixed-size schemes).
 
     Stage I draws from range(n); stage II draws positions into stage I.
@@ -157,13 +157,12 @@ def draw(scheme: SamplingScheme, seed: int) -> Multiset:
 
 
 def _unique_per_row(values: np.ndarray) -> np.ndarray:
-    ordered = np.sort(values, axis=1)
-    return 1 + (np.diff(ordered, axis=1) != 0).sum(axis=1)
+    """Distinct values per row; sorts each row of values in place."""
+    values.sort(axis=1)
+    return 1 + np.count_nonzero(values[:, 1:] != values[:, :-1], axis=1)
 
 
-def mc_stats(
-    scheme: SamplingScheme, trials: int, seed: int, probe: int = 0
-) -> RunStats:
+def mc_stats(scheme: SamplingScheme, trials: int, seed: int, probe: int = 0) -> RunStats:
     """Monte-Carlo statistics over independent draws.
 
     Tracks the distinct-element count of every trial and the multiplicity of
@@ -179,28 +178,29 @@ def mc_stats(
     max_mult = 1 if isinstance(scheme, (Poisson, WOR)) else scheme.m
     block = _block_size(scheme)
     uniques = np.empty(trials, dtype=np.int64)
-    mult_hist = np.zeros(max_mult + 1, dtype=np.int64)
+    probe_mult = np.empty(trials, dtype=np.int64)
 
-    done = 0
-    block_index = 0
-    while done < trials:
-        rows = min(block, trials - done)
-        rng = np.random.default_rng([seed, block_index])
-        if isinstance(scheme, Poisson):
-            mask = rng.random((rows, n)) < scheme.gamma
-            uniques[done : done + rows] = mask.sum(axis=1)
-            probe_mult = mask[:, probe].astype(np.int64)
-        else:
-            values = _draw_values_block(scheme, rng, rows)
-            uniques[done : done + rows] = _unique_per_row(values)
-            probe_mult = (values == probe).sum(axis=1)
-        mult_hist += np.bincount(
-            np.minimum(probe_mult, max_mult), minlength=max_mult + 1
-        )
-        done += rows
-        block_index += 1
+    def run(rows: slice) -> None:
+        rng = np.random.default_rng([seed, rows.start // block])
+        mine, probes = uniques[rows], probe_mult[rows]  # views of this block's trials
+        if not isinstance(scheme, Poisson):
+            values = _draw_values_block(scheme, rng, mine.size)
+            mine[:] = _unique_per_row(values)
+            probes[:] = np.count_nonzero(values == probe, axis=1)
+            return
+        # Uniforms in chunks of at most _CHUNK doubles, into buffers reused
+        # across chunks: the same stream as one (rows, n) call.
+        step = max(1, _CHUNK // n)
+        u = np.empty((min(step, mine.size), n))
+        mask = np.empty(u.shape, dtype=bool)
+        for start in range(0, mine.size, step):
+            size = min(step, mine.size - start)
+            np.less(rng.random(out=u[:size]), scheme.gamma, out=mask[:size])
+            mine[start : start + size] = np.count_nonzero(mask[:size], axis=1)
+            probes[start : start + size] = mask[:size, probe]
 
-    weight_hat = mult_hist[1:] / trials
+    _map_blocks(run, trials, block)
+    weight_hat = np.bincount(probe_mult, minlength=max_mult + 1)[1:] / trials
     return RunStats(
         trials=trials,
         unique_min=int(uniques.min()),

@@ -229,6 +229,21 @@ class TestAlignedProfile:
             )
             assert all(p.eps_ratio < 1.0 for p in points)
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [WR(50, 10), MUSTow(50, 20, 10), MUSTww(1000, 500, 400), MUSTwo(300, 50, 30),
+         Poisson(0.2), WOR(1000, 400)],
+        ids=lambda scheme: type(scheme).__name__,
+    )
+    def test_delta_prime_is_amplify_delta(self, scheme):
+        # The profile evaluates the multiplicity weights once; every point
+        # must still be amplify_delta's value to the bit.
+        grid = np.linspace(0.05, 6.0, 40)
+        for family in ("gaussian", "laplace"):
+            mech = MechanismSpec(family, 0.5)
+            for point, eps in zip(aligned_profile(scheme, mech, grid), grid):
+                assert point.delta_prime == amplify_delta(scheme, mech, float(eps))
+
     def test_grid_validation(self):
         mech = MechanismSpec("gaussian", 1.0)
         with pytest.raises(ValueError):

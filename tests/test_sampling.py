@@ -1,10 +1,16 @@
 """Samplers against the closed forms they are meant to certify."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subamp
 from subamp.amplification import eta, multiplicity_weights
 from subamp.sampling import _KEYS_MAX_N, Multiset, draw, mc_stats
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
@@ -129,6 +135,110 @@ class TestMcStats:
             mc_stats(WOR(10, 3), 0, seed=1)
         with pytest.raises(ValueError):
             mc_stats(WOR(10, 3), 10, seed=1, probe=10)
+
+
+# Block counts follow from the block sizes: Poisson at n = 60000 runs 5
+# blocks of 66 rows in 2-row chunks, MUSTwo(10, 5, 3) 8 blocks of 8192.
+THREADED = {
+    "poisson": (Poisson(0.05, n=60_000), 300),
+    "wor_choice": (WOR(60_000, 2000), 200),
+    "mustwo_keys": (MUSTwo(10, 5, 3), 62_500),
+    "mustow": (MUSTow(60_000, 3000, 2000), 200),
+}
+
+
+def _fingerprint(stats) -> tuple:
+    """Every field of a RunStats, floats and weight_hat as their bytes."""
+    return (
+        stats.trials, stats.unique_min, stats.unique_mean.hex(), stats.unique_max,
+        stats.eta_hat.hex(), stats.weight_hat.tobytes(),
+    )
+
+
+def _poisson_one_call(scheme, trials, seed, probe):
+    """mc_stats's Poisson branch as one rng.random((rows, n)) call per block,
+    with the block size and (seed, block index) seeding of the sampler."""
+    n = scheme.n
+    block = max(16, min(8192, 4_000_000 // n))
+    uniques, hist = [], np.zeros(2, dtype=np.int64)
+    for index, start in enumerate(range(0, trials, block)):
+        rng = np.random.default_rng([seed, index])
+        mask = rng.random((min(block, trials - start), n)) < scheme.gamma
+        uniques.append(mask.sum(axis=1))
+        hist += np.bincount(mask[:, probe], minlength=2)
+    uniques = np.concatenate(uniques)
+    return uniques.min(), uniques.mean(), uniques.max(), hist[1:] / trials
+
+
+class TestMcStatsThreads:
+    """mc_stats runs its blocks on one thread per CPU with the same streams."""
+
+    @pytest.mark.parametrize(
+        "scheme, trials",
+        [(Poisson(0.1, n=3000), 3000), (Poisson(0.01, n=200_000), 50)],
+        ids=["n3000", "n200000"],
+    )
+    def test_poisson_chunks_match_one_call(self, scheme, trials):
+        # n = 3000 draws 43-row chunks, the last one partial; n = 200000
+        # draws one row per chunk.
+        for seed, probe in ((7, 0), (8, scheme.n - 1)):
+            stats = mc_stats(scheme, trials, seed=seed, probe=probe)
+            low, mean, high, weights = _poisson_one_call(scheme, trials, seed, probe)
+            assert (stats.unique_min, stats.unique_max) == (low, high)
+            assert stats.unique_mean == mean
+            assert stats.weight_hat.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("tag", sorted(THREADED))
+    def test_fixed_masks_agree(self, tag, monkeypatch):
+        # A fixed affinity mask runs the threaded path on any host; four
+        # threads on fewer cores, switching often, share the output arrays.
+        scheme, trials = THREADED[tag]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 4):
+                monkeypatch.setattr(
+                    os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                    raising=False,
+                )
+                runs.append(_fingerprint(mc_stats(scheme, trials, seed=11, probe=3)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs an affinity mask of at least two CPUs",
+    )
+    def test_threaded_matches_one_cpu(self):
+        # mc_stats in two child processes, one pinned to a single CPU (the
+        # inline path) and one with this process's mask (one thread per
+        # CPU): every field of RunStats must agree to the bit.
+        code = (
+            "import hashlib, os, sys\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from subamp.sampling import mc_stats\n"
+            "from subamp.schemes import MUSTow, MUSTwo, Poisson, WOR\n"
+            "print(len(os.sched_getaffinity(0)))\n"
+            f"for scheme, trials in {list(THREADED.values())!r}:\n"
+            "    s = mc_stats(scheme, trials, seed=5)\n"
+            "    fields = (s.trials, s.unique_min, s.unique_mean.hex(), s.unique_max,\n"
+            "              s.eta_hat.hex(), s.weight_hat.tobytes().hex())\n"
+            "    print(hashlib.sha256(repr(fields).encode()).hexdigest())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
+        runs = {
+            mode: subprocess.run(
+                [sys.executable, "-c", code, mode], env=env, capture_output=True, text=True,
+                check=True, timeout=600,
+            ).stdout.splitlines()
+            for mode in ("pin", "free")
+        }
+        assert runs["pin"][0] == "1" and int(runs["free"][0]) >= 2
+        assert len(runs["pin"]) == 1 + len(THREADED)
+        assert runs["pin"][1:] == runs["free"][1:]
 
 
 @given(seed=st.integers(0, 2**32 - 1))
