@@ -73,6 +73,15 @@ def _stage1_log_weights(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     return j[keep], logw[keep]
 
 
+def _log_none_of(draws: int, p: float) -> float:
+    """log (1 - p)^draws: the chance that draws >= 1 independent picks, each
+    hitting an element with probability p, all miss it.
+
+    -inf at p = 1, where a stage draws from a single element.
+    """
+    return draws * math.log1p(-p) if p < 1.0 else -math.inf
+
+
 def eta(scheme: SamplingScheme) -> float:
     """Probability that a fixed element appears in the final subsample."""
     match scheme:
@@ -82,7 +91,7 @@ def eta(scheme: SamplingScheme) -> float:
             return m / n
         case WR(n=n, m=m) | MUSTwo(n=n, m=m):
             # MUSTwo collapses to WR's eta exactly.
-            return -math.expm1(m * math.log1p(-1.0 / n))
+            return -math.expm1(_log_none_of(m, 1.0 / n))
         case MUSTow(n=n, b=b, m=m):
             with np.errstate(divide="ignore"):
                 inner = -np.expm1(m * np.log1p(-1.0 / b))
@@ -106,12 +115,11 @@ def log_miss_probability(scheme: SamplingScheme) -> float:
                 return -math.inf
             return math.log1p(-m / n)
         case WR(n=n, m=m) | MUSTwo(n=n, m=m):
-            return m * math.log1p(-1.0 / n)
+            return _log_none_of(m, 1.0 / n)
         case MUSTow(n=n, b=b, m=m):
             if b == n:
-                return m * math.log1p(-1.0 / b)
-            with np.errstate(divide="ignore"):
-                in_stage1 = math.log(b / n) + m * math.log1p(-1.0 / b)
+                return _log_none_of(m, 1.0 / b)
+            in_stage1 = math.log(b / n) + _log_none_of(m, 1.0 / b)
             return float(np.logaddexp(in_stage1, math.log1p(-b / n)))
         case MUSTww(n=n, b=b, m=m):
             j, logw = _stage1_log_weights(n, b)
@@ -119,7 +127,7 @@ def log_miss_probability(scheme: SamplingScheme) -> float:
                 terms = logw + m * np.log1p(-j / b)
             terms[j == b] = -math.inf
             selected = logsumexp(terms)
-            return float(np.logaddexp(selected, b * math.log1p(-1.0 / n)))
+            return float(np.logaddexp(selected, _log_none_of(b, 1.0 / n)))
     raise TypeError(f"not a sampling scheme: {scheme!r}")
 
 
@@ -159,7 +167,8 @@ def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
                     log_binom(float(m), u)[None, :]
                     + log_binom(float(b - m), j[:, None] - u[None, :])
                     + j[:, None] * math.log(1.0 / n)
-                    + (b - j[:, None]) * math.log1p(-1.0 / n)
+                    # n = 1 keeps only j = b, where this factor is 1.
+                    + ((b - j[:, None]) * math.log1p(-1.0 / n) if n > 1 else 0.0)
                 )
             return np.exp(log_terms).sum(axis=0)
     raise TypeError(f"not a sampling scheme: {scheme!r}")

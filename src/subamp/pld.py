@@ -23,7 +23,9 @@ Discretization follows the accountant's grid contract: c_i is the exact
 mass P[L in [s_i, s_i + dx)], a difference of mixture CDFs at the inverted
 cell edges (survival functions right of s = 0, where CDF differences would
 cancel). The last cell also holds the mass above L; the mass below -L is
-kept as one scalar, so the masses and that scalar sum to 1.
+kept as one scalar, so the masses and that scalar sum to 1. For every
+scheme but Poisson L is odd (exactly, in floating point too), so only the
+non-negative edges are inverted and t(-s) = -t(s) fills the other half.
 """
 
 from __future__ import annotations
@@ -479,7 +481,10 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     L^{-1}(s_j) (-inf below Poisson's loss floor log(1-q)), and each cell's
     mass is a difference of mixture CDFs at its two edges left of s = 0 and
     of survival functions right of it, so no tail mass cancels against 1.
-    The last cell's mass is the survival function at its left edge.
+    The last cell's mass is the survival function at its left edge. L is
+    odd for the symmetric schemes, so they invert only the r/2 + 1 edges
+    s = 0, dx, ..., L and take t_{-j} = -t_j: half the inversions. Poisson
+    inverts every edge above its floor.
     """
     if not (math.isfinite(trunc_L) and trunc_L > 0.0):
         raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
@@ -488,10 +493,18 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
 
     dx = 2.0 * trunc_L / grid_r
     half = grid_r // 2
-    edges = dx * (np.arange(grid_r) - half)  # s_half = 0 exactly
-    inside = edges > model.loss_domain_low
-    t = np.full(grid_r, -math.inf)
-    t[inside] = _inverse(model, edges[inside])
+    if model.is_symmetric:
+        # L is odd: t(-s) = -t(s). dx * j is bit-equal to -(dx * -j), so the
+        # mirrored edges are the grid's own.
+        t_pos = _inverse(model, dx * np.arange(half + 1))
+        t = np.empty(grid_r)
+        t[half:] = t_pos[:half]
+        np.negative(t_pos[half:0:-1], out=t[:half])
+    else:
+        edges = dx * (np.arange(grid_r) - half)  # s_half = 0 exactly
+        inside = edges > model.loss_domain_low
+        t = np.full(grid_r, -math.inf)
+        t[inside] = _inverse(model, edges[inside])
     prob = _edge_probabilities(model, t, half)
     cdf = prob[: half + 1].copy()
     cdf[half] = 1.0 - prob[half]

@@ -61,6 +61,32 @@ class TestEta:
             )
 
 
+# Stages that draw from a single record: every pick hits it, so the miss
+# probability is (1 - 1)^draws = 0.
+SINGLE_RECORD = [
+    (WR(1, 5), 1.0),
+    (MUSTwo(1, 1, 1), 1.0),
+    (MUSTow(1000, 1, 5), 0.001),
+    (MUSTow(1, 1, 3), 1.0),
+]
+
+
+@pytest.mark.parametrize("scheme, expected", SINGLE_RECORD, ids=repr)
+class TestSingleRecordStages:
+    def test_eta_is_exact(self, scheme, expected):
+        assert eta(scheme) == expected
+
+    def test_miss_probability(self, scheme, expected):
+        log_miss = log_miss_probability(scheme)
+        if expected == 1.0:
+            assert log_miss == -math.inf
+        else:
+            assert math.exp(log_miss) == pytest.approx(1.0 - expected, rel=1e-15)
+
+    def test_weights_sum_to_eta(self, scheme, expected):
+        assert multiplicity_weights(scheme).sum() == pytest.approx(expected, rel=1e-15)
+
+
 class TestMultiplicityWeights:
     def test_single_draw(self):
         w = multiplicity_weights(WR(8, 1))

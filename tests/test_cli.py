@@ -225,6 +225,17 @@ class TestAccountCommand:
         assert code == 3
         assert "grid" in err
 
+    def test_single_record_first_stage(self, capsys):
+        # MUSTow with b = 1: the first stage keeps one record, which the
+        # second stage then draws m times.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "mustow", "--n", "1000", "--b", "1",
+            "--m", "5", "--sigma", "2", "--r", "64", "--k-list", "1", "--eps-list", "0",
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 1
+
     def test_bounds_bracket(self, capsys):
         code, out, _ = run_cli(
             capsys, "account", "--scheme", "wor", "--n", "1000", "--m", "200",

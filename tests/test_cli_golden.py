@@ -18,11 +18,18 @@ digits on the platform's pow, exp and FFT kernels.
 Regenerate only for an intended output change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+Before that, list each printed account value that would move (case, k,
+epsilon, column, old, new, absolute and relative move); this writes nothing:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --diff
 """
 
+import argparse
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -138,6 +145,26 @@ def test_every_case_has_golden_output():
     assert sorted(_golden()) == sorted(" ".join(args) for args in CASES)
 
 
+def test_diff_lists_moved_values_and_writes_nothing(monkeypatch, capsys):
+    # One WOR case, with one golden delta edited: only that value is listed.
+    args = CASES[1]
+    case = _golden()[" ".join(args)]
+    printed = case["stdout"].splitlines()[2].split(",")[7]
+    edited = {**case, "stdout": case["stdout"].replace(printed, "0.5", 1)}
+    monkeypatch.setattr(sys.modules[__name__], "CASES", [args])
+    monkeypatch.setattr(sys.modules[__name__], "_golden", lambda: {" ".join(args): edited})
+    before = GOLDEN.read_bytes(), STREAMS.read_bytes()
+    diff()
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "case,k,epsilon,column,old,new,abs_move,rel_move",
+        f"wor-r16384,1,0.5,delta_lower,0.5,{printed},"
+        f"{abs(float(printed) - 0.5):.2e},{abs(float(printed) - 0.5) / 0.5:.2e}",
+    ]
+    assert err == "# 1 of 36 golden deltas moved\n"
+    assert (GOLDEN.read_bytes(), STREAMS.read_bytes()) == before
+
+
 def _stream_golden(kind: str, key: str) -> dict:
     return {json.dumps(case[key]): case for case in json.loads(STREAMS.read_text())[kind]}
 
@@ -165,7 +192,61 @@ def test_every_stream_case_has_golden_output():
         assert sorted(_stream_golden(kind, key)) == sorted(map(json.dumps, cases))
 
 
+def _values(result: dict) -> dict:
+    """{(k, epsilon, column): printed value} of one `account` run."""
+    lines = result["stdout"].splitlines()[1:]  # past the schema line
+    if not lines:
+        return {}
+    header = lines[0].split(",")
+    return {
+        (row["k"], row["epsilon"], column): row[column]
+        for row in (dict(zip(header, line.split(","))) for line in lines[1:])
+        for column in header if column.startswith("delta_")
+    }
+
+
+def _moves(old: str, new: str) -> tuple[str, str]:
+    """Absolute and relative move between two printed values, blank if not numbers."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return "", ""
+    return f"{abs(b - a):.2e}", f"{abs(b - a) / abs(a):.2e}" if a else ""
+
+
+def diff() -> None:
+    """Print each golden account delta that the current code prints differently."""
+    golden = _golden()
+    print("case,k,epsilon,column,old,new,abs_move,rel_move")
+    moved = 0
+    for args in CASES:
+        old, new = golden[" ".join(args)], _run(args)
+        case = f"{args[1]}-r{args[-1]}"
+        rows = [
+            ("", "", field, repr(old[field]), repr(new[field]))
+            for field in ("code", "stderr") if old[field] != new[field]
+        ]
+        old_values, new_values = _values(old), _values(new)
+        for key in {**old_values, **new_values}:  # golden order, then new rows
+            before, after = old_values.get(key, "missing"), new_values.get(key, "missing")
+            if before != after:
+                rows.append((*key, before, after))
+        for row in rows:
+            print(",".join((case, *row, *_moves(*row[3:]))))
+        moved += len(rows)
+    total = sum(len(_values(case)) for case in golden.values())
+    print(f"# {moved} of {total} golden deltas moved", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([_run(args) for args in CASES], indent=1) + "\n")
-    STREAMS.write_text(json.dumps(_streams(), indent=1) + "\n")
+    parser = argparse.ArgumentParser(description="Regenerate or diff the golden CLI output.")
+    parser.add_argument(
+        "--diff", action="store_true",
+        help="list the account values that would move, and write nothing",
+    )
+    if parser.parse_args().diff:
+        diff()
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps([_run(args) for args in CASES], indent=1) + "\n")
+        STREAMS.write_text(json.dumps(_streams(), indent=1) + "\n")

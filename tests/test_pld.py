@@ -30,7 +30,9 @@ from subamp.pld import (
     pld_density_swapped,
 )
 from subamp.pld import (
+    _edge_probabilities,
     _expand_brackets,
+    _inverse,
     _invert_newton,
     _map_blocks,
     _sym_loss_and_slope,
@@ -48,6 +50,7 @@ MODELS = {
     "mustww": PrivacyLossModel(MUSTww(1000, 100, 50), 4.0),
     "mustwo": PrivacyLossModel(MUSTwo(1000, 100, 50), 4.0),
 }
+SYMMETRIC = ["wor", "wr", "mustow", "mustww", "mustwo"]
 
 
 class TestLossAt:
@@ -66,15 +69,16 @@ class TestLossAt:
             fxp = norm.pdf(t, 0.0, sig)
             assert loss_at(model, t) == pytest.approx(math.log(fx / fxp), rel=1e-12)
 
-    @pytest.mark.parametrize("tag", ["wor", "wr", "mustow", "mustww", "mustwo"])
+    @pytest.mark.parametrize("tag", SYMMETRIC)
     def test_symmetric_zero_at_origin(self, tag):
         assert loss_at(MODELS[tag], 0.0) == 0.0
 
-    @pytest.mark.parametrize("tag", ["wor", "wr", "mustow", "mustww", "mustwo"])
+    @pytest.mark.parametrize("tag", SYMMETRIC)
     def test_antisymmetry(self, tag):
+        # Exact: discretize inverts only the non-negative edges and mirrors.
         model = MODELS[tag]
         t = np.linspace(-40.0, 40.0, 51)
-        assert np.max(np.abs(loss_at(model, t) + loss_at(model, -t))) <= 1e-12
+        assert np.array_equal(loss_at(model, -t), -loss_at(model, t))
 
     @pytest.mark.parametrize("tag", sorted(MODELS))
     def test_strictly_increasing(self, tag):
@@ -376,6 +380,48 @@ class TestDiscretize:
         assert len(runs["pin"]) == 5
         assert runs["pin"][1:] == runs["free"][1:]
 
+    @pytest.mark.parametrize("tag", sorted(MODELS))
+    def test_inverts_each_edge_magnitude_once(self, tag, monkeypatch):
+        # L is odd for every scheme but Poisson, so only s = 0, dx, ..., L
+        # are inverted; Poisson inverts its edges above log(1 - q).
+        model, sizes = MODELS[tag], []
+        inverse = subamp.pld._inverse
+
+        def counting(model, s):
+            sizes.append(s.size)
+            return inverse(model, s)
+
+        monkeypatch.setattr(subamp.pld, "_inverse", counting)
+        pld = discretize(model, 8.0, 4096)
+        if tag == "poisson":
+            assert sizes == [np.count_nonzero(pld.s > math.log1p(-0.02))]
+        else:
+            assert sizes == [4096 // 2 + 1]
+
+    @pytest.mark.parametrize("tag", SYMMETRIC)
+    def test_mirror_matches_full_grid_inversion(self, tag):
+        # Reference: every edge inverted on its own, then the same CDF and
+        # survival differences.
+        model, trunc_L, grid_r = MODELS[tag], 8.0, 1 << 14
+        pld = discretize(model, trunc_L, grid_r)
+        half = grid_r // 2
+        t = _inverse(model, pld.dx * (np.arange(grid_r) - half))
+        prob = _edge_probabilities(model, t, half)
+        cdf = np.append(prob[:half], 1.0 - prob[half])
+        survival = prob[half:]
+        c = np.concatenate((np.diff(cdf), -np.diff(survival), survival[-1:]))
+        assert pld.mass_outside == pytest.approx(cdf[0], rel=1e-8, abs=0.0)
+        cells = c >= 1e-250
+        assert cells.sum() > grid_r // 4
+        assert pld.c[cells] == pytest.approx(c[cells], rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "scheme", [WR(1, 5), MUSTwo(1, 1, 1), MUSTow(1000, 1, 5), MUSTow(1, 1, 3)], ids=repr
+    )
+    def test_single_record_stage(self, scheme):
+        pld = discretize(PrivacyLossModel(scheme, 2.0), 8.0, 4096)
+        assert pld.c.sum() + pld.mass_outside == pytest.approx(1.0, rel=0.0, abs=1e-13)
+
     def test_construction_validates_masses(self):
         c = np.array([0.5, -0.25, 0.5, 0.25])
         with pytest.raises(ValueError):
@@ -462,8 +508,8 @@ class TestMapBlocks:
         assert child.exitcode == 0
 
 
-@given(t=st.floats(-50.0, 50.0))
+@given(tag=st.sampled_from(SYMMETRIC), t=st.floats(-50.0, 50.0))
 @settings(max_examples=120, deadline=None)
-def test_loss_antisymmetry_property(t):
-    model = MODELS["mustww"]
-    assert loss_at(model, t) == pytest.approx(-loss_at(model, -t), abs=1e-12)
+def test_loss_antisymmetry_property(tag, t):
+    model = MODELS[tag]
+    assert loss_at(model, -t) == -loss_at(model, t)
