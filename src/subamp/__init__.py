@@ -29,6 +29,7 @@ from .amplification import (
 )
 from .harness import (
     BootstrapConfig,
+    DegenerateSampleError,
     DivergenceError,
     SGDConfig,
     make_synthetic,
@@ -66,6 +67,7 @@ __all__ = [
     "AccountantResult",
     "AlignedPoint",
     "BootstrapConfig",
+    "DegenerateSampleError",
     "DiscretizedPLD",
     "DivergenceError",
     "EpsilonBeyondGridError",

@@ -2,11 +2,12 @@
 
 For a base mechanism with profile delta(eps), subsampling maps eps to
 eps' = log(1 + eta*(e^eps - 1)) where eta is the probability that a fixed
-element appears in the final subsample. delta maps to eta*delta for the
-set-output schemes (Poisson, WOR) and to a multiplicity-weighted sum of
-group-privacy terms for the multiset-output schemes (WR and the two-stage
-variants), since a substituted element can occur several times in the
-subsample handed to the mechanism.
+element appears in the final subsample. delta maps to the sum of the group
+profiles delta_u(eps) weighted by the distribution of the element's
+multiplicity u in the subsample handed to the mechanism. For the set-output
+schemes (Poisson, WOR) that distribution is the single weight P[u = 1] =
+eta, so delta' = eta*delta; the multiset-output schemes (WR and the
+two-stage variants) can repeat an element, and their weights run to u = m.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from scipy.special import logsumexp
 from .mechanisms import MechanismSpec, group_profile_vector, profile
 from .numerics import log_binom, log_binom_pmf, stable_sum
 from .schemes import (
-    MULTISET_SCHEMES,
     MUSTow,
     MUSTwo,
     MUSTww,
@@ -132,30 +132,30 @@ def log_miss_probability(scheme: SamplingScheme) -> float:
 
 
 def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
-    """P[element appears exactly u times in the subsample], u = 1..m.
+    """P[element appears exactly u times in the subsample], u = 1, 2, ...
 
-    Only defined for the multiset-output schemes; Poisson and WOR never
-    repeat an element. The weights sum to eta(scheme).
+    Poisson and WOR never repeat an element, so their distribution is the
+    single weight P[u = 1] = eta; the multiset schemes run to u = m. The
+    weights sum to eta(scheme).
     """
-    if not isinstance(scheme, MULTISET_SCHEMES):
-        raise ValueError(
-            f"multiplicity weights are defined for multiset schemes only, "
-            f"got {scheme!r}"
-        )
-    m = scheme.m
-    u = np.arange(1, m + 1, dtype=float)
     match scheme:
-        case WR(n=n):
+        case Poisson() | WOR():
+            return np.array([eta(scheme)])
+        case WR(n=n, m=m):
+            u = np.arange(1, m + 1, dtype=float)
             return np.exp(log_binom_pmf(u, float(m), 1.0 / n))
-        case MUSTow(n=n, b=b):
+        case MUSTow(n=n, b=b, m=m):
+            u = np.arange(1, m + 1, dtype=float)
             return (b / n) * np.exp(log_binom_pmf(u, float(m), 1.0 / b))
-        case MUSTww(n=n, b=b):
+        case MUSTww(n=n, b=b, m=m):
+            u = np.arange(1, m + 1, dtype=float)
             j, logw = _stage1_log_weights(n, b)
             log_terms = logw[:, None] + log_binom_pmf(
                 u[None, :], float(m), (j / b)[:, None]
             )
             return np.exp(log_terms).sum(axis=0)
-        case MUSTwo(n=n, b=b):
+        case MUSTwo(n=n, b=b, m=m):
+            u = np.arange(1, m + 1, dtype=float)
             # Hypergeometric second stage: C(j,u) C(b-j,m-u) / C(b,m), zero
             # when b-j < m-u. Evaluated through the draws/successes symmetry
             # C(m,u) C(b-m,j-u) / C(b,j), whose C(b,j) cancels the stage-I
@@ -202,11 +202,9 @@ def amplify_delta(
 ) -> float:
     """delta' of the subsampled mechanism, at base-mechanism epsilon.
 
-    Set-output schemes scale the profile by eta; multiset schemes weight the
-    group profiles delta_u(eps) by the multiplicity probabilities.
+    The group profiles delta_u(eps) weighted by the multiplicity
+    probabilities; for Poisson and WOR that is the one term eta * delta(eps).
     """
-    if isinstance(scheme, (Poisson, WOR)):
-        return eta(scheme) * profile(mech, epsilon)
     return _weighted_delta(multiplicity_weights(scheme), mech, epsilon)
 
 
@@ -264,16 +262,13 @@ def aligned_profile(
 
     eta_value = eta(scheme)
     # The multiplicity weights do not depend on eps: one evaluation per profile.
-    weights = None if isinstance(scheme, (Poisson, WOR)) else multiplicity_weights(scheme)
+    weights = multiplicity_weights(scheme)
     points = []
     for eps in grid:
         eps = float(eps)
         eps_prime = amplify_epsilon(eta_value, eps)
         delta = profile(mech, eps)
-        if weights is None:
-            delta_prime = amplify_delta(scheme, mech, eps)
-        else:
-            delta_prime = _weighted_delta(weights, mech, eps)
+        delta_prime = _weighted_delta(weights, mech, eps)
         ratio = eps_prime / eps
         gap = delta_prime - delta
         points.append(

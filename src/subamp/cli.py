@@ -40,6 +40,7 @@ _NUMERIC_FAILURES = (
     NoConvergenceError,
     QuadratureError,
     harness.DivergenceError,
+    harness.DegenerateSampleError,
 )
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "SGDConfig",
     "BootstrapConfig",
     "DivergenceError",
+    "DegenerateSampleError",
     "run_dpsgd_linear",
     "run_dpsgd_logistic",
     "run_bootstrap",
@@ -47,6 +48,10 @@ class DivergenceError(RuntimeError):
         self.loss = loss
 
 
+class DegenerateSampleError(RuntimeError):
+    """No bootstrap subsample held the two records a variance needs."""
+
+
 @dataclass(frozen=True)
 class SGDConfig:
     scheme: SamplingScheme
@@ -56,7 +61,6 @@ class SGDConfig:
     learning_rate: float
     iterations: int
     seed: int
-    calibration: str = "classical"
     sigma_override: float | None = None  # force a noise scale (0 disables noise)
 
     def __post_init__(self):
@@ -66,8 +70,6 @@ class SGDConfig:
             raise ValueError("delta_base must lie in (0, 1)")
         if self.clip_c <= 0 or self.learning_rate <= 0 or self.iterations < 1:
             raise ValueError("clip_c, learning_rate must be positive; iterations >= 1")
-        if self.calibration not in ("classical", "exact"):
-            raise ValueError("calibration must be 'classical' or 'exact'")
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,6 @@ class BootstrapConfig:
     delta_base: float
     repeats: int
     seed: int
-    calibration: str = "classical"
 
     def __post_init__(self):
         lo, hi = self.bounds
@@ -146,12 +147,10 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
 
     width = hi - lo
     sigma_mean, eps = calibrate_for_scheme(
-        config.scheme, config.eps_prime, config.delta_base, width / n,
-        config.calibration,
+        config.scheme, config.eps_prime, config.delta_base, width / n, "classical"
     )
     sigma_var, _ = calibrate_for_scheme(
-        config.scheme, config.eps_prime, config.delta_base, width**2 / n,
-        config.calibration,
+        config.scheme, config.eps_prime, config.delta_base, width**2 / n, "classical"
     )
 
     rng = np.random.default_rng([config.seed, 1])
@@ -164,14 +163,14 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
         stats.append((mean, var))
     means, variances = map(np.concatenate, zip(*stats))
     if means.size == 0:
-        raise RuntimeError("all bootstrap subsamples were degenerate")
+        raise DegenerateSampleError("all bootstrap subsamples were degenerate")
     return {
         "pp_mean": float((means + rng.normal(0.0, sigma_mean, means.size)).mean()),
         "pp_var": float((variances + rng.normal(0.0, sigma_var, means.size)).mean()),
         "sigma_mean": sigma_mean,
         "sigma_var": sigma_var,
         "base_epsilon": eps,
-        "calibration": config.calibration,
+        "calibration": "classical",
     }
 
 
@@ -200,7 +199,7 @@ def _dpsgd_loop(
     else:
         sigma, eps = calibrate_for_scheme(
             scheme, config.eps_prime_per_iter, config.delta_base,
-            config.clip_c / n, config.calibration,
+            config.clip_c / n, "classical",
         )
 
     rng = np.random.default_rng([config.seed, 2])
@@ -250,7 +249,7 @@ def _dpsgd_loop(
         "base_epsilon": eps,
         "eps_prime_per_iter": amplify_epsilon(eta(scheme), eps),
         "delta_prime_per_iter": delta_prime,
-        "calibration": config.calibration,
+        "calibration": "classical",
     }
 
 

@@ -59,6 +59,7 @@ __all__ = [
 # by less than m * 8e-53. A cutoff of 60 moved the WR(1000, 200), sigma=4
 # loss mass on [5, 7), 2.2e-40, by 2.9e-7 of itself: in the far tail the
 # largest multiplicities dominate the mixture despite their weights.
+# Poisson and WOR lose their l = 1 term to it only when eta < 7.7e-53.
 _LOG_WEIGHT_CUTOFF = 120.0
 
 _NEWTON_TOL = 1e-12
@@ -118,20 +119,16 @@ class PrivacyLossModel:
 
     @cached_property
     def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """(multiplicities l, log mixture weights) of f_X, l = 0 included."""
-        scheme = self.scheme
-        if isinstance(scheme, Poisson):
-            q = scheme.gamma
-            return np.array([0.0, 1.0]), np.array([math.log1p(-q), math.log(q)])
-        log_w0 = log_miss_probability(scheme)
-        if isinstance(scheme, WOR):
-            l_vals = np.array([0.0, 1.0])
-            log_w = np.array([log_w0, math.log(scheme.m / scheme.n)])
-            return l_vals, log_w
-        weights = multiplicity_weights(scheme)
+        """(multiplicities l, log mixture weights) of f_X, l = 0 included.
+
+        The weights are the miss probability and the multiplicity
+        distribution, which for Poisson and WOR is the single weight eta
+        at l = 1.
+        """
+        log_w0 = log_miss_probability(self.scheme)
         with np.errstate(divide="ignore"):
-            log_w = np.log(weights)
-        l_vals = np.arange(1, scheme.m + 1, dtype=float)
+            log_w = np.log(multiplicity_weights(self.scheme))
+        l_vals = np.arange(1, log_w.size + 1, dtype=float)
         keep = log_w >= max(log_w.max(), log_w0) - _LOG_WEIGHT_CUTOFF
         l_vals = np.concatenate(([0.0], l_vals[keep]))
         log_w = np.concatenate(([log_w0], log_w[keep]))

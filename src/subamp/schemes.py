@@ -21,7 +21,6 @@ __all__ = [
     "MUSTow",
     "MUSTww",
     "SamplingScheme",
-    "MULTISET_SCHEMES",
     "population_size",
     "scheme_from_dict",
 ]
@@ -145,9 +144,6 @@ class MUSTww:
 
 
 SamplingScheme = Union[Poisson, WOR, WR, MUSTwo, MUSTow, MUSTww]
-
-# Schemes whose output can contain an element more than once.
-MULTISET_SCHEMES = (WR, MUSTwo, MUSTow, MUSTww)
 
 _SCHEME_TAGS = {cls.label: cls for cls in get_args(SamplingScheme)}
 

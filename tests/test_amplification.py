@@ -100,12 +100,14 @@ class TestMultiplicityWeights:
 
     @pytest.mark.parametrize(
         "scheme",
-        [WR(5, 3), MUSTww(4, 3, 2), MUSTow(5, 3, 2), MUSTwo(4, 3, 2)],
+        [WR(5, 3), MUSTww(4, 3, 2), MUSTow(5, 3, 2), MUSTwo(4, 3, 2), WOR(5, 2),
+         Poisson(0.3, n=4)],
     )
     def test_exact_enumeration(self, scheme):
         exact = exact_multiplicity_distribution(scheme)
         w = multiplicity_weights(scheme)
-        for u in range(1, scheme.m + 1):
+        assert sum(p for u, p in exact.items() if u > w.size) == 0
+        for u in range(1, w.size + 1):
             assert w[u - 1] == pytest.approx(
                 float(exact.get(u, 0)), abs=1e-12
             ), f"u={u}"
@@ -120,11 +122,16 @@ class TestMultiplicityWeights:
             eta(scheme), abs=1e-12
         )
 
-    def test_rejected_for_set_schemes(self):
-        with pytest.raises(ValueError):
-            multiplicity_weights(WOR(10, 3))
-        with pytest.raises(ValueError):
-            multiplicity_weights(Poisson(0.1))
+    def test_set_schemes_are_eta(self):
+        # A set never repeats an element: the whole distribution is P[u = 1].
+        for scheme in (WOR(10, 3), WOR(7, 7), Poisson(0.1), Poisson(1e-60)):
+            w = multiplicity_weights(scheme)
+            assert w.dtype == np.float64
+            assert w.tolist() == [eta(scheme)]
+
+    def test_rejects_non_schemes(self):
+        with pytest.raises(TypeError):
+            multiplicity_weights((10, 3))
 
 
 class TestEpsilonMaps:
@@ -180,6 +187,20 @@ class TestAmplifyDelta:
             assert amplify_delta(scheme, mech, eps) == pytest.approx(
                 0.4 * profile(mech, eps), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "scheme", [WOR(1000, 400), WOR(30969, 100), WOR(5, 5), Poisson(0.37),
+                   Poisson(0.00322903548710)],
+        ids=repr,
+    )
+    def test_set_schemes_are_eta_times_profile(self, scheme):
+        # The one-weight multiplicity distribution moves no bit of eta * delta.
+        for family in ("gaussian", "laplace"):
+            for theta in (0.25, 1.0, 4.0):
+                mech = MechanismSpec(family, theta)
+                for eps in np.linspace(0.05, 6.0, 60):
+                    eps = float(eps)
+                    assert amplify_delta(scheme, mech, eps) == eta(scheme) * profile(mech, eps)
 
     def test_zero_profile_gives_zero(self):
         mech = MechanismSpec("laplace", 0.25)

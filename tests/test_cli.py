@@ -302,6 +302,20 @@ class TestExperimentCommand:
         assert header == ["repeat", "scheme", "sigma_mean", "sigma_var", "pp_mean", "pp_var"]
         assert len(rows) == 2
 
+    def test_degenerate_bootstrap_exits_3(self, capsys, tmp_path):
+        # Two Poisson(0.01) subsamples of ten records: neither holds the two
+        # records a variance needs.
+        cfg = {
+            "experiment": "bootstrap", "n": 10, "t_boot": 2, "repeats": 1, "seed": 0,
+            "schemes": [{"scheme": "poisson", "gamma": 0.01, "n": 10}],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: all bootstrap subsamples were degenerate\n"
+
     def test_dpsgd_config_runs(self, capsys, tmp_path):
         cfg = {
             "experiment": "dpsgd_linear",
