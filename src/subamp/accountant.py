@@ -73,6 +73,7 @@ class Diagnostics:
     trunc_L: float
     mass_defect: float  # mass_outside: P[L < -L]
     max_cell_mass: float  # the largest c_i; near 1 when one cell holds the loss
+    occupied_cells: int  # the number of c_i > 0; a handful when a few cells hold it
     floored_mass: float
 
 
@@ -230,6 +231,7 @@ def compose_many(
     _map_blocks(compose_k, len(k_values), 1)
 
     max_cell_mass = float(c.max())
+    occupied_cells = int(np.count_nonzero(c))
     cells: list[SweepCell] = []
     for k, (floored, tails) in zip(k_values, per_k):
         diag = Diagnostics(
@@ -237,6 +239,7 @@ def compose_many(
             trunc_L=pld.trunc_L,
             mass_defect=pld.mass_outside,
             max_cell_mass=max_cell_mass,
+            occupied_cells=occupied_cells,
             floored_mass=floored,
         )
         for eps, sums in zip(eps_values, tails):

@@ -357,6 +357,7 @@ class TestFailureModes:
             res = compose(pld, 1, eps)
             assert res.delta_lower <= delta_direct(model, eps) <= res.delta_upper
             assert res.diagnostics.max_cell_mass > 0.5
+            assert res.diagnostics.occupied_cells == np.count_nonzero(pld.c) < 64
 
     def test_diagnostics_recorded(self, poisson_pld):
         res = compose(poisson_pld, 5, 0.5)
@@ -366,6 +367,7 @@ class TestFailureModes:
         assert abs(d.mass_defect) < 1e-13
         assert d.floored_mass >= 0.0
         assert d.max_cell_mass == float(poisson_pld.c.max()) < 0.5
+        assert d.occupied_cells == np.count_nonzero(poisson_pld.c > 0.0) > 1000
 
 
 class TestBoundsContainQuadrature:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import subamp
@@ -30,11 +31,13 @@ from subamp.pld import (
     pld_density_swapped,
 )
 from subamp.pld import (
+    _CELLS,
     _edge_probabilities,
     _expand_brackets,
     _inverse,
     _invert_newton,
     _map_blocks,
+    _sym_loss,
     _sym_loss_and_slope,
     _wor_inverse,
 )
@@ -147,20 +150,43 @@ def _census_model(scheme) -> PrivacyLossModel:
     return PrivacyLossModel(scheme, sigma_alg / 1.5)
 
 
+KERNEL_MODELS = pytest.mark.parametrize(
+    "model",
+    [
+        MODELS["wr"],
+        MODELS["mustow"],
+        PrivacyLossModel(MUSTww(100, 20, 10), 4.0),
+        PrivacyLossModel(MUSTww(1000, 10, 500), 4.0),  # 501 components
+        _census_model(WR(30969, 100)),
+        _census_model(MUSTow(30969, 200, 100)),
+        _census_model(MUSTww(30969, 200, 100)),
+    ],
+    ids=["wr", "mustow", "mustww", "mixture", "census_wr", "census_mustow", "census_mustww"],
+)
+
+
+def _full_slope(model: PrivacyLossModel, t: np.ndarray) -> np.ndarray:
+    """L'(t) = N'/N - D'/D summed over every mixture component."""
+    slopes = model._mixture[0] / model.sigma**2
+    out = np.zeros(t.size)
+    for sign in (1.0, -1.0):
+        terms = model._log_a + sign * np.multiply.outer(t, slopes)
+        weights = np.exp(terms - terms.max(axis=1, keepdims=True))
+        out += (weights @ slopes) / weights.sum(axis=1)
+    return out
+
+
+def _grid_edges(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> np.ndarray:
+    """Every edge -L + j dx inverted on its own; -inf below Poisson's floor."""
+    edges = 2.0 * trunc_L / grid_r * (np.arange(grid_r) - grid_r // 2)
+    t = np.full(grid_r, -math.inf)
+    inside = edges > model.loss_domain_low
+    t[inside] = _inverse(model, edges[inside])
+    return t
+
+
 class TestNewtonKernel:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            MODELS["wr"],
-            MODELS["mustow"],
-            PrivacyLossModel(MUSTww(100, 20, 10), 4.0),
-            PrivacyLossModel(MUSTww(1000, 10, 500), 4.0),  # 429 components
-            _census_model(WR(30969, 100)),
-            _census_model(MUSTow(30969, 200, 100)),
-            _census_model(MUSTww(30969, 200, 100)),
-        ],
-        ids=["wr", "mustow", "mustww", "mixture", "census_wr", "census_mustow", "census_mustww"],
-    )
+    @KERNEL_MODELS
     def test_matches_independent_route(self, model):
         # The kernel's L and L' against loss_at and a central difference of
         # loss_at, across the Newton bracket of s in [-10, 10].
@@ -177,6 +203,75 @@ class TestNewtonKernel:
         resolved = diff > 1e-8
         assert resolved.sum() > 1500
         np.testing.assert_allclose(slope[resolved], diff[resolved] / (2.0 * h), rtol=1e-6)
+
+    @KERNEL_MODELS
+    def test_window_matches_full_sums(self, model):
+        # The windowed kernel against full sums over every component, on the
+        # points Newton sees: sorted grid edges, the presolve's wide linspace
+        # and a scattered, unsorted subset like the late iterations' rows.
+        edges = _grid_edges(model, 10.0, 4096)
+        sig2 = model.sigma**2
+        lo, hi = np.full(2, -10.0 * sig2), np.full(2, 10.0 * sig2)
+        _expand_brackets(model, np.array([-10.0, 10.0]), lo, hi)
+        rng = np.random.default_rng(7)
+        for t in (edges, np.linspace(lo.min(), hi.max(), 4097), rng.permutation(edges)[:700]):
+            loss, slope = _sym_loss_and_slope(model, t)
+            full = _sym_loss(model, t)
+            assert np.all(np.abs(loss - full) <= 1e-13 * np.maximum(1.0, np.abs(full)))
+            np.testing.assert_allclose(slope, _full_slope(model, t), rtol=1e-13, atol=0.0)
+
+
+class TestEdgeProbabilities:
+    """The windowed CDF pass against a full sum over every component."""
+
+    @staticmethod
+    def _full(model: PrivacyLossModel, t: np.ndarray, split: int) -> np.ndarray:
+        l_vals, log_w = model._mixture
+        sign = np.where(np.arange(t.size) < split, 1.0, -1.0) / model.sigma
+        chunks = [slice(start, start + 4096) for start in range(0, t.size, 4096)]
+        return np.concatenate([
+            ndtr(np.subtract.outer(t[rows], l_vals) * sign[rows, None]) @ np.exp(log_w)
+            for rows in chunks
+        ])
+
+    @pytest.mark.parametrize(
+        "model, trunc_L, grid_r",
+        [
+            *[(MODELS[tag], 8.0, 1 << 16) for tag in ("wr", "mustow", "mustww", "mustwo")],
+            # Two components: r = 2^18 makes four blocks. Poisson's negative
+            # half is -inf below log(0.98), so whole blocks sum to 0.
+            (MODELS["poisson"], 8.0, 1 << 18),
+            (MODELS["wor"], 8.0, 1 << 18),
+            # 501 components, 261-row blocks: the split at 10000 lies inside one.
+            (PrivacyLossModel(MUSTww(1000, 10, 500), 4.0), 10.0, 20_000),
+        ],
+        ids=["wr", "mustow", "mustww", "mustwo", "poisson", "wor", "mixture"],
+    )
+    def test_matches_full_sum(self, model, trunc_L, grid_r):
+        t = _grid_edges(model, trunc_L, grid_r)
+        half = grid_r // 2
+        step = _CELLS // model._mixture[0].size
+        assert grid_r > 2 * step
+        if isinstance(model.scheme, Poisson):
+            assert np.isneginf(t[:step]).all()
+        if isinstance(model.scheme, MUSTww) and model.scheme.m == 500:
+            assert half % step != 0
+        np.testing.assert_allclose(
+            _edge_probabilities(model, t, half), self._full(model, t, half), rtol=1e-14, atol=0.0
+        )
+
+    def test_window_engages(self, monkeypatch):
+        # MUSTow(10000, 118, 200), sigma=4 reaches only some of its
+        # components from each block: under 0.7 of the r x K ndtr calls.
+        model, grid_r, calls = MODELS["mustow"], 1 << 15, []
+
+        def counting(x, out=None):
+            calls.append(np.size(x))
+            return ndtr(x, out=out)
+
+        monkeypatch.setattr(subamp.pld, "ndtr", counting)
+        discretize(model, 10.0, grid_r)
+        assert sum(calls) < 0.7 * grid_r * model._mixture[0].size
 
 
 class TestDensity:
