@@ -11,6 +11,14 @@ golden/streams.json pins the random streams:
 - `sampling.draw` on the same schemes over three seeds;
 - one small `subamp experiment` config each for bootstrap and dpsgd_linear.
 
+golden/tables.json pins the amplification tables:
+- `subamp amplify` on all six schemes, both families, two thetas and two
+  epsilons, a row on the PA boundary (eta = 1) and one `--format json` row;
+- the CSV files of a small `aligned` grid and of a small `contour` grid
+  with and without a mechanism (file contents; the printed paths vary);
+- the stdout of scripts/run_pa_table.py at its defaults and of
+  scripts/run_unique_sample_stats.py at 100 trials.
+
 The file was written with numpy 2.4.6 and scipy 1.17.1 on x86-64. Values
 near the FFT round-off floor (deltas below about 1e-14) depend in their low
 digits on the platform's pow, exp and FFT kernels.
@@ -27,6 +35,7 @@ epsilon, column, old, new, absolute and relative move); this writes nothing:
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import sys
@@ -41,6 +50,8 @@ from subamp.schemes import scheme_from_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "account.json"
 STREAMS = Path(__file__).parent / "golden" / "streams.json"
+TABLES = Path(__file__).parent / "golden" / "tables.json"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 _GRID = ["--k-list", "1,10,200,1000", "--r", "16384"]
 CASES = [
@@ -94,6 +105,40 @@ EXPERIMENTS = [
                  {"scheme": "mustwo", "n": 200, "b": 40, "m": 20}]},
 ]
 
+_SCHEME_FLAGS = ["--n", "1000", "--m", "400", "--b", "500"]
+AMPLIFY = [
+    ["--scheme", tag, *_SCHEME_FLAGS, "--family", family, "--theta", theta, "--eps", eps]
+    for tag in ("poisson", "wor", "wr", "mustwo", "mustow", "mustww")
+    for family in ("laplace", "gaussian")
+    for theta in ("0.25", "4")
+    for eps in ("0.05", "3")
+] + [
+    # eta = 1: eps'/eps is exactly 1, a strong point on the boundary.
+    ["--scheme", "wor", "--n", "10", "--m", "10", "--family", "laplace",
+     "--theta", "1", "--eps", "1"],
+    ["--scheme", "mustww", *_SCHEME_FLAGS, "--family", "gaussian", "--theta", "1",
+     "--eps", "1", "--format", "json"],
+]
+_MECH = ["--family", "laplace", "--theta", "1", "--eps", "1"]
+GRIDS = [
+    ["aligned", "--schemes", "poisson,wor,wr,mustwo,mustow,mustww",
+     "--families", "laplace,gaussian", "--thetas", "0.5,2", "--n", "100", "--m", "20",
+     "--b", "40", "--eps-grid", "0.5:3:3"],
+    ["contour", "--schemes", "mustow,mustww,mustwo", "--n", "100",
+     "--b-range", "20:22", "--m-range", "10:12"],
+    ["contour", "--schemes", "mustow,mustww,mustwo", "--n", "100",
+     "--b-range", "20:22", "--m-range", "10:12", *_MECH],
+]
+SCRIPT_RUNS = [["run_pa_table.py"], ["run_unique_sample_stats.py", "--trials", "100"]]
+
+
+def script_main(name: str):
+    """The `main` of scripts/<name>, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
 
 def _run(args: list[str], command: str = "account") -> dict:
     out, err = io.StringIO(), io.StringIO()
@@ -108,6 +153,29 @@ def _experiment(cfg: dict) -> dict:
         path.write_text(json.dumps(cfg))
         result = _run(["--config", str(path)], "experiment")
     return {**result, "argv": cfg}
+
+
+def _grid_files(argv: list[str]) -> dict:
+    """Exit code, stderr and CSV contents of one `aligned` or `contour` run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        result = _run([*argv[1:], "--output-dir", tmp], argv[0])
+        files = {path.name: path.read_text() for path in sorted(Path(tmp).glob("*.csv"))}
+    return {"argv": argv, "code": result["code"], "stderr": result["stderr"], "files": files}
+
+
+def _script(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = script_main(argv[0])(argv[1:])
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _tables() -> dict:
+    return {
+        "amplify": [_run(args, "amplify") for args in AMPLIFY],
+        "grids": [_grid_files(argv) for argv in GRIDS],
+        "scripts": [_script(argv) for argv in SCRIPT_RUNS],
+    }
 
 
 def _draws(spec: dict) -> dict:
@@ -192,6 +260,35 @@ def test_every_stream_case_has_golden_output():
         assert sorted(_stream_golden(kind, key)) == sorted(map(json.dumps, cases))
 
 
+def _table_golden(kind: str) -> dict:
+    return {json.dumps(case["argv"]): case for case in json.loads(TABLES.read_text())[kind]}
+
+
+def _amplify_id(args: list[str]) -> str:
+    flags = ("--scheme", "--family", "--theta", "--eps", "--format")
+    return "-".join(value for flag, value in zip(args, args[1:]) if flag in flags)
+
+
+@pytest.mark.parametrize("args", AMPLIFY, ids=_amplify_id)
+def test_amplify_output_is_byte_identical(args):
+    assert _run(args, "amplify") == _table_golden("amplify")[json.dumps(args)]
+
+
+@pytest.mark.parametrize("argv", GRIDS, ids=lambda argv: f"{argv[0]}-{len(argv)}")
+def test_grid_files_are_byte_identical(argv):
+    assert _grid_files(argv) == _table_golden("grids")[json.dumps(argv)]
+
+
+@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=lambda argv: argv[0])
+def test_script_output_is_byte_identical(argv):
+    assert _script(argv) == _table_golden("scripts")[json.dumps(argv)]
+
+
+def test_every_table_case_has_golden_output():
+    for kind, cases in (("amplify", AMPLIFY), ("grids", GRIDS), ("scripts", SCRIPT_RUNS)):
+        assert sorted(_table_golden(kind)) == sorted(map(json.dumps, cases))
+
+
 def _values(result: dict) -> dict:
     """{(k, epsilon, column): printed value} of one `account` run."""
     lines = result["stdout"].splitlines()[1:]  # past the schema line
@@ -250,3 +347,4 @@ if __name__ == "__main__":
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps([_run(args) for args in CASES], indent=1) + "\n")
         STREAMS.write_text(json.dumps(_streams(), indent=1) + "\n")
+        TABLES.write_text(json.dumps(_tables(), indent=1) + "\n")
