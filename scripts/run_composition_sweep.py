@@ -1,8 +1,10 @@
 """k-fold composition sweep of a subsampled Gaussian mechanism.
 
 Defaults reproduce the two-stage WOR-then-WR example: n=1e4, m=200, b=118,
-sigma=4, L=10, eps=1, k in {200, 400, 600, 800, 1000}. Pass --verify to
-cross-check any k=1 cells against the quadrature route.
+sigma=4, L=10, eps=1, k in {200, 400, 600, 800, 1000}. To cross-check
+k = 1 against the quadrature route, pass --verify with a k list that
+holds 1, such as --k-list 1,200,400,600,800,1000; --verify without k = 1
+exits 2.
 """
 
 import sys

@@ -4,23 +4,17 @@ Defaults: n=1000, b in [150, 200], m in [100, 150] (51x51 per scheme),
 base eps = 1 with both mechanisms at theta = 1.
 """
 
+import argparse
 import sys
 
 from subamp.cli import main as cli_main
 
 
 def main(argv=None) -> int:
-    parser_args = list(sys.argv[1:] if argv is None else argv)
-    base_dir = "contours"
-    passthrough = []
-    it = iter(parser_args)
-    for arg in it:
-        if arg == "--output-dir":
-            base_dir = next(it, base_dir)
-        elif arg.startswith("--output-dir="):
-            base_dir = arg.split("=", 1)[1]
-        else:
-            passthrough.append(arg)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
+    parser.add_argument("--output-dir", default="contours")
+    # Every other flag goes to each `subamp contour` run, after the defaults.
+    args, passthrough = parser.parse_known_args(argv)
 
     code = 0
     for family in ("laplace", "gaussian"):
@@ -33,7 +27,7 @@ def main(argv=None) -> int:
             "--family", family,
             "--theta", "1",
             "--eps", "1",
-            "--output-dir", f"{base_dir}/{family}",
+            "--output-dir", f"{args.output_dir}/{family}",
         ] + passthrough
         code = max(code, cli_main(run))
     return code

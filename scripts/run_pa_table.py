@@ -6,9 +6,11 @@ families, base eps in {0.05, 0.5, 1, 2, 3, 4.5}. One CSV to stdout or
 """
 
 import argparse
+import contextlib
 import sys
 
 from subamp.amplification import amplify_delta, amplify_epsilon, eta
+from subamp.cli import _write_table
 from subamp.mechanisms import MechanismSpec, profile
 from subamp.schemes import MUSTow, MUSTww, WOR, WR
 
@@ -32,27 +34,20 @@ def main(argv=None) -> int:
     eps_values = [float(v) for v in args.eps.split(",")]
     thetas = [float(v) for v in args.thetas.split(",")]
 
-    out = open(args.output, "w") if args.output else sys.stdout
-    out.write("# schema=1\n")
-    out.write("family,theta,scheme,epsilon,delta,eps_prime,delta_prime\n")
+    rows = []
     for family in ("laplace", "gaussian"):
         for theta in thetas:
             mech = MechanismSpec(family, theta)
             for eps in eps_values:
                 delta = profile(mech, eps)
-                out.write(
-                    f"{family},{theta:.12g},base,{eps:.12g},{delta:.12g},"
-                    f"{eps:.12g},{delta:.12g}\n"
-                )
+                rows.append([family, theta, "base", eps, delta, eps, delta])
                 for tag, scheme in schemes.items():
                     ep = amplify_epsilon(eta(scheme), eps)
                     dp = amplify_delta(scheme, mech, eps)
-                    out.write(
-                        f"{family},{theta:.12g},{tag},{eps:.12g},{delta:.12g},"
-                        f"{ep:.12g},{dp:.12g}\n"
-                    )
-    if args.output:
-        out.close()
+                    rows.append([family, theta, tag, eps, delta, ep, dp])
+    header = ["family", "theta", "scheme", "epsilon", "delta", "eps_prime", "delta_prime"]
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        _write_table(header, rows, out)
     return 0
 
 

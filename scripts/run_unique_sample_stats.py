@@ -7,8 +7,10 @@ the slowest.
 """
 
 import argparse
+import contextlib
 import sys
 
+from subamp.cli import _write_table
 from subamp.sampling import mc_stats
 from subamp.schemes import MUSTow, MUSTww, Poisson, WOR, WR
 
@@ -27,9 +29,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
 
-    out = open(args.output, "w") if args.output else sys.stdout
-    out.write("# schema=1\n")
-    out.write("n,b,m,scheme,trials,unique_min,unique_mean,unique_max,eta_hat\n")
+    rows = []
     for n, b, m in CONFIGS:
         for tag, scheme in (
             ("wor", WOR(n, m)),
@@ -39,12 +39,13 @@ def main(argv=None) -> int:
             ("mustww", MUSTww(n, b, m)),
         ):
             s = mc_stats(scheme, args.trials, args.seed)
-            out.write(
-                f"{n},{b},{m},{tag},{s.trials},{s.unique_min},"
-                f"{s.unique_mean:.12g},{s.unique_max},{s.eta_hat:.12g}\n"
-            )
-    if args.output:
-        out.close()
+            rows.append([
+                n, b, m, tag, s.trials, s.unique_min, s.unique_mean, s.unique_max, s.eta_hat,
+            ])
+    header = ["n", "b", "m", "scheme", "trials", "unique_min", "unique_mean", "unique_max",
+              "eta_hat"]
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        _write_table(header, rows, out)
     return 0
 
 

@@ -10,9 +10,8 @@ noise scale and held-out RMSE per scheme.
 
 Repeats default to 20; pass --repeats to change. At 20 repeats the script
 takes about 4.5 s on a 2-vCPU x86-64 host, and about 1 s at --repeats 1.
-Each harness run draws its subsamples as count rows from one generator, so
-the numbers differ, for the same seed, from those of versions that seeded a
-generator per bootstrap replicate or SGD step (19 s at 20 repeats).
+Each harness run draws all its subsamples as count rows from one generator
+seeded from --seed.
 """
 
 import argparse

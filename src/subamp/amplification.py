@@ -214,18 +214,18 @@ def _weighted_delta(weights: np.ndarray, mech: MechanismSpec, epsilon: float) ->
     return min(max(stable_sum(weights * deltas), 0.0), 1.0)
 
 
-def pa_on_boundary(eps_ratio: float, delta_gap: float, tol: float = BOUNDARY_TOL) -> bool:
-    return abs(eps_ratio - 1.0) <= tol or abs(delta_gap) <= tol
+def pa_on_boundary(eps_ratio: float, delta_gap: float) -> bool:
+    return abs(eps_ratio - 1.0) <= BOUNDARY_TOL or abs(delta_gap) <= BOUNDARY_TOL
 
 
-def classify_pa(eps_ratio: float, delta_gap: float, tol: float = BOUNDARY_TOL) -> PAClass:
+def classify_pa(eps_ratio: float, delta_gap: float) -> PAClass:
     """Quadrant classification of an amplification outcome.
 
-    Boundary cases (within tol of eps_ratio = 1 or delta_gap = 0) resolve
-    toward the favorable side, so exact ties classify as strong.
+    Boundary cases (within BOUNDARY_TOL of eps_ratio = 1 or delta_gap = 0)
+    resolve toward the favorable side, so exact ties classify as strong.
     """
-    shrinks_eps = eps_ratio < 1.0 or abs(eps_ratio - 1.0) <= tol
-    shrinks_delta = delta_gap < 0.0 or abs(delta_gap) <= tol
+    shrinks_eps = eps_ratio < 1.0 or abs(eps_ratio - 1.0) <= BOUNDARY_TOL
+    shrinks_delta = delta_gap < 0.0 or abs(delta_gap) <= BOUNDARY_TOL
     if shrinks_eps and shrinks_delta:
         return PAClass.STRONG
     if shrinks_eps:

@@ -19,14 +19,7 @@ import numpy as np
 
 from . import accountant as acct
 from . import harness
-from .amplification import (
-    aligned_profile,
-    amplify_delta,
-    amplify_epsilon,
-    classify_pa,
-    eta,
-    pa_on_boundary,
-)
+from .amplification import aligned_profile, amplify_delta, amplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, QuadratureError, profile
 from .pld import NoConvergenceError, PrivacyLossModel, discretize
 from .sampling import mc_stats
@@ -169,23 +162,18 @@ def cmd_profile(args) -> int:
 def cmd_amplify(args) -> int:
     scheme = _scheme(args.scheme, args)
     mech = _mech_from_args(args)
-    eps = args.eps
-    if eps is None or eps <= 0:
+    if args.eps is None or args.eps <= 0:
         raise ValueError("--eps must be a positive real")
-    eta_value = eta(scheme)
-    eps_prime = amplify_epsilon(eta_value, eps)
-    delta = profile(mech, eps)
-    delta_prime = amplify_delta(scheme, mech, eps)
-    ratio, gap = eps_prime / eps, delta_prime - delta
+    pt = aligned_profile(scheme, mech, [args.eps])[0]
     cols = _scheme_columns(scheme)
     header = [
         *cols.keys(), "family", "theta", "epsilon", "eta", "eps_prime",
         "delta", "delta_prime", "eps_ratio", "delta_gap", "pa_class", "on_boundary",
     ]
     row = [
-        *cols.values(), mech.family.value, mech.theta, eps, eta_value, eps_prime,
-        delta, delta_prime, ratio, gap, classify_pa(ratio, gap).value,
-        pa_on_boundary(ratio, gap),
+        *cols.values(), mech.family.value, mech.theta, pt.epsilon, eta(scheme), pt.eps_prime,
+        pt.delta, pt.delta_prime, pt.eps_ratio, pt.delta_gap, pt.pa_class.value,
+        pt.on_boundary,
     ]
     _emit(header, [row], args)
     return 0
@@ -270,6 +258,8 @@ def cmd_account(args) -> int:
         raise ValueError("--sigma must be a positive real")
     k_list = [int(v) for v in args.k_list.split(",")]
     eps_list = [float(v) for v in args.eps_list.split(",")]
+    if args.verify and 1 not in k_list:
+        raise ValueError("--verify needs k = 1 in --k-list")
     model = PrivacyLossModel(scheme, args.sigma)
     pld = discretize(model, args.L, args.r)
     cells = acct.compose_many(pld, k_list, eps_list)

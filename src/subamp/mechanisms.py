@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -62,10 +62,6 @@ class MechanismSpec:
         if not math.isfinite(theta) or theta <= 0.0:
             raise ValueError(f"theta must be a positive finite real, got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
-
-    def scaled(self, j: int) -> "MechanismSpec":
-        """Mechanism viewed through a group of j substitutions."""
-        return replace(self, theta=j * self.theta)
 
 
 @dataclass(frozen=True)

@@ -291,22 +291,24 @@ def _wor_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
 # -- safeguarded Newton for the multiset schemes ----------------------------
 
 
-def _expand_brackets(
-    model: PrivacyLossModel, s: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> None:
-    for side, bound in (("low", lo), ("high", hi)):
-        active = np.arange(s.size)
+def _loss_bracket(model: PrivacyLossModel, s_min: float, s_max: float) -> tuple[float, float]:
+    """(lo, hi) with L(lo) <= s_min and L(hi) >= s_max.
+
+    lo starts at -10 sigma^2 and hi at 10 sigma^2; each doubles until it
+    holds, at most 200 times.
+    """
+    bracket = []
+    for side, sign, target in (("low", -1.0, s_min), ("high", 1.0, s_max)):
+        bound = sign * 10.0 * model.sigma**2
         for _ in range(200):
-            resid = _sym_loss_and_slope(model, bound[active])[0] - s[active]
-            bad = resid > 0.0 if side == "low" else resid < 0.0
-            if not bad.any():
+            resid = _sym_loss_and_slope(model, np.array([bound]))[0][0] - target
+            if not sign * resid < 0.0:
                 break
-            active = active[bad]
-            bound[active] *= 2.0
+            bound *= 2.0
         else:
-            raise NoConvergenceError(
-                f"bracket expansion failed ({side} side)", 200, math.inf
-            )
+            raise NoConvergenceError(f"bracket expansion failed ({side} side)", 200, math.inf)
+        bracket.append(bound)
+    return bracket[0], bracket[1]
 
 
 def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
@@ -354,12 +356,7 @@ def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
     bracket the root and linear interpolation lands within a few Newton
     steps of it.
     """
-    edges = np.array([s.min(), s.max()])
-    sig2 = model.sigma**2
-    lo = np.full(2, -10.0 * sig2)
-    hi = np.full(2, 10.0 * sig2)
-    _expand_brackets(model, edges, lo, hi)
-    t_coarse = np.linspace(lo.min(), hi.max(), _PRESOLVE_GRID + 1)
+    t_coarse = np.linspace(*_loss_bracket(model, s.min(), s.max()), _PRESOLVE_GRID + 1)
     s_coarse = _sym_loss_and_slope(model, t_coarse)[0]
     t0 = np.interp(s, s_coarse, t_coarse)
     idx = np.clip(np.searchsorted(s_coarse, s, side="right"), 1, _PRESOLVE_GRID)

@@ -9,6 +9,7 @@ from subamp.cli import SCHEMA_LINE, main
 from subamp.sampling import _KEYS_MAX_N
 
 from reference_values import check_printed
+from test_cli_golden import load_script
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +201,40 @@ class TestContourCommand:
         assert code == 2
 
 
+class TestContourGridsScript:
+    """scripts/run_contour_grids.py: --output-dir, and every other flag passed on."""
+
+    @staticmethod
+    def _runs(monkeypatch, *argv):
+        script, runs = load_script("run_contour_grids.py"), []
+        monkeypatch.setattr(script, "cli_main", lambda run: runs.append(run) or 0)
+        return script.main(list(argv)), runs
+
+    @pytest.mark.parametrize("flags", [["--output-dir", "out"], ["--output-dir=out"]])
+    def test_output_dir(self, monkeypatch, flags):
+        code, runs = self._runs(monkeypatch, *flags)
+        assert code == 0
+        assert [run[run.index("--output-dir") + 1] for run in runs] == [
+            "out/laplace", "out/gaussian",
+        ]
+        assert all(run.count("--output-dir") == 1 for run in runs)
+
+    def test_output_dir_without_value_exits_2(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._runs(monkeypatch, "--theta", "2", "--output-dir")
+        assert exc.value.code == 2
+        assert "--output-dir" in capsys.readouterr().err
+
+    def test_other_flags_reach_contour(self, monkeypatch):
+        code, runs = self._runs(
+            monkeypatch, "--theta", "2", "--output-dir", "out", "--eps", "0.5",
+        )
+        assert code == 0
+        assert len(runs) == 2
+        assert all(run[0] == "contour" and run[-4:] == ["--theta", "2", "--eps", "0.5"]
+                   for run in runs)
+
+
 class TestAccountCommand:
     def test_verify_pass(self, capsys):
         code, out, err = run_cli(
@@ -215,6 +250,16 @@ class TestAccountCommand:
             "k", "epsilon", "delta_lower", "delta_approx", "delta_upper",
             "grid_r", "trunc_L",
         ]
+
+    def test_verify_without_k_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "mustow", "--n", "10000", "--b", "118",
+            "--m", "200", "--sigma", "4", "--k-list", "200,1000", "--eps-list", "1",
+            "--r", "30000", "--verify",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --verify needs k = 1 in --k-list\n"
 
     def test_epsilon_beyond_grid_exits_3(self, capsys):
         code, _, err = run_cli(

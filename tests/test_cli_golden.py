@@ -132,12 +132,12 @@ GRIDS = [
 SCRIPT_RUNS = [["run_pa_table.py"], ["run_unique_sample_stats.py", "--trials", "100"]]
 
 
-def script_main(name: str):
-    """The `main` of scripts/<name>, loaded from its path."""
+def load_script(name: str):
+    """scripts/<name> as a module, loaded from its path."""
     spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
 
 
 def _run(args: list[str], command: str = "account") -> dict:
@@ -166,7 +166,7 @@ def _grid_files(argv: list[str]) -> dict:
 def _script(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = script_main(argv[0])(argv[1:])
+        code = load_script(argv[0]).main(argv[1:])
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

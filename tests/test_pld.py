@@ -33,9 +33,9 @@ from subamp.pld import (
 from subamp.pld import (
     _CELLS,
     _edge_probabilities,
-    _expand_brackets,
     _inverse,
     _invert_newton,
+    _loss_bracket,
     _map_blocks,
     _sym_loss,
     _sym_loss_and_slope,
@@ -190,10 +190,7 @@ class TestNewtonKernel:
     def test_matches_independent_route(self, model):
         # The kernel's L and L' against loss_at and a central difference of
         # loss_at, across the Newton bracket of s in [-10, 10].
-        sig2 = model.sigma**2
-        lo, hi = np.full(2, -10.0 * sig2), np.full(2, 10.0 * sig2)
-        _expand_brackets(model, np.array([-10.0, 10.0]), lo, hi)
-        t = np.linspace(lo.min(), hi.max(), 2001)
+        t = np.linspace(*_loss_bracket(model, -10.0, 10.0), 2001)
         loss, slope = _sym_loss_and_slope(model, t)
         # The absolute floor covers L near 0, where log N - log D cancels
         # on both routes (they differ by up to 1.1e-15 there).
@@ -210,11 +207,9 @@ class TestNewtonKernel:
         # points Newton sees: sorted grid edges, the presolve's wide linspace
         # and a scattered, unsorted subset like the late iterations' rows.
         edges = _grid_edges(model, 10.0, 4096)
-        sig2 = model.sigma**2
-        lo, hi = np.full(2, -10.0 * sig2), np.full(2, 10.0 * sig2)
-        _expand_brackets(model, np.array([-10.0, 10.0]), lo, hi)
+        span = np.linspace(*_loss_bracket(model, -10.0, 10.0), 4097)
         rng = np.random.default_rng(7)
-        for t in (edges, np.linspace(lo.min(), hi.max(), 4097), rng.permutation(edges)[:700]):
+        for t in (edges, span, rng.permutation(edges)[:700]):
             loss, slope = _sym_loss_and_slope(model, t)
             full = _sym_loss(model, t)
             assert np.all(np.abs(loss - full) <= 1e-13 * np.maximum(1.0, np.abs(full)))
