@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .mechanisms import MechanismSpec, group_profile_vector, profile
+from .mechanisms import MechanismSpec, group_profile, profile
 from .numerics import log_binom, log_binom_pmf, stable_sum
 from .schemes import (
     MUSTow,
@@ -210,7 +210,7 @@ def amplify_delta(
 
 def _weighted_delta(weights: np.ndarray, mech: MechanismSpec, epsilon: float) -> float:
     """sum_u weights[u-1] delta_u(eps), clamped to [0, 1]."""
-    deltas = group_profile_vector(mech, np.arange(1, weights.size + 1), epsilon)
+    deltas = group_profile(mech, np.arange(1, weights.size + 1), epsilon)
     return min(max(stable_sum(weights * deltas), 0.0), 1.0)
 
 

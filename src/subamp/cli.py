@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -40,11 +39,7 @@ _NUMERIC_FAILURES = (
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
     return str(value)
 
@@ -150,10 +145,8 @@ def cmd_profile(args) -> int:
     mech = _mech_from_args(args)
     if args.eps is not None:
         grid = np.array([args.eps], dtype=float)
-    elif args.eps_grid is not None:
-        grid = _parse_grid(args.eps_grid, "--eps-grid")
     else:
-        raise ValueError("one of --eps or --eps-grid is required")
+        grid = _parse_grid(args.eps_grid, "--eps-grid")
     rows = [[float(e), profile(mech, float(e))] for e in grid]
     _emit(["epsilon", "delta"], rows, args)
     return 0
@@ -181,9 +174,12 @@ def cmd_amplify(args) -> int:
 
 def cmd_aligned(args) -> int:
     grid = _parse_grid(args.eps_grid, "--eps-grid")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    tags = [s.strip() for s in args.schemes.split(",") if s.strip()]
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     thetas = [float(v) for v in args.thetas.split(",")]
+    # Every scheme and mechanism is built before the first file is written.
+    schemes = [(tag, _scheme(tag, args)) for tag in tags]
+    mechs = {f: [MechanismSpec(Family(f), theta) for theta in thetas] for f in families}
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -193,11 +189,9 @@ def cmd_aligned(args) -> int:
     ]
     written = []
     for family in families:
-        for tag in schemes:
-            scheme = _scheme(tag, args)
+        for tag, scheme in schemes:
             rows = []
-            for theta in thetas:
-                mech = MechanismSpec(Family(family), theta)
+            for theta, mech in zip(thetas, mechs[family]):
                 for pt in aligned_profile(scheme, mech, grid):
                     rows.append([
                         theta, pt.epsilon, pt.eps_prime, pt.delta, pt.delta_prime,
@@ -216,35 +210,39 @@ def cmd_aligned(args) -> int:
 def cmd_contour(args) -> int:
     b_range = _parse_int_range(args.b_range, "--b-range")
     m_range = _parse_int_range(args.m_range, "--m-range")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     mech = None
     if args.family is not None:
         mech = _mech_from_args(args)
         if args.eps is None or args.eps <= 0:
             raise ValueError("--eps must be positive when a mechanism is given")
+    # Every cell's scheme is built before the first file is written.
+    tables = []
+    for tag in (s.strip() for s in args.schemes.split(",") if s.strip()):
+        if tag not in ("mustow", "mustww", "mustwo"):
+            raise ValueError(f"contour sweeps are over (b, m); scheme {tag!r} has no b")
+        tables.append((tag, [
+            (b, m, scheme_from_dict({"scheme": tag, "n": args.n, "b": b, "m": m}))
+            for b in b_range for m in m_range
+        ]))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     header = ["b", "m", "eta", "eps_prime"]
     if mech is not None:
         header += ["delta", "delta_prime", "delta_gap"]
-    for tag in schemes:
-        if tag not in ("mustow", "mustww", "mustwo"):
-            raise ValueError(f"contour sweeps are over (b, m); scheme {tag!r} has no b")
+    for tag, cells in tables:
         rows = []
-        for b in b_range:
-            for m in m_range:
-                scheme = scheme_from_dict({"scheme": tag, "n": args.n, "b": b, "m": m})
-                eta_value = eta(scheme)
-                row = [b, m, eta_value]
-                if mech is not None:
-                    eps_prime = amplify_epsilon(eta_value, args.eps)
-                    delta = profile(mech, args.eps)
-                    delta_prime = amplify_delta(scheme, mech, args.eps)
-                    row += [eps_prime, delta, delta_prime, delta_prime - delta]
-                else:
-                    row += [amplify_epsilon(eta_value, 1.0 if args.eps is None else args.eps)]
-                rows.append(row)
+        for b, m, scheme in cells:
+            eta_value = eta(scheme)
+            row = [b, m, eta_value]
+            if mech is not None:
+                eps_prime = amplify_epsilon(eta_value, args.eps)
+                delta = profile(mech, args.eps)
+                delta_prime = amplify_delta(scheme, mech, args.eps)
+                row += [eps_prime, delta, delta_prime, delta_prime - delta]
+            else:
+                row += [amplify_epsilon(eta_value, 1.0 if args.eps is None else args.eps)]
+            rows.append(row)
         path = outdir / f"contour_{tag}.csv"
         with open(path, "w") as fh:
             _write_table(header, rows, fh)
@@ -379,10 +377,13 @@ def cmd_experiment(args) -> int:
     try:
         seed = int(cfg.get("seed", 0))
         n = int(cfg["n"])
+        repeats = int(cfg.get("repeats", 20))
+        if repeats < 1:
+            raise ValueError(f"config field 'repeats' must be >= 1, got {repeats}")
         rows = [
             [rep, scheme.label, *run(cfg, scheme, n, seed + 1000 * rep)]
             for scheme in map(scheme_from_dict, cfg["schemes"])
-            for rep in range(int(cfg.get("repeats", 20)))
+            for rep in range(repeats)
         ]
     except KeyError as exc:
         raise ValueError(f"config is missing field {exc}") from None
@@ -420,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="base-mechanism privacy profile")
     p.add_argument("--family", required=True, choices=("laplace", "gaussian"))
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eps-grid", dest="eps_grid")
+    eps = p.add_mutually_exclusive_group(required=True)
+    eps.add_argument("--eps", type=float)
+    eps.add_argument("--eps-grid", dest="eps_grid")
     add_output(p)
     p.set_defaults(func=cmd_profile)
 

@@ -116,26 +116,20 @@ def profile(mech: MechanismSpec, epsilon):
     return float(out) if np.ndim(epsilon) == 0 else out
 
 
-def group_profile(mech: MechanismSpec, j: int, epsilon):
+def group_profile(mech: MechanismSpec, j, epsilon):
     """delta(eps) for dataset pairs differing in j elements.
 
     White-box analysis: for Laplace/Gaussian this is the profile with the
-    sensitivity scaled by j, i.e. theta -> j*theta.
+    sensitivity scaled by j, i.e. theta -> j*theta. j is a positive integer
+    or an integer array of them; the result is a float when j and epsilon
+    are both scalars.
     """
-    if not isinstance(j, (int, np.integer)) or j < 1:
+    j_arr = np.asarray(j)
+    if j_arr.dtype.kind not in "iu" or np.any(j_arr < 1):
         raise ValueError(f"group size j must be a positive integer, got {j!r}")
     eps = _check_epsilon(epsilon)
-    out = _profile_values(mech.family, j * mech.theta, eps)
-    return float(out) if np.ndim(epsilon) == 0 else out
-
-
-def group_profile_vector(mech: MechanismSpec, j_values: np.ndarray, epsilon: float) -> np.ndarray:
-    """group_profile evaluated for a whole vector of group sizes at once."""
-    eps = float(_check_epsilon(epsilon))
-    j = np.asarray(j_values, dtype=float)
-    if np.any(j < 1):
-        raise ValueError("group sizes must be >= 1")
-    return _profile_values(mech.family, j * mech.theta, eps)
+    out = _profile_values(mech.family, j_arr * mech.theta, eps)
+    return float(out) if np.ndim(j) == 0 and np.ndim(epsilon) == 0 else out
 
 
 def _log_output_density(family: Family, shift: float, t: np.ndarray) -> np.ndarray:

@@ -8,9 +8,12 @@ the reference density is the plain Gaussian and L has a closed-form
 inverse; for WOR the loss is the two-sided single-shift mixture ratio, also
 invertible in closed form. The multiset schemes (WR, MUSTwo, MUSTow,
 MUSTww) give binomial-mixture exponential sums whose inverse is found by
-safeguarded Newton. The density omega(s) = f_X(t) dL^{-1}/ds takes the
-inverse derivative in closed form for Poisson and as 1/L'(t) at t = L^{-1}(s)
-for every symmetric scheme.
+safeguarded Newton. For every scheme but Poisson L is odd (exactly, in
+floating point too), so _inverse inverts |s| and negates t where s < 0: the
+WOR closed form and Newton only ever see s >= 0. The density omega(s) =
+f_X(t) dL^{-1}/ds takes the inverse derivative in closed form for Poisson
+and as 1/L'(t) at t = L^{-1}(s) for every symmetric scheme; the density with
+X and X' exchanged is omega itself.
 
 The Newton kernel writes L = log N - log D over the K mixture components
 and takes one exponential per side. It and the CDF pass work in blocks of
@@ -30,9 +33,9 @@ Discretization follows the accountant's grid contract: c_i is the exact
 mass P[L in [s_i, s_i + dx)], a difference of mixture CDFs at the inverted
 cell edges (survival functions right of s = 0, where CDF differences would
 cancel). The last cell also holds the mass above L; the mass below -L is
-kept as one scalar, so the masses and that scalar sum to 1. For every
-scheme but Poisson L is odd (exactly, in floating point too), so only the
-non-negative edges are inverted and t(-s) = -t(s) fills the other half.
+kept as one scalar, so the masses and that scalar sum to 1. For the
+symmetric schemes only the non-negative edges are inverted and t(-s) = -t(s)
+fills the other half.
 """
 
 from __future__ import annotations
@@ -273,46 +276,34 @@ def _poisson_inverse_derivative(model: PrivacyLossModel, s: np.ndarray) -> np.nd
 
 
 def _wor_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of the WOR loss.
+    """Closed-form inverse of the WOR loss at s >= 0.
 
     With q = m/n, a = q e^{-1/(2 sigma^2)}, P = (1-q)(1-e^s) and
-    Q = 4 a^2 e^s: e^{t / sigma^2} = (-P + sqrt(P^2 + Q)) / (2a). Where P > 0
-    the difference would cancel, so it is taken as Q / (P + sqrt(P^2 + Q)).
+    Q = 4 a^2 e^s: e^{t / sigma^2} = (-P + sqrt(P^2 + Q)) / (2a). P <= 0 for
+    s >= 0, so the sum does not cancel.
     """
     q = model.scheme.m / model.scheme.n
     a = q * math.exp(-1.0 / (2.0 * model.sigma**2))
     p = (1.0 - q) * (-np.expm1(s))
-    qq = 4.0 * a * a * np.exp(s)
-    root = np.sqrt(p * p + qq)
-    pdiff = np.where(p <= 0, root - p, qq / (root + np.maximum(p, 0.0)))
-    return model.sigma**2 * (np.log(pdiff) - math.log(2.0 * a))
+    root = np.sqrt(p * p + 4.0 * a * a * np.exp(s))
+    return model.sigma**2 * (np.log(root - p) - math.log(2.0 * a))
 
 
 # -- safeguarded Newton for the multiset schemes ----------------------------
 
 
-def _loss_bracket(model: PrivacyLossModel, s_min: float, s_max: float) -> tuple[float, float]:
-    """(lo, hi) with L(lo) <= s_min and L(hi) >= s_max.
-
-    lo starts at -10 sigma^2 and hi at 10 sigma^2; each doubles until it
-    holds, at most 200 times.
-    """
-    bracket = []
-    for side, sign, target in (("low", -1.0, s_min), ("high", 1.0, s_max)):
-        bound = sign * 10.0 * model.sigma**2
-        for _ in range(200):
-            resid = _sym_loss_and_slope(model, np.array([bound]))[0][0] - target
-            if not sign * resid < 0.0:
-                break
-            bound *= 2.0
-        else:
-            raise NoConvergenceError(f"bracket expansion failed ({side} side)", 200, math.inf)
-        bracket.append(bound)
-    return bracket[0], bracket[1]
+def _loss_ceiling(model: PrivacyLossModel, s_max: float) -> float:
+    """t with L(t) >= s_max (or L(t) NaN): 10 sigma^2 doubled at most 200 times."""
+    bound = 10.0 * model.sigma**2
+    for _ in range(200):
+        if not _sym_loss_and_slope(model, np.array([bound]))[0][0] - s_max < 0.0:
+            return bound
+        bound *= 2.0
+    raise NoConvergenceError("loss ceiling search failed", 200, math.inf)
 
 
 def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    """t with |L(t) - s| <= _NEWTON_TOL, started from the presolve."""
+    """t with |L(t) - s| <= _NEWTON_TOL at s >= 0, started from the presolve."""
     if s.size == 0:  # the presolve spans [s.min(), s.max()]
         return np.empty(0)
     t, lo, hi = _presolve_starts(model, s)
@@ -354,9 +345,10 @@ def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
 
     L is strictly increasing, so the two coarse nodes around each target s
     bracket the root and linear interpolation lands within a few Newton
-    steps of it.
+    steps of it. The span starts at -10 sigma^2, where L < 0 <= s.
     """
-    t_coarse = np.linspace(*_loss_bracket(model, s.min(), s.max()), _PRESOLVE_GRID + 1)
+    span = (-10.0 * model.sigma**2, _loss_ceiling(model, s.max()))
+    t_coarse = np.linspace(*span, _PRESOLVE_GRID + 1)
     s_coarse = _sym_loss_and_slope(model, t_coarse)[0]
     t0 = np.interp(s, s_coarse, t_coarse)
     idx = np.clip(np.searchsorted(s_coarse, s, side="right"), 1, _PRESOLVE_GRID)
@@ -368,13 +360,16 @@ def _inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
     """t = L^{-1}(s) at loss values s inside the image of L.
 
     The one scheme dispatch of the inversion: closed forms for Poisson and
-    WOR, safeguarded Newton otherwise.
+    WOR, safeguarded Newton otherwise. L is odd for every scheme but
+    Poisson, so those invert |s| and negate t where s < 0: the WOR closed
+    form and Newton see s >= 0 only.
     """
     if isinstance(model.scheme, Poisson):
         return _poisson_inverse(model, s)
-    if isinstance(model.scheme, WOR):
-        return _wor_inverse(model, s)
-    return _invert_newton(model, s)
+    invert = _wor_inverse if isinstance(model.scheme, WOR) else _invert_newton
+    t = invert(model, np.abs(s))
+    np.negative(t, out=t, where=s < 0.0)
+    return t
 
 
 def invert_loss(model: PrivacyLossModel, s):
@@ -395,13 +390,8 @@ def invert_loss(model: PrivacyLossModel, s):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _omega(model: PrivacyLossModel, s: np.ndarray, swapped: bool = False) -> np.ndarray:
-    """omega(s) = f_X(L^{-1}(s)) dL^{-1}/ds, zero below the image of L.
-
-    swapped exchanges X and X' (symmetric schemes only): f_X(-g(-s)) g'(-s).
-    """
-    if swapped:
-        s = -s
+def _omega(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
+    """omega(s) = f_X(L^{-1}(s)) dL^{-1}/ds, zero below the image of L."""
     ok = s > model.loss_domain_low
     t = _inverse(model, s[ok])
     if model.is_symmetric:
@@ -409,7 +399,7 @@ def _omega(model: PrivacyLossModel, s: np.ndarray, swapped: bool = False) -> np.
     else:
         dinv = _poisson_inverse_derivative(model, s[ok])
     out = np.zeros_like(s)
-    out[ok] = np.exp(log_output_density(model, -t if swapped else t)) * dinv
+    out[ok] = np.exp(log_output_density(model, t)) * dinv
     return out
 
 
@@ -427,15 +417,14 @@ def pld_density(model: PrivacyLossModel, s):
 def pld_density_swapped(model: PrivacyLossModel, s):
     """Density of the loss with X and X' exchanged (omega_{X'/X}).
 
-    For the symmetric schemes L_{X'/X}(t) = -L_{X/X'}(t), so the swapped
-    density at s is f_X'(g(-s)) * g'(-s) with g the forward inverse. Used by
-    the Lemma-style identity checks; undefined for Poisson.
+    For the symmetric schemes f_X'(t) = f_X(-t), so the swapped loss
+    log f_X'(T) - log f_X(T) = L(-T) of T ~ f_X' is L(T') with T' = -T ~ f_X:
+    the swapped density is pld_density itself. Used by the Lemma-style
+    identity checks; undefined for Poisson.
     """
     if not model.is_symmetric:
         raise TypeError("swapped density implemented for symmetric schemes only")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _omega(model, s_arr, swapped=True)
-    return float(out[0]) if np.ndim(s) == 0 else out
+    return pld_density(model, s)
 
 
 @dataclass(frozen=True)
@@ -448,7 +437,6 @@ class DiscretizedPLD:
 
     trunc_L: float
     grid_r: int
-    dx: float
     c: np.ndarray
     mass_outside: float
     scheme: SamplingScheme
@@ -457,14 +445,17 @@ class DiscretizedPLD:
     def __post_init__(self):
         if self.grid_r < 2 or self.grid_r % 2 != 0:
             raise ValueError(f"grid_r must be a positive even integer, got {self.grid_r}")
-        if not math.isclose(self.dx, 2.0 * self.trunc_L / self.grid_r, rel_tol=1e-12):
-            raise ValueError("dx must equal 2*trunc_L/grid_r")
         if self.c.shape != (self.grid_r,):
             raise ValueError("c must have length grid_r")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("non-finite mass in c")
         if np.any(self.c < 0.0) or not 0.0 <= self.mass_outside <= 1.0:
             raise ValueError("negative mass in c or mass_outside outside [0, 1]")
+
+    @property
+    def dx(self) -> float:
+        """Cell width 2L / r."""
+        return 2.0 * self.trunc_L / self.grid_r
 
     @property
     def c_minus(self) -> np.ndarray:
@@ -539,7 +530,8 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     of survival functions right of it, so no tail mass cancels against 1.
     The last cell's mass is the survival function at its left edge. L is
     odd for the symmetric schemes, so they invert only the r/2 + 1 edges
-    s = 0, dx, ..., L and take t_{-j} = -t_j: half the inversions. Poisson
+    s = 0, dx, ..., L and take t_{-j} = -t_j: half the inversions, where
+    _inverse's own mirror would invert every edge's magnitude. Poisson
     inverts every edge above its floor.
     """
     if not (math.isfinite(trunc_L) and trunc_L > 0.0):
@@ -569,7 +561,6 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     return DiscretizedPLD(
         trunc_L=float(trunc_L),
         grid_r=int(grid_r),
-        dx=dx,
         # Round-off and the Newton tolerance can leave a difference of two
         # nearly equal probabilities a few ulps below 0.
         c=np.maximum(c, 0.0),

@@ -67,6 +67,14 @@ class TestProfileCommand:
             main(["profile", "--family", "gaussian", "--theta", "1", "--frobnicate", "1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("eps_flags", [["--eps", "1", "--eps-grid", "0:2:3"], []],
+                             ids=["both", "neither"])
+    def test_exactly_one_of_eps_and_eps_grid(self, capsys, eps_flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--family", "gaussian", "--theta", "1", *eps_flags])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "profile", "--family", "gaussian", "--theta", "1",
@@ -152,6 +160,17 @@ class TestAlignedCommand:
         assert check_printed(float(row["delta_prime"]), "0.052")
         assert row["pa_class"] == "weak_type_i"
 
+    def test_invalid_scheme_writes_nothing(self, capsys, tmp_path):
+        # wor builds, mustow lacks --b: no file may be written for wor.
+        code, out, err = run_cli(
+            capsys, "aligned", "--schemes", "wor,mustow", "--families", "laplace",
+            "--thetas", "1", "--n", "100", "--m", "10", "--eps-grid", "0.5:1:3",
+            "--output-dir", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert "--b is required" in err
+        assert not list(tmp_path.glob("**/*.csv"))
+
 
 class TestContourCommand:
     def test_grid_shape(self, capsys, tmp_path):
@@ -199,6 +218,18 @@ class TestContourCommand:
             "--output-dir", str(tmp_path),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("schemes, m_range", [
+        ("mustow,mustwo", "150:152"),  # mustwo needs m <= b; (150, 151) is not
+        ("mustow,wor", "100:101"),
+    ])
+    def test_invalid_cell_writes_nothing(self, capsys, tmp_path, schemes, m_range):
+        code, out, _ = run_cli(
+            capsys, "contour", "--schemes", schemes, "--n", "1000",
+            "--b-range", "150:151", "--m-range", m_range, "--output-dir", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert not list(tmp_path.glob("**/*.csv"))
 
 
 class TestContourGridsScript:
@@ -328,6 +359,17 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("kind", ["bootstrap", "dpsgd_linear"])
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_exits_2(self, capsys, tmp_path, kind, repeats):
+        cfg = {"experiment": kind, "n": 300, "repeats": repeats,
+               "schemes": [{"scheme": "wor", "n": 300, "m": 30}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert "repeats" in err
 
     def test_bootstrap_config_runs(self, capsys, tmp_path):
         cfg = {

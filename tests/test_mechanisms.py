@@ -98,6 +98,16 @@ class TestGroupProfile:
         with pytest.raises(ValueError):
             group_profile(MechanismSpec("laplace", 1.0), 0, 1.0)
 
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_array_of_group_sizes(self, family):
+        mech, j = MechanismSpec(family, 0.4), np.arange(1, 12)
+        values = group_profile(mech, j, 0.8)
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == [group_profile(mech, int(u), 0.8) for u in j]
+        for bad in (np.array([1, 0, 2]), np.array([1.0, 2.0]), 2.0):
+            with pytest.raises(ValueError):
+                group_profile(mech, bad, 0.8)
+
 
 class TestNumericOracle:
     @pytest.mark.parametrize(

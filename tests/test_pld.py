@@ -35,11 +35,10 @@ from subamp.pld import (
     _edge_probabilities,
     _inverse,
     _invert_newton,
-    _loss_bracket,
+    _loss_ceiling,
     _map_blocks,
     _sym_loss,
     _sym_loss_and_slope,
-    _wor_inverse,
 )
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
@@ -124,15 +123,40 @@ class TestInvertLoss:
             invert_loss(model, math.log(1.0 - 0.02) - 0.1)
 
     def test_wor_closed_form_matches_newton(self):
-        # Both branches of the closed form (s < 0 and s >= 0) and its far
-        # tails against the root finder the multiset schemes use.
+        # The closed form near 0 and in its far tails against the root
+        # finder the multiset schemes use, mirrored on |s| as _inverse does.
         for model in (
             PrivacyLossModel(WOR(1000, 200), 4.0), PrivacyLossModel(WOR(30969, 100), 3.0)
         ):
             for s in (-12.0, -8.0, -2.0, -0.3, 0.0, 0.05, 1.5, 8.0, 12.0):
                 closed = invert_loss(model, s)
-                newton = float(_invert_newton(model, np.array([s]))[0])
-                assert closed == pytest.approx(newton, abs=1e-10)
+                newton = float(_invert_newton(model, np.array([abs(s)]))[0])
+                assert closed == pytest.approx(-newton if s < 0 else newton, abs=1e-10)
+
+    @pytest.mark.parametrize("tag", SYMMETRIC)
+    def test_odd_to_the_bit(self, tag):
+        # L is odd, so t(-s) = -t(s) and the swapped density is the density.
+        model = MODELS[tag]
+        s = np.concatenate((np.linspace(-9.0, 9.0, 37), [1e-9, -3e-5, 7.5]))
+        assert np.count_nonzero(s == 0.0) == 1
+        assert np.array_equal(_inverse(model, -s), -_inverse(model, s))
+        assert np.array_equal(pld_density_swapped(model, s), pld_density(model, s))
+
+    def test_closed_form_and_newton_see_no_negative_s(self, monkeypatch):
+        seen = []
+        for name in ("_wor_inverse", "_invert_newton"):
+            def spy(model, s, inner=getattr(subamp.pld, name)):
+                seen.append(s)
+                return inner(model, s)
+
+            monkeypatch.setattr(subamp.pld, name, spy)
+        s = np.linspace(-6.0, 6.0, 25)
+        for tag in SYMMETRIC:
+            invert_loss(MODELS[tag], s)
+            pld_density(MODELS[tag], s)
+            discretize(MODELS[tag], 8.0, 512)
+        assert len(seen) == 3 * len(SYMMETRIC)
+        assert not any(np.signbit(values).any() for values in seen)
 
     def test_scalar_in_scalar_out(self):
         out = invert_loss(MODELS["wr"], 0.25)
@@ -177,7 +201,7 @@ def _full_slope(model: PrivacyLossModel, t: np.ndarray) -> np.ndarray:
 
 
 def _grid_edges(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> np.ndarray:
-    """Every edge -L + j dx inverted on its own; -inf below Poisson's floor."""
+    """Every edge -L + j dx through _inverse; -inf below Poisson's floor."""
     edges = 2.0 * trunc_L / grid_r * (np.arange(grid_r) - grid_r // 2)
     t = np.full(grid_r, -math.inf)
     inside = edges > model.loss_domain_low
@@ -190,7 +214,8 @@ class TestNewtonKernel:
     def test_matches_independent_route(self, model):
         # The kernel's L and L' against loss_at and a central difference of
         # loss_at, across the Newton bracket of s in [-10, 10].
-        t = np.linspace(*_loss_bracket(model, -10.0, 10.0), 2001)
+        ceiling = _loss_ceiling(model, 10.0)
+        t = np.linspace(-ceiling, ceiling, 2001)
         loss, slope = _sym_loss_and_slope(model, t)
         # The absolute floor covers L near 0, where log N - log D cancels
         # on both routes (they differ by up to 1.1e-15 there).
@@ -207,7 +232,8 @@ class TestNewtonKernel:
         # points Newton sees: sorted grid edges, the presolve's wide linspace
         # and a scattered, unsorted subset like the late iterations' rows.
         edges = _grid_edges(model, 10.0, 4096)
-        span = np.linspace(*_loss_bracket(model, -10.0, 10.0), 4097)
+        ceiling = _loss_ceiling(model, 10.0)
+        span = np.linspace(-ceiling, ceiling, 4097)
         rng = np.random.default_rng(7)
         for t in (edges, span, rng.permutation(edges)[:700]):
             loss, slope = _sym_loss_and_slope(model, t)
@@ -307,12 +333,12 @@ class TestDensity:
 
     def test_wor_derivative_matches_quotient(self):
         # The density's inverse derivative 1/L'(t) against a central
-        # difference of the closed-form inverse.
+        # difference of the closed-form inverse, mirrored for s < 0.
         model = MODELS["wor"]
         s = np.linspace(-2.0, 2.0, 21)
         h = 1e-6
-        quotient = (_wor_inverse(model, s + h) - _wor_inverse(model, s - h)) / (2 * h)
-        dinv = 1.0 / _sym_loss_and_slope(model, _wor_inverse(model, s))[1]
+        quotient = (_inverse(model, s + h) - _inverse(model, s - h)) / (2 * h)
+        dinv = 1.0 / _sym_loss_and_slope(model, _inverse(model, s))[1]
         assert np.max(np.abs(quotient / dinv - 1.0)) <= 1e-6
 
     def test_swapped_rejects_poisson(self):
@@ -353,6 +379,36 @@ def _loss_mass(model: PrivacyLossModel, s_lo: float, s_hi: float) -> float:
     if s_lo < 0.0:
         masses = [-m for m in masses]
     return (1.0 - q) * masses[0] + q * masses[1]
+
+
+def _illinois_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
+    """t with |L(t) - s| <= 1e-12 at s < 0, by the Illinois method on loss_at.
+
+    Shares neither _inverse's mirror nor Newton: the root lies in [lo, 0],
+    since L(0) = 0 > s, and lo doubles from -1 until L(lo) <= s.
+    """
+    lo = np.full(s.size, -1.0)
+    while np.any(far := loss_at(model, lo) > s):
+        lo[far] *= 2.0
+    f_lo, hi, f_hi = loss_at(model, lo) - s, np.zeros(s.size), -s
+    t, kept, active = lo.copy(), np.zeros(s.size), np.arange(s.size)
+    for _ in range(100):
+        t_new = (lo[active] * f_hi[active] - hi[active] * f_lo[active]) / (
+            f_hi[active] - f_lo[active]
+        )
+        f = loss_at(model, t_new) - s[active]
+        t[active] = t_new
+        up = f > 0.0  # the root lies below t_new: it becomes hi and lo is kept
+        # Illinois: an end kept twice in a row has its value halved.
+        f_lo[active[up & (kept[active] < 0.0)]] *= 0.5
+        f_hi[active[~up & (kept[active] > 0.0)]] *= 0.5
+        hi[active[up]], f_hi[active[up]] = t_new[up], f[up]
+        lo[active[~up]], f_lo[active[~up]] = t_new[~up], f[~up]
+        kept[active] = np.where(up, -1.0, 1.0)
+        active = active[np.abs(f) > 1e-12]
+        if active.size == 0:
+            return t
+    raise AssertionError(f"Illinois left {active.size} points open")
 
 
 class TestDiscretize:
@@ -490,12 +546,13 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("tag", SYMMETRIC)
     def test_mirror_matches_full_grid_inversion(self, tag):
-        # Reference: every edge inverted on its own, then the same CDF and
-        # survival differences.
+        # Reference: the negative edges inverted on their own by a bracketing
+        # root finder on loss_at, then the same CDF and survival differences.
         model, trunc_L, grid_r = MODELS[tag], 8.0, 1 << 14
         pld = discretize(model, trunc_L, grid_r)
         half = grid_r // 2
-        t = _inverse(model, pld.dx * (np.arange(grid_r) - half))
+        edges = pld.dx * (np.arange(grid_r) - half)
+        t = np.concatenate((_illinois_inverse(model, edges[:half]), _inverse(model, edges[half:])))
         prob = _edge_probabilities(model, t, half)
         cdf = np.append(prob[:half], 1.0 - prob[half])
         survival = prob[half:]
@@ -516,7 +573,7 @@ class TestDiscretize:
         c = np.array([0.5, -0.25, 0.5, 0.25])
         with pytest.raises(ValueError):
             DiscretizedPLD(
-                trunc_L=1.0, grid_r=4, dx=0.5, c=c, mass_outside=0.0,
+                trunc_L=1.0, grid_r=4, c=c, mass_outside=0.0,
                 scheme=WOR(10, 2), sigma=1.0,
             )
 
