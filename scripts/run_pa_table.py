@@ -6,11 +6,10 @@ families, base eps in {0.05, 0.5, 1, 2, 3, 4.5}. One CSV to stdout or
 """
 
 import argparse
-import contextlib
 import sys
 
 from subamp.amplification import amplify_delta, amplify_epsilon, eta
-from subamp.cli import _write_table
+from subamp.cli import _emit
 from subamp.mechanisms import MechanismSpec, profile
 from subamp.schemes import MUSTow, MUSTww, WOR, WR
 
@@ -46,8 +45,7 @@ def main(argv=None) -> int:
                     dp = amplify_delta(scheme, mech, eps)
                     rows.append([family, theta, tag, eps, delta, ep, dp])
     header = ["family", "theta", "scheme", "epsilon", "delta", "eps_prime", "delta_prime"]
-    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
-        _write_table(header, rows, out)
+    _emit(header, rows, args)
     return 0
 
 

@@ -7,10 +7,9 @@ the slowest.
 """
 
 import argparse
-import contextlib
 import sys
 
-from subamp.cli import _write_table
+from subamp.cli import _emit
 from subamp.sampling import mc_stats
 from subamp.schemes import MUSTow, MUSTww, Poisson, WOR, WR
 
@@ -44,8 +43,7 @@ def main(argv=None) -> int:
             ])
     header = ["n", "b", "m", "scheme", "trials", "unique_min", "unique_mean", "unique_max",
               "eta_hat"]
-    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
-        _write_table(header, rows, out)
+    _emit(header, rows, args)
     return 0
 
 

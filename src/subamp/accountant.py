@@ -50,6 +50,10 @@ __all__ = [
     "delta_direct",
 ]
 
+# Largest error estimate delta_direct's quadrature accepts.
+_QUAD_TOL = 1e-9
+
+
 class EpsilonBeyondGridError(ValueError):
     """epsilon at or beyond the last grid point; the tail sum is empty."""
 
@@ -268,7 +272,7 @@ def compose_many(
     return cells
 
 
-def delta_direct(model: PrivacyLossModel, epsilon: float, tol: float = 1e-9) -> float:
+def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
     """Tight delta(eps) at k = 1 by adaptive quadrature over output space.
 
     Change of variables turns the tail integral of (1 - e^{eps - s}) against
@@ -304,10 +308,10 @@ def delta_direct(model: PrivacyLossModel, epsilon: float, tol: float = 1e-9) -> 
 
     upper = max(hi, t_cross + 40.0 * sigma)
     value, err = integrate.quad(
-        integrand, t_cross, upper, limit=300, epsabs=tol * 1e-3, epsrel=1e-12
+        integrand, t_cross, upper, limit=300, epsabs=_QUAD_TOL * 1e-3, epsrel=1e-12
     )
-    if err > max(tol, 1e-12):
+    if err > _QUAD_TOL:
         raise RuntimeError(
-            f"delta quadrature achieved error {err:.3e} > tol {tol:.3e}"
+            f"delta quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e}"
         )
     return min(max(value, 0.0), 1.0)

@@ -10,6 +10,7 @@ failure (diagnostics on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -52,23 +53,33 @@ def _write_table(header: list[str], rows: list[list], stream) -> None:
 
 
 def _emit(header, rows, args) -> None:
-    if getattr(args, "format", "csv") == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(
-            payload,
-            default=lambda v: float(v) if isinstance(v, np.floating) else str(v),
-            indent=2,
-        )
-        if args.output:
-            Path(args.output).write_text(text + "\n")
+    """Write one table to --output, or stdout: CSV, or JSON under --format json."""
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        if getattr(args, "format", "csv") == "json":
+            payload = [dict(zip(header, row)) for row in rows]
+            out.write(json.dumps(
+                payload,
+                default=lambda v: float(v) if isinstance(v, np.floating) else str(v),
+                indent=2,
+            ) + "\n")
         else:
-            sys.stdout.write(text + "\n")
-        return
-    if args.output:
-        with open(args.output, "w") as fh:
+            _write_table(header, rows, out)
+
+
+def _write_files(output_dir: str, header: list[str], tables: dict[str, list]) -> None:
+    """Write each table of `tables` to output_dir/<name> and print its path."""
+    outdir = Path(output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, rows in tables.items():
+        path = outdir / name
+        with open(path, "w") as fh:
             _write_table(header, rows, fh)
-    else:
-        _write_table(header, rows, sys.stdout)
+        sys.stdout.write(f"{path}\n")
+
+
+def _comma_list(spec: str) -> list[str]:
+    """The entries of a comma list, each once, in order of first appearance."""
+    return list(dict.fromkeys(v.strip() for v in spec.split(",") if v.strip()))
 
 
 def _parse_grid(spec: str, flag: str) -> np.ndarray:
@@ -155,7 +166,7 @@ def cmd_profile(args) -> int:
 def cmd_amplify(args) -> int:
     scheme = _scheme(args.scheme, args)
     mech = _mech_from_args(args)
-    if args.eps is None or args.eps <= 0:
+    if args.eps <= 0:
         raise ValueError("--eps must be a positive real")
     pt = aligned_profile(scheme, mech, [args.eps])[0]
     cols = _scheme_columns(scheme)
@@ -174,36 +185,27 @@ def cmd_amplify(args) -> int:
 
 def cmd_aligned(args) -> int:
     grid = _parse_grid(args.eps_grid, "--eps-grid")
-    tags = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
     thetas = [float(v) for v in args.thetas.split(",")]
-    # Every scheme and mechanism is built before the first file is written.
-    schemes = [(tag, _scheme(tag, args)) for tag in tags]
-    mechs = {f: [MechanismSpec(Family(f), theta) for theta in thetas] for f in families}
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    schemes = {tag: _scheme(tag, args) for tag in _comma_list(args.schemes)}
+    mechs = {
+        f: [MechanismSpec(Family(f), theta) for theta in thetas]
+        for f in _comma_list(args.families)
+    }
     header = [
         "theta", "epsilon", "eps_prime", "delta", "delta_prime",
         "eps_ratio", "delta_gap", "pa_class", "on_boundary", "neighboring",
     ]
-    written = []
-    for family in families:
-        for tag, scheme in schemes:
-            rows = []
-            for theta, mech in zip(thetas, mechs[family]):
-                for pt in aligned_profile(scheme, mech, grid):
-                    rows.append([
-                        theta, pt.epsilon, pt.eps_prime, pt.delta, pt.delta_prime,
-                        pt.eps_ratio, pt.delta_gap, pt.pa_class.value,
-                        pt.on_boundary, pt.neighboring,
-                    ])
-            path = outdir / f"aligned_{family}_{tag}.csv"
-            with open(path, "w") as fh:
-                _write_table(header, rows, fh)
-            written.append(path)
-    for path in written:
-        sys.stdout.write(f"{path}\n")
+    tables = {
+        f"aligned_{family}_{tag}.csv": [
+            [theta, pt.epsilon, pt.eps_prime, pt.delta, pt.delta_prime, pt.eps_ratio,
+             pt.delta_gap, pt.pa_class.value, pt.on_boundary, pt.neighboring]
+            for theta, mech in zip(thetas, family_mechs)
+            for pt in aligned_profile(scheme, mech, grid)
+        ]
+        for family, family_mechs in mechs.items()
+        for tag, scheme in schemes.items()
+    }
+    _write_files(args.output_dir, header, tables)
     return 0
 
 
@@ -215,45 +217,42 @@ def cmd_contour(args) -> int:
         mech = _mech_from_args(args)
         if args.eps is None or args.eps <= 0:
             raise ValueError("--eps must be positive when a mechanism is given")
-    # Every cell's scheme is built before the first file is written.
-    tables = []
-    for tag in (s.strip() for s in args.schemes.split(",") if s.strip()):
+    elif args.theta is not None:
+        raise ValueError("--theta needs --family")
+    eps = 1.0 if args.eps is None else args.eps
+    # Every cell's scheme is built before any amplification is computed.
+    cells = {}
+    for tag in _comma_list(args.schemes):
         if tag not in ("mustow", "mustww", "mustwo"):
             raise ValueError(f"contour sweeps are over (b, m); scheme {tag!r} has no b")
-        tables.append((tag, [
+        cells[tag] = [
             (b, m, scheme_from_dict({"scheme": tag, "n": args.n, "b": b, "m": m}))
             for b in b_range for m in m_range
-        ]))
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+        ]
 
     header = ["b", "m", "eta", "eps_prime"]
     if mech is not None:
         header += ["delta", "delta_prime", "delta_gap"]
-    for tag, cells in tables:
-        rows = []
-        for b, m, scheme in cells:
-            eta_value = eta(scheme)
-            row = [b, m, eta_value]
-            if mech is not None:
-                eps_prime = amplify_epsilon(eta_value, args.eps)
-                delta = profile(mech, args.eps)
-                delta_prime = amplify_delta(scheme, mech, args.eps)
-                row += [eps_prime, delta, delta_prime, delta_prime - delta]
-            else:
-                row += [amplify_epsilon(eta_value, 1.0 if args.eps is None else args.eps)]
-            rows.append(row)
-        path = outdir / f"contour_{tag}.csv"
-        with open(path, "w") as fh:
-            _write_table(header, rows, fh)
-        sys.stdout.write(f"{path}\n")
+        delta = profile(mech, eps)
+
+    def row(b, m, scheme) -> list:
+        eta_value = eta(scheme)
+        out = [b, m, eta_value, amplify_epsilon(eta_value, eps)]
+        if mech is not None:
+            delta_prime = amplify_delta(scheme, mech, eps)
+            out += [delta, delta_prime, delta_prime - delta]
+        return out
+
+    tables = {
+        f"contour_{tag}.csv": [row(*cell) for cell in tag_cells]
+        for tag, tag_cells in cells.items()
+    }
+    _write_files(args.output_dir, header, tables)
     return 0
 
 
 def cmd_account(args) -> int:
     scheme = _scheme(args.scheme, args)
-    if args.sigma is None or args.sigma <= 0:
-        raise ValueError("--sigma must be a positive real")
     k_list = [int(v) for v in args.k_list.split(",")]
     eps_list = [float(v) for v in args.eps_list.split(",")]
     if args.verify and 1 not in k_list:

@@ -30,6 +30,8 @@ __all__ = [
 
 # Beyond mean +- 40 standardized units both densities are < 1e-300.
 _ORACLE_TAIL = 40.0
+# Largest error estimate the quadrature oracle accepts.
+_QUAD_TOL = 1e-9
 
 
 class Family(str, Enum):
@@ -138,9 +140,7 @@ def _log_output_density(family: Family, shift: float, t: np.ndarray) -> np.ndarr
     return -0.5 * (t - shift) ** 2 - 0.5 * math.log(2.0 * math.pi)
 
 
-def profile_numeric_oracle(
-    mech: MechanismSpec, j: int, epsilon: float, tol: float = 1e-9
-) -> float:
+def profile_numeric_oracle(mech: MechanismSpec, j: int, epsilon: float) -> float:
     """delta(eps) by adaptive quadrature of the hockey-stick integrand.
 
     Integrates [f_X(t) - e^eps f_X'(t)]_+ over standardized output space,
@@ -169,11 +169,11 @@ def profile_numeric_oracle(
     breaks = sorted(b for b in breaks if lo < b < hi)
 
     value, err = integrate.quad(
-        integrand, lo, hi, points=breaks, limit=300, epsabs=tol * 1e-3, epsrel=1e-12
+        integrand, lo, hi, points=breaks, limit=300, epsabs=_QUAD_TOL * 1e-3, epsrel=1e-12
     )
-    if err > tol:
+    if err > _QUAD_TOL:
         raise QuadratureError(
-            f"profile quadrature achieved error {err:.3e} > tol {tol:.3e} "
+            f"profile quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e} "
             f"(family={family.value}, j={j}, theta={mech.theta}, eps={eps})",
             achieved_error=err,
         )

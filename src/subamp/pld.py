@@ -427,6 +427,13 @@ def pld_density_swapped(model: PrivacyLossModel, s):
     return pld_density(model, s)
 
 
+def _check_grid(trunc_L: float, grid_r: int) -> None:
+    if not (math.isfinite(trunc_L) and trunc_L > 0.0):
+        raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
+    if grid_r < 2 or grid_r % 2 != 0:
+        raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")
+
+
 @dataclass(frozen=True)
 class DiscretizedPLD:
     """Exact masses of a PLD on the grid s_i = -L + i*dx, i = 0..r-1.
@@ -443,8 +450,7 @@ class DiscretizedPLD:
     sigma: float
 
     def __post_init__(self):
-        if self.grid_r < 2 or self.grid_r % 2 != 0:
-            raise ValueError(f"grid_r must be a positive even integer, got {self.grid_r}")
+        _check_grid(self.trunc_L, self.grid_r)
         if self.c.shape != (self.grid_r,):
             raise ValueError("c must have length grid_r")
         if not np.all(np.isfinite(self.c)):
@@ -534,11 +540,7 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     _inverse's own mirror would invert every edge's magnitude. Poisson
     inverts every edge above its floor.
     """
-    if not (math.isfinite(trunc_L) and trunc_L > 0.0):
-        raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
-    if grid_r < 2 or grid_r % 2 != 0:
-        raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")
-
+    _check_grid(trunc_L, grid_r)
     dx = 2.0 * trunc_L / grid_r
     half = grid_r // 2
     if model.is_symmetric:

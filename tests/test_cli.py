@@ -84,6 +84,16 @@ class TestProfileCommand:
         payload = json.loads(out)
         assert check_printed(payload[0]["delta"], "0.127")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_matches_stdout(self, capsys, tmp_path, fmt):
+        flags = ["profile", "--family", "gaussian", "--theta", "1",
+                 "--eps-grid", "0.5:2.5:3", "--format", fmt]
+        _, stdout, _ = run_cli(capsys, *flags)
+        path = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *flags, "--output", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_bytes() == stdout.encode()
+
 
 class TestAmplifyCommand:
     def test_mustow_reference_row(self, capsys):
@@ -171,6 +181,16 @@ class TestAlignedCommand:
         assert "--b is required" in err
         assert not list(tmp_path.glob("**/*.csv"))
 
+    def test_repeated_entries_written_once(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "aligned", "--schemes", "wor,wor", "--families", "laplace,laplace",
+            "--thetas", "1", "--n", "100", "--m", "10", "--eps-grid", "0.5:1:2",
+            "--output-dir", str(tmp_path),
+        )
+        path = tmp_path / "aligned_laplace_wor.csv"
+        assert (code, out) == (0, f"{path}\n")
+        assert list(tmp_path.glob("*.csv")) == [path]
+
 
 class TestContourCommand:
     def test_grid_shape(self, capsys, tmp_path):
@@ -210,6 +230,25 @@ class TestContourCommand:
         )
         assert code == 2
         assert "--theta" in err
+
+    def test_theta_without_family(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "contour", "--schemes", "mustow", "--n", "1000",
+            "--b-range", "150:150", "--m-range", "100:100",
+            "--theta", "2", "--eps", "1", "--output-dir", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert "--theta" in err
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    def test_repeated_scheme_written_once(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "contour", "--schemes", "mustow,mustow", "--n", "1000",
+            "--b-range", "150:151", "--m-range", "100:101", "--output-dir", str(tmp_path),
+        )
+        path = tmp_path / "contour_mustow.csv"
+        assert (code, out) == (0, f"{path}\n")
+        assert list(tmp_path.glob("*.csv")) == [path]
 
     def test_rejects_scheme_without_b(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -300,6 +339,14 @@ class TestAccountCommand:
         )
         assert code == 3
         assert "grid" in err
+
+    def test_zero_sigma_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10",
+            "--sigma", "0", "--k-list", "1", "--eps-list", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "sigma must be positive" in err
 
     def test_single_record_first_stage(self, capsys):
         # MUSTow with b = 1: the first stage keeps one record, which the

@@ -570,12 +570,14 @@ class TestDiscretize:
         assert pld.c.sum() + pld.mass_outside == pytest.approx(1.0, rel=0.0, abs=1e-13)
 
     def test_construction_validates_masses(self):
-        c = np.array([0.5, -0.25, 0.5, 0.25])
-        with pytest.raises(ValueError):
-            DiscretizedPLD(
-                trunc_L=1.0, grid_r=4, c=c, mass_outside=0.0,
-                scheme=WOR(10, 2), sigma=1.0,
-            )
+        cases = [(1.0, [0.5, -0.25, 0.5, 0.25])]
+        cases += [(trunc_L, [0.25] * 4) for trunc_L in (0.0, -1.0, math.nan, math.inf)]
+        for trunc_L, c in cases:
+            with pytest.raises(ValueError):
+                DiscretizedPLD(
+                    trunc_L=trunc_L, grid_r=4, c=np.array(c), mass_outside=0.0,
+                    scheme=WOR(10, 2), sigma=1.0,
+                )
 
 
 def _discretize_in_child(expected: bytes) -> None:
