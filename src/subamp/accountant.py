@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
+from .mechanisms import _quad
 from .numerics import _map_blocks
 from .pld import DiscretizedPLD, PrivacyLossModel, log_output_density, loss_at
 
@@ -49,10 +50,6 @@ __all__ = [
     "compose_many",
     "delta_direct",
 ]
-
-# Largest error estimate delta_direct's quadrature accepts.
-_QUAD_TOL = 1e-9
-
 
 class EpsilonBeyondGridError(ValueError):
     """epsilon at or beyond the last grid point; the tail sum is empty."""
@@ -307,11 +304,5 @@ def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
         return np.maximum(gain, 0.0) * np.exp(log_output_density(model, t))
 
     upper = max(hi, t_cross + 40.0 * sigma)
-    value, err = integrate.quad(
-        integrand, t_cross, upper, limit=300, epsabs=_QUAD_TOL * 1e-3, epsrel=1e-12
-    )
-    if err > _QUAD_TOL:
-        raise RuntimeError(
-            f"delta quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e}"
-        )
+    value = _quad(integrand, t_cross, upper, "delta")
     return min(max(value, 0.0), 1.0)

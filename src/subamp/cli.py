@@ -23,7 +23,7 @@ from .amplification import aligned_profile, amplify_delta, amplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, QuadratureError, profile
 from .pld import NoConvergenceError, PrivacyLossModel, discretize
 from .sampling import mc_stats
-from .schemes import SamplingScheme, scheme_from_dict
+from .schemes import _SCHEME_TAGS, SamplingScheme, scheme_from_dict
 
 SCHEMA_LINE = "# schema=1"
 
@@ -185,7 +185,8 @@ def cmd_amplify(args) -> int:
 
 def cmd_aligned(args) -> int:
     grid = _parse_grid(args.eps_grid, "--eps-grid")
-    thetas = [float(v) for v in args.thetas.split(",")]
+    # Repeats are dropped in order of first appearance; 1 and 1.0 are one theta.
+    thetas = list(dict.fromkeys(float(v) for v in args.thetas.split(",")))
     schemes = {tag: _scheme(tag, args) for tag in _comma_list(args.schemes)}
     mechs = {
         f: [MechanismSpec(Family(f), theta) for theta in thetas]
@@ -223,7 +224,7 @@ def cmd_contour(args) -> int:
     # Every cell's scheme is built before any amplification is computed.
     cells = {}
     for tag in _comma_list(args.schemes):
-        if tag not in ("mustow", "mustww", "mustwo"):
+        if tag not in _SCHEME_TAGS or len(_SCHEME_TAGS[tag].stages) != 2:
             raise ValueError(f"contour sweeps are over (b, m); scheme {tag!r} has no b")
         cells[tag] = [
             (b, m, scheme_from_dict({"scheme": tag, "n": args.n, "b": b, "m": m}))
@@ -407,11 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def add_scheme(p):
-        p.add_argument(
-            "--scheme",
-            required=True,
-            choices=("poisson", "wor", "wr", "mustwo", "mustow", "mustww"),
-        )
+        p.add_argument("--scheme", required=True, choices=tuple(_SCHEME_TAGS))
         p.add_argument("--n", type=int)
         p.add_argument("--b", type=int)
         p.add_argument("--m", type=int)

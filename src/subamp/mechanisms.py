@@ -30,7 +30,8 @@ __all__ = [
 
 # Beyond mean +- 40 standardized units both densities are < 1e-300.
 _ORACLE_TAIL = 40.0
-# Largest error estimate the quadrature oracle accepts.
+# Largest error estimate _quad accepts, for this module's oracle and
+# accountant.delta_direct.
 _QUAD_TOL = 1e-9
 
 
@@ -140,6 +141,21 @@ def _log_output_density(family: Family, shift: float, t: np.ndarray) -> np.ndarr
     return -0.5 * (t - shift) ** 2 - 0.5 * math.log(2.0 * math.pi)
 
 
+def _quad(integrand, lo: float, hi: float, what: str, points=None) -> float:
+    """integrate.quad over [lo, hi], accepted only if its error estimate is at
+    most _QUAD_TOL; otherwise QuadratureError names `what`. The one rule for
+    every quadrature oracle of the package."""
+    value, err = integrate.quad(
+        integrand, lo, hi, points=points, limit=300, epsabs=_QUAD_TOL * 1e-3, epsrel=1e-12
+    )
+    if err > _QUAD_TOL:
+        raise QuadratureError(
+            f"{what} quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e}",
+            achieved_error=err,
+        )
+    return value
+
+
 def profile_numeric_oracle(mech: MechanismSpec, j: int, epsilon: float) -> float:
     """delta(eps) by adaptive quadrature of the hockey-stick integrand.
 
@@ -168,15 +184,10 @@ def profile_numeric_oracle(mech: MechanismSpec, j: int, epsilon: float) -> float
         breaks = [(eps + shift) / 2.0, shift]
     breaks = sorted(b for b in breaks if lo < b < hi)
 
-    value, err = integrate.quad(
-        integrand, lo, hi, points=breaks, limit=300, epsabs=_QUAD_TOL * 1e-3, epsrel=1e-12
+    value = _quad(
+        integrand, lo, hi, f"profile (family={family.value}, j={j}, theta={mech.theta}, "
+        f"eps={eps})", points=breaks,
     )
-    if err > _QUAD_TOL:
-        raise QuadratureError(
-            f"profile quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e} "
-            f"(family={family.value}, j={j}, theta={mech.theta}, eps={eps})",
-            achieved_error=err,
-        )
     return min(max(value, 0.0), 1.0)
 
 

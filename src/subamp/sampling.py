@@ -8,11 +8,12 @@ index) and runs the blocks on one thread per CPU (numerics._map_blocks),
 each writing only its own trials, so results are the same for any number
 of threads. Memory is the number of threads times one block's draws.
 
-Poisson draws one uniform per element. Every fixed-size scheme is stage I,
-drawn from range(n), then stage II, m positions drawn into stage I (WOR and
-WR are stage I alone). A stage with replacement is ``rng.integers``; one
-without is ``_subsets``, a uniform k-subset per row, which ranks random keys
-when n <= _KEYS_MAX_N and calls ``rng.choice`` per row above it.
+Poisson draws one uniform per element. A fixed-size scheme draws its
+``stages`` in order: stage I from range(n), then each later stage as
+positions into the one before (WOR and WR are stage I alone). A stage with
+replacement is ``rng.integers``; one without is ``_subsets``, a uniform
+k-subset per row, which ranks random keys when n <= _KEYS_MAX_N and calls
+``rng.choice`` per row above it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _map_blocks
-from .schemes import MUSTow, MUSTwo, MUSTww, Poisson, SamplingScheme, WOR, WR, population_size
+from .schemes import Poisson, SamplingScheme, population_size
 
 __all__ = ["Multiset", "RunStats", "draw", "mc_stats"]
 
@@ -83,17 +84,17 @@ class RunStats:
 
 
 def _block_size(scheme: SamplingScheme) -> int:
-    match scheme:
-        case Poisson() | WOR():
-            work = population_size(scheme)
-        case WR(m=m):
-            work = m
-        case MUSTow(n=n, m=m):
-            work = n + m
-        case MUSTww(b=b, m=m) | MUSTwo(b=b, m=m):
-            work = b + m
-        case _:
-            raise TypeError(f"not a sampling scheme: {scheme!r}")
+    """Trials per block: _BLOCK_BUDGET over the variates one trial draws.
+
+    Poisson draws n uniforms. Stage I draws its population's keys without
+    replacement and its draws with it; each later stage draws its draws.
+    """
+    if isinstance(scheme, Poisson):
+        work = population_size(scheme)
+    else:
+        (population, draws, with_replacement), *later = scheme.stages
+        work = getattr(scheme, draws if with_replacement else population)
+        work += sum(getattr(scheme, draws) for _, draws, _ in later)
     return max(16, min(_MAX_BLOCK, _BLOCK_BUDGET // work))
 
 
@@ -111,25 +112,18 @@ def _subsets(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
 def _draw_values_block(scheme: SamplingScheme, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Final-subsample element values, one row per trial (fixed-size schemes).
 
-    Stage I draws from range(n); stage II draws positions into stage I.
+    One draw per stage of scheme.stages: stage I from range(n), each later
+    stage positions into the one before.
     """
-    match scheme:
-        case WOR(n=n, m=m):
-            return _subsets(rng, rows, n, m)
-        case WR(n=n, m=m):
-            return rng.integers(0, n, size=(rows, m))
-        case MUSTwo(n=n, b=b, m=m):
-            stage1 = rng.integers(0, n, size=(rows, b))
-            picks = _subsets(rng, rows, b, m)
-        case MUSTow(n=n, b=b, m=m):
-            stage1 = _subsets(rng, rows, n, b)
-            picks = rng.integers(0, b, size=(rows, m))
-        case MUSTww(n=n, b=b, m=m):
-            stage1 = rng.integers(0, n, size=(rows, b))
-            picks = rng.integers(0, b, size=(rows, m))
-        case _:
-            raise TypeError(f"_draw_values_block does not handle {scheme!r}")
-    return np.take_along_axis(stage1, picks, axis=1)
+    values = None
+    for population, draws, with_replacement in scheme.stages:
+        size, k = getattr(scheme, population), getattr(scheme, draws)
+        if with_replacement:
+            picks = rng.integers(0, size, size=(rows, k))
+        else:
+            picks = _subsets(rng, rows, size, k)
+        values = picks if values is None else np.take_along_axis(values, picks, axis=1)
+    return values
 
 
 def _count_blocks(scheme: SamplingScheme, rng: np.random.Generator, rows: int):
@@ -175,7 +169,7 @@ def mc_stats(scheme: SamplingScheme, trials: int, seed: int, probe: int = 0) -> 
     if not 0 <= probe < n:
         raise ValueError(f"probe element must lie in [0, {n}), got {probe}")
 
-    max_mult = 1 if isinstance(scheme, (Poisson, WOR)) else scheme.m
+    max_mult = scheme.m if any(wr for _, _, wr in scheme.stages) else 1
     block = _block_size(scheme)
     uniques = np.empty(trials, dtype=np.int64)
     probe_mult = np.empty(trials, dtype=np.int64)

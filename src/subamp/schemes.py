@@ -3,14 +3,20 @@
 Six schemes are supported: Poisson sampling, sampling without replacement
 (WOR), sampling with replacement (WR), and the three two-stage variants
 MUSTwo (WR then WOR), MUSTow (WOR then WR), and MUSTww (WR then WR). Each
-descriptor is an immutable dataclass that validates its own parameters;
-everything downstream (amplification formulas, samplers, loss models)
-dispatches on the concrete type.
+descriptor is an immutable dataclass that validates its own parameters.
+
+A fixed-size scheme states its stage structure once, in the class constant
+`stages`: one (population, draws, with_replacement) triple of field names
+per stage. Stage I draws from the n records; each later stage draws
+positions into the stage before it. Validation, the samplers and the CLI
+read `stages`; the amplification formulas and loss models keep one closed
+form per scheme. Poisson keeps each record independently and has no stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import ClassVar, Union, get_args
 
 __all__ = [
@@ -24,6 +30,10 @@ __all__ = [
     "population_size",
     "scheme_from_dict",
 ]
+
+
+# (population, draws, with_replacement) per stage, as field names.
+_Stages = tuple[tuple[str, str, bool], ...]
 
 
 def _check_positive_int(name: str, value: int) -> None:
@@ -40,107 +50,91 @@ class Poisson:
 
     label: ClassVar[str] = "poisson"
     neighboring: ClassVar[str] = "R"
+    stages: ClassVar[_Stages] = ()
 
     gamma: float
     n: int | None = None  # population size; only needed to draw samples
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
+        if not (isinstance(self.gamma, Real) and 0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
         if self.n is not None:
             _check_positive_int("n", self.n)
 
 
+class _FixedSize:
+    """Validation shared by the fixed-size schemes, read from their stages."""
+
+    neighboring: ClassVar[str] = "S"
+
+    def __post_init__(self):
+        for field in fields(self):
+            _check_positive_int(field.name, getattr(self, field.name))
+        for stage, (population, draws, with_replacement) in enumerate(self.stages, 1):
+            size, k = getattr(self, population), getattr(self, draws)
+            if not with_replacement and k > size:
+                raise ValueError(
+                    f"{type(self).__name__} requires {draws} <= {population} (stage "
+                    f"{'I' * stage} is without replacement), got {draws}={k}, {population}={size}"
+                )
+
+
 @dataclass(frozen=True)
-class WOR:
+class WOR(_FixedSize):
     """Uniform m-subset of n elements, no replacement."""
 
     label: ClassVar[str] = "wor"
-    neighboring: ClassVar[str] = "S"
+    stages: ClassVar[_Stages] = (("n", "m", False),)
 
     n: int
     m: int
 
-    def __post_init__(self):
-        _check_positive_int("n", self.n)
-        _check_positive_int("m", self.m)
-        if self.m > self.n:
-            raise ValueError(f"WOR requires m <= n, got m={self.m}, n={self.n}")
-
 
 @dataclass(frozen=True)
-class WR:
+class WR(_FixedSize):
     """m i.i.d. uniform draws from n elements (a multiset)."""
 
     label: ClassVar[str] = "wr"
-    neighboring: ClassVar[str] = "S"
+    stages: ClassVar[_Stages] = (("n", "m", True),)
 
     n: int
     m: int
 
-    def __post_init__(self):
-        _check_positive_int("n", self.n)
-        _check_positive_int("m", self.m)
-
 
 @dataclass(frozen=True)
-class MUSTwo:
+class MUSTwo(_FixedSize):
     """Stage I: WR(n, b). Stage II: WOR(b, m) over the stage-I multiset."""
 
     label: ClassVar[str] = "mustwo"
-    neighboring: ClassVar[str] = "S"
+    stages: ClassVar[_Stages] = (("n", "b", True), ("b", "m", False))
 
     n: int
     b: int
     m: int
 
-    def __post_init__(self):
-        _check_positive_int("n", self.n)
-        _check_positive_int("b", self.b)
-        _check_positive_int("m", self.m)
-        if self.m > self.b:
-            raise ValueError(
-                f"MUSTwo requires m <= b (stage II is without replacement), "
-                f"got m={self.m}, b={self.b}"
-            )
-
 
 @dataclass(frozen=True)
-class MUSTow:
+class MUSTow(_FixedSize):
     """Stage I: WOR(n, b). Stage II: m multinomial draws over the b picks."""
 
     label: ClassVar[str] = "mustow"
-    neighboring: ClassVar[str] = "S"
+    stages: ClassVar[_Stages] = (("n", "b", False), ("b", "m", True))
 
     n: int
     b: int
     m: int
-
-    def __post_init__(self):
-        _check_positive_int("n", self.n)
-        _check_positive_int("b", self.b)
-        _check_positive_int("m", self.m)
-        if self.b > self.n:
-            raise ValueError(
-                f"MUSTow requires b <= n, got b={self.b}, n={self.n}"
-            )
 
 
 @dataclass(frozen=True)
-class MUSTww:
+class MUSTww(_FixedSize):
     """Stage I: WR(n, b). Stage II: WR(b, m) over the stage-I multiset."""
 
     label: ClassVar[str] = "mustww"
-    neighboring: ClassVar[str] = "S"
+    stages: ClassVar[_Stages] = (("n", "b", True), ("b", "m", True))
 
     n: int
     b: int
     m: int
-
-    def __post_init__(self):
-        _check_positive_int("n", self.n)
-        _check_positive_int("b", self.b)
-        _check_positive_int("m", self.m)
 
 
 SamplingScheme = Union[Poisson, WOR, WR, MUSTwo, MUSTow, MUSTww]

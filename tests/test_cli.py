@@ -191,6 +191,17 @@ class TestAlignedCommand:
         assert (code, out) == (0, f"{path}\n")
         assert list(tmp_path.glob("*.csv")) == [path]
 
+    def test_repeated_theta_written_once(self, capsys, tmp_path):
+        # 1 and 1.0 are one theta: one row per epsilon, not two.
+        code, _, _ = run_cli(
+            capsys, "aligned", "--schemes", "wor", "--families", "laplace",
+            "--thetas", "1,1.0", "--n", "100", "--m", "10", "--eps-grid", "0.5:1:2",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        _, rows = parse_csv((tmp_path / "aligned_laplace_wor.csv").read_text())
+        assert [(r[0], r[1]) for r in rows] == [("1", "0.5"), ("1", "1")]
+
 
 class TestContourCommand:
     def test_grid_shape(self, capsys, tmp_path):
@@ -339,6 +350,20 @@ class TestAccountCommand:
         )
         assert code == 3
         assert "grid" in err
+
+    def test_failed_verify_quadrature_exits_3(self, capsys, monkeypatch):
+        # A quadrature whose error estimate misses the tolerance is a
+        # numerical failure of delta_direct, not a crash.
+        from scipy import integrate
+
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad", lambda *a, **k: (quad(*a, **k)[0], 1.0))
+        code, _, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "1000", "--m", "200",
+            "--sigma", "2", "--k-list", "1", "--eps-list", "1", "--r", "4096", "--verify",
+        )
+        assert code == 3
+        assert err.startswith("numerical failure: delta quadrature achieved error")
 
     def test_zero_sigma_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import subamp
 from subamp.amplification import eta, multiplicity_weights
-from subamp.sampling import _KEYS_MAX_N, Multiset, draw, mc_stats
+from subamp.sampling import (
+    _KEYS_MAX_N, Multiset, _block_size, _draw_values_block, _subsets, draw, mc_stats,
+)
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 SMALL = {
@@ -135,6 +137,87 @@ class TestMcStats:
             mc_stats(WOR(10, 3), 0, seed=1)
         with pytest.raises(ValueError):
             mc_stats(WOR(10, 3), 10, seed=1, probe=10)
+
+
+class TestStages:
+    """The stage loop of the samplers against one case per scheme type."""
+
+    # The grid crosses _KEYS_MAX_N in n and b: keys below, rng.choice above.
+    GRID_N = (1, 2, 7, 300, 1024, 1025, 30969, 60000)
+    GRID_B = (1, 3, 50, 200, 1024, 1025, 3000)
+    GRID_M = (1, 2, 30, 100, 2000)
+    # Which (n, [b,] m) each type accepts: a stage without replacement needs
+    # draws <= population.
+    VALID = {
+        WOR: lambda n, m: m <= n,
+        WR: lambda n, m: True,
+        MUSTwo: lambda n, b, m: m <= b,
+        MUSTow: lambda n, b, m: b <= n,
+        MUSTww: lambda n, b, m: True,
+    }
+
+    @staticmethod
+    def _reference_block_size(scheme) -> int:
+        match scheme:
+            case Poisson() | WOR():
+                work = scheme.n
+            case WR(m=m):
+                work = m
+            case MUSTow(n=n, m=m):
+                work = n + m
+            case MUSTww(b=b, m=m) | MUSTwo(b=b, m=m):
+                work = b + m
+        return max(16, min(8192, 4_000_000 // work))
+
+    @staticmethod
+    def _reference_values_block(scheme, rng, rows):
+        match scheme:
+            case WOR(n=n, m=m):
+                return _subsets(rng, rows, n, m)
+            case WR(n=n, m=m):
+                return rng.integers(0, n, size=(rows, m))
+            case MUSTwo(n=n, b=b, m=m):
+                stage1 = rng.integers(0, n, size=(rows, b))
+                picks = _subsets(rng, rows, b, m)
+            case MUSTow(n=n, b=b, m=m):
+                stage1 = _subsets(rng, rows, n, b)
+                picks = rng.integers(0, b, size=(rows, m))
+            case MUSTww(n=n, b=b, m=m):
+                stage1 = rng.integers(0, n, size=(rows, b))
+                picks = rng.integers(0, b, size=(rows, m))
+        return np.take_along_axis(stage1, picks, axis=1)
+
+    @pytest.mark.parametrize("cls", [WOR, WR, MUSTwo, MUSTow, MUSTww], ids=lambda c: c.label)
+    def test_bit_for_bit_on_grid(self, cls):
+        two_stage = len(cls.stages) == 2
+        grid = [
+            (n, b, m) if two_stage else (n, m)
+            for n in self.GRID_N for b in (self.GRID_B if two_stage else (None,))
+            for m in self.GRID_M
+        ]
+        for params in grid:
+            if not self.VALID[cls](*params):
+                with pytest.raises(ValueError):
+                    cls(*params)
+                continue
+            scheme = cls(*params)
+            assert _block_size(scheme) == self._reference_block_size(scheme), scheme
+            got = _draw_values_block(scheme, np.random.default_rng(3), 3)
+            want = self._reference_values_block(scheme, np.random.default_rng(3), 3)
+            assert got.dtype == want.dtype and got.shape == want.shape, scheme
+            assert got.tobytes() == want.tobytes(), scheme
+
+    def test_poisson_block_size(self):
+        for n in self.GRID_N:
+            scheme = Poisson(0.5, n=n)
+            assert _block_size(scheme) == self._reference_block_size(scheme)
+
+    @pytest.mark.parametrize("tag", sorted(SMALL))
+    def test_weight_hat_length(self, tag):
+        # Multiplicities above 1 need a stage with replacement.
+        scheme = SMALL[tag]
+        expected = 1 if tag in ("poisson", "wor") else scheme.m
+        assert mc_stats(scheme, 10, seed=0).weight_hat.size == expected
 
 
 # Block counts follow from the block sizes: Poisson at n = 60000 runs 5
