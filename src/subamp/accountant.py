@@ -38,7 +38,7 @@ import numpy as np
 from scipy import optimize
 
 from .mechanisms import _quad
-from .numerics import _map_blocks
+from .numerics import _epsilon, _integer, _map_blocks
 from .pld import DiscretizedPLD, PrivacyLossModel, log_output_density, loss_at
 
 __all__ = [
@@ -199,12 +199,8 @@ def compose_many(
     tail sums' temporaries, 16 MB per thread at r = 2^20 (a tracemalloc
     peak of 24 MB at one thread and 41 MB at two).
     """
-    k_values = [int(k) for k in k_list]
-    if any(k < 1 for k in k_values):
-        raise ValueError(f"all k must be >= 1, got {k_list!r}")
-    eps_values = [float(e) for e in eps_grid]
-    if any(not math.isfinite(e) or e < 0.0 for e in eps_values):
-        raise ValueError(f"all epsilon must be finite and >= 0, got {eps_grid!r}")
+    k_values = [_integer("k", k) for k in k_list]
+    eps_values = [_epsilon("epsilon", e) for e in eps_grid]
 
     context = {"grid_r": pld.grid_r, "trunc_L": pld.trunc_L, "scheme": pld.scheme.label}
     s, dx, c = pld.s, pld.dx, pld.c
@@ -277,11 +273,7 @@ def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
     density inversion is needed. The crossing L(t) = eps is located by plain
     bracketed root finding, independent of the production Newton path.
     """
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    if epsilon <= model.loss_domain_low:
-        raise ValueError("epsilon lies below the loss image; delta would be ill-defined")
+    epsilon = _epsilon("epsilon", epsilon)
 
     sigma = model.sigma
     l_max = float(model._mixture[0].max())

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .mechanisms import MechanismSpec, group_profile, profile
-from .numerics import log_binom, log_binom_pmf, stable_sum
+from .numerics import _epsilon, log_binom, log_binom_pmf, stable_sum
 from .schemes import (
     MUSTow,
     MUSTwo,
@@ -184,17 +184,13 @@ def _check_eta(eta_value: float) -> float:
 def amplify_epsilon(eta_value: float, epsilon: float) -> float:
     """eps' = log(1 + eta*(e^eps - 1))."""
     eta_value = _check_eta(eta_value)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    return math.log1p(eta_value * math.expm1(epsilon))
+    return math.log1p(eta_value * math.expm1(_epsilon("epsilon", epsilon)))
 
 
 def deamplify_epsilon(eta_value: float, eps_prime: float) -> float:
     """Inverse of amplify_epsilon: the base eps giving eps' after subsampling."""
     eta_value = _check_eta(eta_value)
-    if not (math.isfinite(eps_prime) and eps_prime >= 0.0):
-        raise ValueError(f"eps_prime must be finite and >= 0, got {eps_prime!r}")
-    return math.log1p(math.expm1(eps_prime) / eta_value)
+    return math.log1p(math.expm1(_epsilon("eps_prime", eps_prime)) / eta_value)
 
 
 def amplify_delta(

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,15 @@ from . import accountant as acct
 from . import harness
 from .amplification import aligned_profile, amplify_delta, amplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, QuadratureError, profile
+from .numerics import _epsilon, _integer
 from .pld import NoConvergenceError, PrivacyLossModel, discretize
 from .sampling import mc_stats
-from .schemes import _SCHEME_TAGS, SamplingScheme, scheme_from_dict
+from .schemes import _SCHEME_TAGS, Poisson, SamplingScheme, _scheme_class, scheme_from_dict
 
 SCHEMA_LINE = "# schema=1"
+_FAMILIES = tuple(family.value for family in Family)
+# Every field of the scheme classes once, in the flag and column order n, b, m, gamma.
+_SCHEME_FIELDS = {f.name: f for cls in reversed(_SCHEME_TAGS.values()) for f in fields(cls)}
 
 _NUMERIC_FAILURES = (
     acct.NonFiniteError,
@@ -104,29 +109,15 @@ def _parse_int_range(spec: str, flag: str) -> range:
 
 
 def _scheme(tag: str, args) -> SamplingScheme:
-    """Scheme `tag` from the --n/--b/--m/--gamma flags.
-
-    Poisson takes --gamma, or gamma = m/n from --n and --m; the other
-    schemes need --m, and the MUST schemes --b too. Flags a scheme does not
-    take are ignored.
-    """
-    spec = {"scheme": tag, "n": args.n}
-    if tag == "poisson":
-        if args.gamma is not None:
-            spec["gamma"] = args.gamma
-        elif args.m is not None and args.n:
-            spec["gamma"] = args.m / args.n
-        else:
-            raise ValueError("poisson needs --gamma (or --n and --m to use gamma = m/n)")
-        return scheme_from_dict(spec)
-    if args.m is None:
-        raise ValueError("--m is required for fixed-size schemes")
-    spec["m"] = args.m
-    if tag.startswith("must"):
-        if args.b is None:
-            raise ValueError(f"--b is required for scheme {tag}")
-        spec["b"] = args.b
-    return scheme_from_dict(spec)
+    """Scheme `tag`, each class field from its flag; Poisson's gamma defaults to m/n."""
+    cls = _scheme_class(tag)
+    spec = {field.name: getattr(args, field.name) for field in fields(cls)}
+    if cls is Poisson and args.gamma is None and args.m is not None and args.n:
+        spec["gamma"] = args.m / args.n
+    for field in fields(cls):
+        if spec[field.name] is None and field.default is MISSING:
+            raise ValueError(f"--{field.name} is required for scheme {tag}")
+    return cls(**spec)
 
 
 def _mech_from_args(args) -> MechanismSpec:
@@ -139,14 +130,9 @@ def _mech_from_args(args) -> MechanismSpec:
 
 
 def _scheme_columns(scheme: SamplingScheme) -> dict:
-    return {
-        "scheme": scheme.label,
-        "n": getattr(scheme, "n", "") or "",
-        "b": getattr(scheme, "b", ""),
-        "m": getattr(scheme, "m", ""),
-        "gamma": getattr(scheme, "gamma", ""),
-        "neighboring": scheme.neighboring,
-    }
+    values = {name: getattr(scheme, name, None) for name in _SCHEME_FIELDS}
+    blanked = {name: "" if value is None else value for name, value in values.items()}
+    return {"scheme": scheme.label, **blanked, "neighboring": scheme.neighboring}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -166,7 +152,7 @@ def cmd_profile(args) -> int:
 def cmd_amplify(args) -> int:
     scheme = _scheme(args.scheme, args)
     mech = _mech_from_args(args)
-    if args.eps <= 0:
+    if _epsilon("--eps", args.eps) == 0.0:
         raise ValueError("--eps must be a positive real")
     pt = aligned_profile(scheme, mech, [args.eps])[0]
     cols = _scheme_columns(scheme)
@@ -216,7 +202,7 @@ def cmd_contour(args) -> int:
     mech = None
     if args.family is not None:
         mech = _mech_from_args(args)
-        if args.eps is None or args.eps <= 0:
+        if args.eps is None or _epsilon("--eps", args.eps) == 0.0:
             raise ValueError("--eps must be positive when a mechanism is given")
     elif args.theta is not None:
         raise ValueError("--theta needs --family")
@@ -224,12 +210,10 @@ def cmd_contour(args) -> int:
     # Every cell's scheme is built before any amplification is computed.
     cells = {}
     for tag in _comma_list(args.schemes):
-        if tag not in _SCHEME_TAGS or len(_SCHEME_TAGS[tag].stages) != 2:
+        cls = _scheme_class(tag)
+        if len(cls.stages) != 2:
             raise ValueError(f"contour sweeps are over (b, m); scheme {tag!r} has no b")
-        cells[tag] = [
-            (b, m, scheme_from_dict({"scheme": tag, "n": args.n, "b": b, "m": m}))
-            for b in b_range for m in m_range
-        ]
+        cells[tag] = [(b, m, cls(n=args.n, b=b, m=m)) for b in b_range for m in m_range]
 
     header = ["b", "m", "eta", "eps_prime"]
     if mech is not None:
@@ -320,11 +304,11 @@ def cmd_sample_stats(args) -> int:
 def _bootstrap_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
     config = harness.BootstrapConfig(
         scheme=scheme,
-        t_boot=int(cfg.get("t_boot", 500)),
+        t_boot=cfg.get("t_boot", 500),
         bounds=tuple(cfg.get("bounds", (-4.0, 4.0))),
         eps_prime=float(cfg.get("eps_prime", 0.1)),
         delta_base=float(cfg.get("delta_base", 1.0 / n)),
-        repeats=int(cfg.get("repeats", 20)),
+        repeats=cfg.get("repeats", 20),
         seed=seed,
     )
     data = harness.make_synthetic("gaussian_univariate", n, seed=seed)
@@ -335,7 +319,7 @@ def _bootstrap_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list
 def _dpsgd_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
     design, response = harness.make_synthetic("linear_regression", n, seed=seed)
     test_x, test_y = harness.make_synthetic(
-        "linear_regression", int(cfg.get("n_test", n)), seed=seed + 7
+        "linear_regression", cfg.get("n_test", n), seed=seed + 7
     )
     config = harness.SGDConfig(
         scheme=scheme,
@@ -343,7 +327,7 @@ def _dpsgd_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
         delta_base=float(cfg.get("delta_base", 1.0 / n)),
         clip_c=float(cfg.get("clip_c", 3.0)),
         learning_rate=float(cfg.get("learning_rate", 0.04)),
-        iterations=int(cfg.get("iterations", 200)),
+        iterations=cfg.get("iterations", 200),
         seed=seed,
     )
     result = harness.run_dpsgd_linear(config, design, response)
@@ -368,18 +352,15 @@ def cmd_experiment(args) -> int:
         raise ValueError(f"--config is not valid JSON: {exc}") from None
     kind = cfg.get("experiment") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in _EXPERIMENTS:
-        raise ValueError(
-            f"config field 'experiment' must be 'bootstrap' or 'dpsgd_linear', got {kind!r}"
-        )
+        kinds = " or ".join(map(repr, _EXPERIMENTS))
+        raise ValueError(f"config field 'experiment' must be {kinds}, got {kind!r}")
     columns, run = _EXPERIMENTS[kind]
     # Config fields are read as the runs go: a missing one raises KeyError
     # there, and a value of the wrong type TypeError.
     try:
-        seed = int(cfg.get("seed", 0))
-        n = int(cfg["n"])
-        repeats = int(cfg.get("repeats", 20))
-        if repeats < 1:
-            raise ValueError(f"config field 'repeats' must be >= 1, got {repeats}")
+        seed = _integer("config field 'seed'", cfg.get("seed", 0), low=0)
+        n = _integer("config field 'n'", cfg["n"])
+        repeats = _integer("config field 'repeats'", cfg.get("repeats", 20))
         rows = [
             [rep, scheme.label, *run(cfg, scheme, n, seed + 1000 * rep)]
             for scheme in map(scheme_from_dict, cfg["schemes"])
@@ -407,15 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_scheme_fields(p, required=()):
+        for name, field in _SCHEME_FIELDS.items():  # field.type is the annotation string
+            kind = float if field.type == "float" else int
+            p.add_argument(f"--{name}", type=kind, required=name in required)
+
     def add_scheme(p):
         p.add_argument("--scheme", required=True, choices=tuple(_SCHEME_TAGS))
-        p.add_argument("--n", type=int)
-        p.add_argument("--b", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--gamma", type=float)
+        add_scheme_fields(p)
 
     p = sub.add_parser("profile", help="base-mechanism privacy profile")
-    p.add_argument("--family", required=True, choices=("laplace", "gaussian"))
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--theta", type=float, required=True)
     eps = p.add_mutually_exclusive_group(required=True)
     eps.add_argument("--eps", type=float)
@@ -425,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("amplify", help="amplified (eps', delta') for one scheme")
     add_scheme(p)
-    p.add_argument("--family", required=True, choices=("laplace", "gaussian"))
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     add_output(p)
@@ -433,12 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aligned", help="aligned-profile curves over an eps grid")
     p.add_argument("--schemes", required=True, help="comma list, e.g. wor,wr,mustow,mustww")
-    p.add_argument("--families", required=True, help="comma list of laplace,gaussian")
+    p.add_argument("--families", required=True, help=f"comma list of {','.join(_FAMILIES)}")
     p.add_argument("--thetas", required=True, help="comma list of theta values")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--gamma", type=float)
+    add_scheme_fields(p, required=("n",))
     p.add_argument("--eps-grid", dest="eps_grid", required=True)
     p.add_argument("--output-dir", dest="output_dir", required=True)
     p.set_defaults(func=cmd_aligned)
@@ -448,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b-range", dest="b_range", required=True, help="lo:hi inclusive")
     p.add_argument("--m-range", dest="m_range", required=True, help="lo:hi inclusive")
-    p.add_argument("--family", choices=("laplace", "gaussian"))
+    p.add_argument("--family", choices=_FAMILIES)
     p.add_argument("--theta", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--output-dir", dest="output_dir", required=True)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .amplification import amplify_delta, amplify_epsilon, deamplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, calibrate_sigma
+from .numerics import _epsilon, _integer
 from .sampling import _count_blocks, _multiset
 from .schemes import Poisson, SamplingScheme, population_size
 
@@ -64,16 +65,20 @@ class SGDConfig:
     sigma_override: float | None = None  # force a noise scale (0 disables noise)
 
     def __post_init__(self):
-        if self.eps_prime_per_iter <= 0:
+        if _epsilon("eps_prime_per_iter", self.eps_prime_per_iter) == 0.0:
             raise ValueError("eps_prime_per_iter must be positive")
         if not (0.0 < self.delta_base < 1.0):
             raise ValueError("delta_base must lie in (0, 1)")
-        if self.clip_c <= 0 or self.learning_rate <= 0 or self.iterations < 1:
-            raise ValueError("clip_c, learning_rate must be positive; iterations >= 1")
+        _integer("iterations", self.iterations)
+        if self.clip_c <= 0 or self.learning_rate <= 0:
+            raise ValueError("clip_c, learning_rate must be positive")
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """One run of `run_bootstrap`; repeats is validated but never read (the
+    experiment driver repeats runs). It stays: callers pass it by keyword."""
+
     scheme: SamplingScheme
     t_boot: int
     bounds: tuple[float, float]
@@ -86,9 +91,9 @@ class BootstrapConfig:
         lo, hi = self.bounds
         if not lo < hi:
             raise ValueError("bounds must satisfy L_clip < U_clip")
-        if self.t_boot < 1 or self.repeats < 1:
-            raise ValueError("t_boot and repeats must be >= 1")
-        if self.eps_prime <= 0 or not (0.0 < self.delta_base < 1.0):
+        _integer("t_boot", self.t_boot)
+        _integer("repeats", self.repeats)
+        if _epsilon("eps_prime", self.eps_prime) == 0.0 or not (0.0 < self.delta_base < 1.0):
             raise ValueError("eps_prime must be positive, delta_base in (0, 1)")
 
     @property
@@ -307,8 +312,7 @@ def make_synthetic(kind: str, n: int, seed: int):
     kinds = {"gaussian_univariate": 11, "linear_regression": 12, "logistic_2class": 13}
     if kind not in kinds:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n)
     rng = np.random.default_rng([seed, kinds[kind]])
     if kind == "gaussian_univariate":
         return rng.normal(0.0, 1.0, size=n)

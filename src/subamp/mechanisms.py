@@ -17,6 +17,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import log_ndtr, ndtr
 
+from .numerics import _epsilon, _integer
+
 __all__ = [
     "Family",
     "MechanismSpec",
@@ -73,8 +75,7 @@ class PrivacyPoint:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        _epsilon("epsilon", self.epsilon)
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError(f"delta must lie in [0, 1], got {self.delta!r}")
 
@@ -163,9 +164,8 @@ def profile_numeric_oracle(mech: MechanismSpec, j: int, epsilon: float) -> float
     where the two densities are the mechanism's noise density shifted by
     j*theta and 0. Entirely independent of the closed forms in profile().
     """
-    if not isinstance(j, (int, np.integer)) or j < 1:
-        raise ValueError(f"group size j must be a positive integer, got {j!r}")
-    eps = float(_check_epsilon(epsilon))
+    j = _integer("group size j", j)
+    eps = _epsilon("epsilon", epsilon)
     shift = j * mech.theta
     family = mech.family
 
@@ -207,8 +207,8 @@ def calibrate_sigma(
     family = Family(family)
     if not (0.0 < delta_target < 1.0):
         raise ValueError(f"delta_target must lie in (0, 1), got {delta_target!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if _epsilon("epsilon", epsilon) == 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if not (math.isfinite(sensitivity) and sensitivity > 0.0):
         raise ValueError(f"sensitivity must be positive and finite, got {sensitivity!r}")
 

@@ -1,4 +1,9 @@
-"""Log-space combinatorial helpers and the one parallel helper of the package.
+"""Scalar input rules, log-space combinatorics and the one parallel helper.
+
+_integer and _epsilon check every scalar count and epsilon of the package:
+an integer is what operator.index takes but bool (not 2.0, "3" or True), an
+epsilon a finite real >= 0 (math.isfinite). A value that breaks its rule
+raises ValueError; an epsilon that is not a number, TypeError.
 
 Binomial and hypergeometric coefficients are always accumulated through
 log-gamma: the configurations this package targets (b up to a few thousand,
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +32,25 @@ __all__ = [
     "log_binom_pmf",
     "stable_sum",
 ]
+
+
+def _integer(name: str, value, low: int = 1) -> int:
+    """value as a plain int, if it is an integer >= low (by default a count)."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or number < low:
+        what = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return number
+
+
+def _epsilon(name: str, value) -> float:
+    """value as a float, if it is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
 def log_binom(n, k):

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
-from .numerics import _map_blocks
+from .numerics import _integer, _map_blocks
 from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
@@ -430,7 +430,7 @@ def pld_density_swapped(model: PrivacyLossModel, s):
 def _check_grid(trunc_L: float, grid_r: int) -> None:
     if not (math.isfinite(trunc_L) and trunc_L > 0.0):
         raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
-    if grid_r < 2 or grid_r % 2 != 0:
+    if _integer("grid_r", grid_r) % 2 != 0:
         raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _map_blocks
+from .numerics import _integer, _map_blocks
 from .schemes import Poisson, SamplingScheme, population_size
 
 __all__ = ["Multiset", "RunStats", "draw", "mc_stats"]
@@ -163,10 +163,9 @@ def mc_stats(scheme: SamplingScheme, trials: int, seed: int, probe: int = 0) -> 
     the probe element (default element 0, interchangeable with any other by
     exchangeability). eta_hat is the fraction of trials containing the probe.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    trials = _integer("trials", trials)
     n = population_size(scheme)
-    if not 0 <= probe < n:
+    if _integer("probe", probe, low=0) >= n:
         raise ValueError(f"probe element must lie in [0, {n}), got {probe}")
 
     max_mult = scheme.m if any(wr for _, _, wr in scheme.stages) else 1

@@ -3,14 +3,15 @@
 Six schemes are supported: Poisson sampling, sampling without replacement
 (WOR), sampling with replacement (WR), and the three two-stage variants
 MUSTwo (WR then WOR), MUSTow (WOR then WR), and MUSTww (WR then WR). Each
-descriptor is an immutable dataclass that validates its own parameters.
+descriptor is an immutable dataclass that validates its own parameters and
+stores each count as a plain int, so WOR(np.int64(10), 3) == WOR(10, 3).
 
 A fixed-size scheme states its stage structure once, in the class constant
 `stages`: one (population, draws, with_replacement) triple of field names
 per stage. Stage I draws from the n records; each later stage draws
-positions into the stage before it. Validation, the samplers and the CLI
-read `stages`; the amplification formulas and loss models keep one closed
-form per scheme. Poisson keeps each record independently and has no stages.
+positions into the stage before it. Validation and the samplers read
+`stages`, the CLI the dataclass fields; the amplification formulas and loss
+models keep one closed form per scheme. Poisson has no stages.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from numbers import Real
 from typing import ClassVar, Union, get_args
+
+from .numerics import _integer
 
 __all__ = [
     "Poisson",
@@ -34,11 +37,6 @@ __all__ = [
 
 # (population, draws, with_replacement) per stage, as field names.
 _Stages = tuple[tuple[str, str, bool], ...]
-
-
-def _check_positive_int(name: str, value: int) -> None:
-    if not isinstance(value, (int,)) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class Poisson:
         if not (isinstance(self.gamma, Real) and 0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
         if self.n is not None:
-            _check_positive_int("n", self.n)
+            object.__setattr__(self, "n", _integer("n", self.n))
 
 
 class _FixedSize:
@@ -69,7 +67,7 @@ class _FixedSize:
 
     def __post_init__(self):
         for field in fields(self):
-            _check_positive_int(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, _integer(field.name, getattr(self, field.name)))
         for stage, (population, draws, with_replacement) in enumerate(self.stages, 1):
             size, k = getattr(self, population), getattr(self, draws)
             if not with_replacement and k > size:
@@ -149,15 +147,18 @@ def population_size(scheme: SamplingScheme) -> int:
     return scheme.n
 
 
+def _scheme_class(tag: str) -> type:
+    """The scheme class labelled `tag`; an unknown tag raises ValueError."""
+    if tag not in _SCHEME_TAGS:
+        raise ValueError(f"unknown scheme {tag!r}; expected one of {sorted(_SCHEME_TAGS)}")
+    return _SCHEME_TAGS[tag]
+
+
 def scheme_from_dict(spec: dict) -> SamplingScheme:
     """Build a scheme from a {"scheme": tag, ...params} mapping (CLI/JSON)."""
     spec = dict(spec)
     tag = str(spec.pop("scheme", "")).lower()
-    if tag not in _SCHEME_TAGS:
-        raise ValueError(
-            f"unknown scheme {tag!r}; expected one of {sorted(_SCHEME_TAGS)}"
-        )
-    cls = _SCHEME_TAGS[tag]
+    cls = _scheme_class(tag)
     try:
         return cls(**spec)
     except TypeError as exc:

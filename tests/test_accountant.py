@@ -346,6 +346,9 @@ class TestFailureModes:
     def test_k_validation(self, poisson_pld):
         with pytest.raises(ValueError):
             compose(poisson_pld, 0, 1.0)
+        for k in (2.5, True):  # neither is a count, so neither becomes one
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                compose_many(poisson_pld, [1, k], [1.0])
 
     def test_unresolved_spike_shows_in_max_cell_mass(self):
         # Exactly-calibrated noise on a rare-inclusion scheme concentrates

@@ -282,6 +282,22 @@ class TestContourCommand:
         assert not list(tmp_path.glob("**/*.csv"))
 
 
+@pytest.mark.parametrize("tag, argv", [
+    # Neither --m nor --b: the tag is looked up before any field's flag.
+    ("foo", ["aligned", "--schemes", "foo"]),
+    ("mustfoo", ["aligned", "--schemes", "wor,mustfoo", "--m", "10"]),
+    ("foo", ["contour", "--schemes", "mustow,foo", "--b-range", "150:151",
+             "--m-range", "100:101"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unknown_scheme_is_named_and_writes_nothing(capsys, tmp_path, tag, argv):
+    if argv[0] == "aligned":
+        argv = [*argv, "--families", "laplace", "--thetas", "1", "--eps-grid", "0.5:1:2"]
+    code, out, err = run_cli(capsys, *argv, "--n", "1000", "--output-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"unknown scheme '{tag}'" in err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 class TestContourGridsScript:
     """scripts/run_contour_grids.py: --output-dir, and every other flag passed on."""
 
@@ -423,6 +439,10 @@ class TestExperimentCommand:
         {"experiment": "dpsgd_linear", "n": 400},
         {"experiment": "bootstrap", "n": 300, "schemes": [5]},
         {"experiment": "bootstrap", "n": 300, "bounds": 4,
+         "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
+        {"experiment": "bootstrap", "n": 300.5, "repeats": 1, "t_boot": 10,
+         "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
+        {"experiment": "bootstrap", "n": 300, "seed": 2.5, "repeats": 1, "t_boot": 10,
          "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
     ])
     def test_missing_or_malformed_field_exits_2(self, capsys, tmp_path, config):

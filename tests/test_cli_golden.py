@@ -27,10 +27,15 @@ Regenerate only for an intended output change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-Before that, list each printed account value that would move (case, k,
-epsilon, column, old, new, absolute and relative move); this writes nothing:
+Before that, list what would move; this writes nothing:
 
     PYTHONPATH=src python tests/test_cli_golden.py --diff
+
+It prints each account value that would move (case, k, epsilon, column,
+old, new, absolute and relative move), then, tab-separated, each line of
+tables.json and each value of streams.json that would move (file, case,
+field, old, new). A field names a line as `stdout:3` and a list item as
+`elements[0][4]`.
 """
 
 import argparse
@@ -233,6 +238,39 @@ def test_diff_lists_moved_values_and_writes_nothing(monkeypatch, capsys):
     assert (GOLDEN.read_bytes(), STREAMS.read_bytes()) == before
 
 
+def test_diff_lists_moved_table_lines_and_stream_values(monkeypatch, capsys, tmp_path):
+    # One amplify case with its table row edited and one draw with one
+    # element edited: only those two are listed, and no file is written.
+    amplify = _table_golden("amplify")[json.dumps(AMPLIFY[0])]
+    row = amplify["stdout"].splitlines()[2]
+    amplify["stdout"] = amplify["stdout"].replace(row, "planted")
+    drawn = _stream_golden("draw", "spec")[json.dumps(SCHEMES[0])]
+    element, drawn["elements"][0][0] = drawn["elements"][0][0], -1
+    planted = {
+        "TABLES": (tmp_path / "tables.json", {"amplify": [amplify]}),
+        "STREAMS": (tmp_path / "streams.json", {"draw": [drawn]}),
+    }
+    files = [GOLDEN, STREAMS, TABLES]
+    module = sys.modules[__name__]
+    for name, (path, golden) in planted.items():
+        path.write_text(json.dumps(golden))
+        files.append(path)
+        monkeypatch.setattr(module, name, path)
+    for name, cases in (("AMPLIFY", AMPLIFY[:1]), ("SCHEMES", SCHEMES[:1]), ("GRIDS", []),
+                        ("SCRIPT_RUNS", []), ("SAMPLE_STATS", []), ("EXPERIMENTS", [])):
+        monkeypatch.setattr(module, name, cases)
+    before = [path.read_bytes() for path in files]
+    diff_tables_and_streams()
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "file\tcase\tfield\told\tnew",
+        f"tables.json\tamplify {json.dumps(AMPLIFY[0])}\tstdout:3\tplanted\t{row}",
+        f"streams.json\tdraw {json.dumps(SCHEMES[0])}\telements[0][0]\t-1\t{element}",
+    ]
+    assert err.startswith("# 2 of ")
+    assert [path.read_bytes() for path in files] == before
+
+
 def _stream_golden(kind: str, key: str) -> dict:
     return {json.dumps(case[key]): case for case in json.loads(STREAMS.read_text())[kind]}
 
@@ -335,14 +373,53 @@ def diff() -> None:
     print(f"# {moved} of {total} golden deltas moved", file=sys.stderr)
 
 
+def _leaves(value, path: str = ""):
+    """(field, value) of each line of text and each scalar in a golden case."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    elif isinstance(value, str) and "\n" in value:
+        for i, line in enumerate(value.splitlines(), 1):
+            yield f"{path}:{i}", line
+    else:
+        yield path, value
+
+
+def diff_tables_and_streams() -> None:
+    """Print each line or value of tables.json and streams.json that moves."""
+    print("file\tcase\tfield\told\tnew")
+    moved = total = 0
+    for path, fresh in ((TABLES, _tables()), (STREAMS, _streams())):
+        golden = json.loads(path.read_text())
+        for kind, cases in fresh.items():
+            key = "spec" if kind == "draw" else "argv"
+            old_cases = {json.dumps(case[key]): case for case in golden.get(kind, [])}
+            for case in cases:
+                name = json.dumps(case[key])
+                old = dict(_leaves(old_cases.get(name, {})))
+                new = dict(_leaves(case))
+                total += len(old)
+                for field in {**old, **new}:  # golden order, then new fields
+                    before, after = old.get(field, "missing"), new.get(field, "missing")
+                    if before != after:
+                        row = (path.name, f"{kind} {name}", field, before, after)
+                        print("\t".join(map(str, row)))
+                        moved += 1
+    print(f"# {moved} of {total} golden table and stream values moved", file=sys.stderr)
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate or diff the golden CLI output.")
     parser.add_argument(
         "--diff", action="store_true",
-        help="list the account values that would move, and write nothing",
+        help="list the account, table and stream values that would move, and write nothing",
     )
     if parser.parse_args().diff:
         diff()
+        diff_tables_and_streams()
     else:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps([_run(args) for args in CASES], indent=1) + "\n")

@@ -58,6 +58,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             make_synthetic("mystery", 10, seed=0)
 
+    @pytest.mark.parametrize("bad", [5.0, True], ids=repr)
+    def test_rejects_a_size_that_is_not_a_count(self, bad):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            make_synthetic("gaussian_univariate", bad, seed=0)
+
 
 class TestClipping:
     def test_norms_capped(self):

@@ -125,6 +125,13 @@ class TestNumericOracle:
         val = profile_numeric_oracle(MechanismSpec("laplace", 1.0), 1, 2.0)
         assert abs(val) <= 1e-9
 
+    @pytest.mark.parametrize("bad", [0, True, 2.0], ids=repr)
+    def test_rejects_the_group_sizes_group_profile_rejects(self, bad):
+        mech = MechanismSpec("laplace", 1.0)
+        for fn in (group_profile, profile_numeric_oracle):
+            with pytest.raises(ValueError, match="group size j"):
+                fn(mech, bad, 1.0)
+
     @pytest.mark.parametrize("family", ["laplace", "gaussian"])
     @pytest.mark.parametrize("theta", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("j", [1, 2, 5])

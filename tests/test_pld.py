@@ -447,6 +447,8 @@ class TestDiscretize:
             discretize(MODELS["poisson"], 10.0, 1001)  # odd
         with pytest.raises(ValueError):
             discretize(MODELS["poisson"], -1.0, 1000)
+        with pytest.raises(ValueError, match="grid_r"):
+            discretize(MODELS["poisson"], 8.0, 4096.0)
 
     def test_csv_dump_roundtrip(self, tmp_path):
         pld = discretize(MODELS["wor"], 4.0, 512)

@@ -137,6 +137,10 @@ class TestMcStats:
             mc_stats(WOR(10, 3), 0, seed=1)
         with pytest.raises(ValueError):
             mc_stats(WOR(10, 3), 10, seed=1, probe=10)
+        with pytest.raises(ValueError, match="probe"):
+            mc_stats(WOR(10, 3), 1000, seed=1, probe=0.5)
+        with pytest.raises(ValueError, match="trials"):
+            mc_stats(WOR(10, 3), 10.5, seed=1)
 
 
 class TestStages:

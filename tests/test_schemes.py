@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
@@ -28,6 +29,18 @@ def test_each_field_rejects(cls, field, bad):
     cls(**VALID[cls])
     with pytest.raises(ValueError, match=f"^{field} must"):
         cls(**{**VALID[cls], field: bad})
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, name) for cls, kwargs in VALID.items() for name in kwargs if name != "gamma"],
+    ids=lambda v: v if isinstance(v, str) else v.label,
+)
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_each_count_field_takes_numpy_integers_as_int(cls, field, dtype):
+    scheme = cls(**{**VALID[cls], field: dtype(VALID[cls][field])})
+    assert type(getattr(scheme, field)) is int
+    assert scheme == cls(**VALID[cls])
 
 
 @pytest.mark.parametrize("cls, args", [
