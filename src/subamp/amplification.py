@@ -161,11 +161,16 @@ def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
             # C(m,u) C(b-m,j-u) / C(b,j), whose C(b,j) cancels the stage-I
             # binomial coefficient exactly; this keeps every log-gamma
             # magnitude O(m log b) and the result accurate to ~1e-14.
+            # C(b-m, j-u) depends on j - u alone: one row over the
+            # j[0]-m .. j[-1]-1 it spans, indexed by j - u.
             j, _ = _stage1_log_weights(n, b)
+            low = j[0] - m
+            by_gap = log_binom(float(b - m), np.arange(low, j[-1]))
+            gap = (j[:, None] - u[None, :] - low).astype(int)
             with np.errstate(divide="ignore"):
                 log_terms = (
                     log_binom(float(m), u)[None, :]
-                    + log_binom(float(b - m), j[:, None] - u[None, :])
+                    + by_gap[gap]
                     + j[:, None] * math.log(1.0 / n)
                     # n = 1 keeps only j = b, where this factor is 1.
                     + ((b - j[:, None]) * math.log1p(-1.0 / n) if n > 1 else 0.0)

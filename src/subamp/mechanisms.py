@@ -82,7 +82,7 @@ class PrivacyPoint:
 
 def _check_epsilon(epsilon) -> np.ndarray:
     eps = np.asarray(epsilon, dtype=float)
-    if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
+    if not np.isfinite(eps).all() or (eps < 0.0).any():
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     return eps
 
@@ -129,7 +129,7 @@ def group_profile(mech: MechanismSpec, j, epsilon):
     are both scalars.
     """
     j_arr = np.asarray(j)
-    if j_arr.dtype.kind not in "iu" or np.any(j_arr < 1):
+    if j_arr.dtype.kind not in "iu" or (j_arr < 1).any():
         raise ValueError(f"group size j must be a positive integer, got {j!r}")
     eps = _check_epsilon(epsilon)
     out = _profile_values(mech.family, j_arr * mech.theta, eps)

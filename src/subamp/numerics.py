@@ -66,23 +66,18 @@ def log_binom(n, k):
 def log_binom_pmf(k, n, p):
     """log of the Binomial(n, p) pmf at k, elementwise.
 
-    Handles the degenerate edges p = 0 and p = 1 (point masses at 0 and n)
-    without emitting 0 * (-inf) artifacts.
+    log C(n, k) is evaluated on the broadcast of k and n alone, so a row of
+    k against a column of p costs one row of log-gammas. The degenerate
+    edges p = 0 and p = 1 are point masses at 0 and n; any other p outside
+    (0, 1), NaN included, gives -inf.
     """
     k = np.asarray(k, dtype=float)
     n = np.asarray(n, dtype=float)
     p = np.asarray(p, dtype=float)
-    k, n, p = np.broadcast_arrays(k, n, p)
-    out = np.full(k.shape, -np.inf)
-
-    interior = (p > 0) & (p < 1)
-    if np.any(interior):
-        ki, ni, pi = k[interior], n[interior], p[interior]
-        out[interior] = (
-            log_binom(ni, ki) + ki * np.log(pi) + (ni - ki) * np.log1p(-pi)
-        )
-    out[(p == 0) & (k == 0)] = 0.0
-    out[(p == 1) & (k == n)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = log_binom(n, k) + k * np.log(p) + (n - k) * np.log1p(-p)
+    point_mass = ((p == 0) & (k == 0)) | ((p == 1) & (k == n))
+    out = np.where((p > 0) & (p < 1), out, np.where(point_mass, 0.0, -np.inf))
     return out if out.ndim else float(out)
 
 

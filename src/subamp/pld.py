@@ -478,17 +478,6 @@ class DiscretizedPLD:
         """Grid points s_i = -L + i*dx, i = 0..r-1."""
         return -self.trunc_L + self.dx * np.arange(self.grid_r)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.c.sum())
-
-    def to_csv(self, path) -> None:
-        """Flat debug dump: one row (s, c) per grid cell."""
-        np.savetxt(
-            path, np.column_stack([self.s, self.c]), delimiter=",", header="s,c",
-            comments="", fmt="%.12g",
-        )
-
 
 def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> np.ndarray:
     """P[L < s_j] for j < split and P[L >= s_j] from split on, at t_j = L^{-1}(s_j).

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subamp import numerics
 from subamp.amplification import (
+    _LOG_WEIGHT_CUTOFF,
     PAClass,
+    _stage1_log_weights,
     aligned_profile,
     amplify_delta,
     amplify_epsilon,
@@ -20,6 +23,7 @@ from subamp.amplification import (
     pa_on_boundary,
 )
 from subamp.mechanisms import MechanismSpec, profile
+from subamp.numerics import log_binom, log_binom_pmf
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 from oracles import eta_mustwo_sum_form, exact_eta, exact_multiplicity_distribution
@@ -132,6 +136,109 @@ class TestMultiplicityWeights:
     def test_rejects_non_schemes(self):
         with pytest.raises(TypeError):
             multiplicity_weights((10, 3))
+
+
+def _reference_log_binom_pmf(k, n, p):
+    """log_binom_pmf as a masked scatter over the full (k, n, p) broadcast."""
+    k, n, p = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (k, n, p)))
+    out = np.full(k.shape, -np.inf)
+    interior = (p > 0) & (p < 1)
+    if np.any(interior):
+        ki, ni, pi = k[interior], n[interior], p[interior]
+        out[interior] = log_binom(ni, ki) + ki * np.log(pi) + (ni - ki) * np.log1p(-pi)
+    out[(p == 0) & (k == 0)] = 0.0
+    out[(p == 1) & (k == n)] = 0.0
+    return out if out.ndim else float(out)
+
+
+def _reference_stage1(n, b):
+    j = np.arange(1, b + 1, dtype=float)
+    logw = _reference_log_binom_pmf(j, float(b), 1.0 / n)
+    keep = logw >= logw.max() - _LOG_WEIGHT_CUTOFF
+    return j[keep], logw[keep]
+
+
+def _reference_weights(scheme):
+    """The multiset weights with every log-binomial on the full J x m matrix."""
+    u = np.arange(1, scheme.m + 1, dtype=float)
+    match scheme:
+        case WR(n=n, m=m):
+            return np.exp(_reference_log_binom_pmf(u, float(m), 1.0 / n))
+        case MUSTow(n=n, b=b, m=m):
+            return (b / n) * np.exp(_reference_log_binom_pmf(u, float(m), 1.0 / b))
+        case MUSTww(n=n, b=b, m=m):
+            j, logw = _reference_stage1(n, b)
+            log_terms = logw[:, None] + _reference_log_binom_pmf(
+                u[None, :], float(m), (j / b)[:, None]
+            )
+        case MUSTwo(n=n, b=b, m=m):
+            j, _ = _reference_stage1(n, b)
+            with np.errstate(divide="ignore"):
+                log_terms = (
+                    log_binom(float(m), u)[None, :]
+                    + log_binom(float(b - m), j[:, None] - u[None, :])
+                    + j[:, None] * math.log(1.0 / n)
+                    + ((b - j[:, None]) * math.log1p(-1.0 / n) if n > 1 else 0.0)
+                )
+    return np.exp(log_terms).sum(axis=0)
+
+
+def _same_bits(got, want) -> bool:
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLogGammaRows:
+    """log_binom_pmf and the multiset weights against the full-broadcast forms
+    they replaced: the same bits from one log-gamma row per stage."""
+
+    GRID_N = (1, 2, 3, 7, 10, 300, 1000, 30969, 60000)
+    GRID_B = (1, 2, 3, 50, 175, 1000, 3000)
+    GRID_M = (1, 2, 3, 120, 2000)
+    PS = (0.0, 1e-9, 0.1, 0.5, 1.0, 1.5, -0.1, math.nan)
+
+    def test_log_binom_pmf_bit_for_bit(self):
+        ks = np.arange(-1, 12, dtype=float)  # k outside [0, n] included
+        ps = np.array(self.PS)
+        for n in (0.0, 1.0, 5.0, 10.0, 11.0):
+            for p in self.PS:
+                for k in ks:
+                    assert _same_bits(log_binom_pmf(k, n, p), _reference_log_binom_pmf(k, n, p))
+                for args in ((ks, n, p), (ks, np.full(ks.size, n), p), (ks[:, None], n, ps)):
+                    assert _same_bits(log_binom_pmf(*args), _reference_log_binom_pmf(*args))
+            # A row of k against a column of p, as MUSTww's second stage asks.
+            args = (ks[None, :], n, ps[:, None])
+            assert _same_bits(log_binom_pmf(*args), _reference_log_binom_pmf(*args))
+
+    @pytest.mark.parametrize("cls", [WR, MUSTww, MUSTwo, MUSTow], ids=lambda c: c.label)
+    def test_weights_bit_for_bit_on_grid(self, cls):
+        two_stage = len(cls.stages) == 2
+        for n in self.GRID_N:
+            for b in self.GRID_B if two_stage else (None,):
+                for m in self.GRID_M:
+                    if cls is MUSTwo and m > b or cls is MUSTow and b > n:
+                        continue
+                    scheme = cls(n, b, m) if two_stage else cls(n, m)
+                    assert _same_bits(multiplicity_weights(scheme), _reference_weights(scheme)), scheme
+                    if two_stage:
+                        for got, want in zip(_stage1_log_weights(n, b), _reference_stage1(n, b)):
+                            assert _same_bits(got, want), scheme
+
+    @pytest.mark.parametrize(
+        "scheme", [MUSTww(1000, 175, 120), MUSTwo(1000, 175, 120), MUSTww(1000, 500, 400)],
+        ids=repr,
+    )
+    def test_log_gamma_count_is_linear(self, scheme, monkeypatch):
+        # One row per stage: O(b + J + m) log-gammas, not one row per kept j.
+        kept = _stage1_log_weights(scheme.n, scheme.b)[0].size
+        gammaln, evaluated = numerics.gammaln, []
+
+        def counting(x):
+            evaluated.append(np.size(x))
+            return gammaln(x)
+
+        monkeypatch.setattr(numerics, "gammaln", counting)
+        multiplicity_weights(scheme)
+        assert 0 < sum(evaluated) <= 3 * (scheme.b + kept + 2 * scheme.m)
 
 
 class TestEpsilonMaps:

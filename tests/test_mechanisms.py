@@ -55,9 +55,14 @@ class TestProfile:
 
     def test_rejects_bad_epsilon(self):
         mech = MechanismSpec("gaussian", 1.0)
-        for bad in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for bad in (-0.1, -1.0, math.nan, math.inf, -math.inf, [0.5, math.nan],
+                    np.array([0.5, -1.0]), np.array([[1.0], [math.inf]])):
+            with pytest.raises(ValueError, match="epsilon"):
                 profile(mech, bad)
+            with pytest.raises(ValueError, match="epsilon"):
+                group_profile(mech, np.array([1, 2]), bad)
+        assert profile(mech, -0.0) == profile(mech, 0.0)
+        assert group_profile(mech, 2, -0.0) == group_profile(mech, 2, 0.0)
 
     def test_rejects_bad_theta(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
@@ -104,7 +109,8 @@ class TestGroupProfile:
         values = group_profile(mech, j, 0.8)
         assert isinstance(values, np.ndarray)
         assert values.tolist() == [group_profile(mech, int(u), 0.8) for u in j]
-        for bad in (np.array([1, 0, 2]), np.array([1.0, 2.0]), 2.0):
+        for bad in (np.array([1, 0, 2]), np.array([[1], [-1]]), -1,
+                    np.array([1.0, 2.0]), 2.0):
             with pytest.raises(ValueError):
                 group_profile(mech, bad, 0.8)
 
