@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .mechanisms import MechanismSpec, group_profile, profile
-from .numerics import _epsilon, log_binom, log_binom_pmf, stable_sum
+from .numerics import _epsilon, log_binom_pmf, stable_sum
 from .schemes import (
     MUSTow,
     MUSTwo,
@@ -117,9 +117,10 @@ def log_miss_probability(scheme: SamplingScheme) -> float:
         case WR(n=n, m=m) | MUSTwo(n=n, m=m):
             return _log_none_of(m, 1.0 / n)
         case MUSTow(n=n, b=b, m=m):
+            # Missed by stage II of WR(b, m) if in stage I, else missed outright.
+            in_stage1 = math.log(b / n) + log_miss_probability(WR(b, m))
             if b == n:
-                return _log_none_of(m, 1.0 / b)
-            in_stage1 = math.log(b / n) + _log_none_of(m, 1.0 / b)
+                return in_stage1
             return float(np.logaddexp(in_stage1, math.log1p(-b / n)))
         case MUSTww(n=n, b=b, m=m):
             j, logw = _stage1_log_weights(n, b)
@@ -141,40 +142,20 @@ def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
     match scheme:
         case Poisson() | WOR():
             return np.array([eta(scheme)])
-        case WR(n=n, m=m):
+        case WR(n=n, m=m) | MUSTwo(n=n, m=m):
+            # MUSTwo keeps m of the b draws without looking at them: the m
+            # kept are i.i.d. uniform over n, the law of WR(n, m).
             u = np.arange(1, m + 1, dtype=float)
             return np.exp(log_binom_pmf(u, float(m), 1.0 / n))
         case MUSTow(n=n, b=b, m=m):
-            u = np.arange(1, m + 1, dtype=float)
-            return (b / n) * np.exp(log_binom_pmf(u, float(m), 1.0 / b))
+            # In stage I with probability b/n, then WR(b, m) over the b picks.
+            return (b / n) * multiplicity_weights(WR(b, m))
         case MUSTww(n=n, b=b, m=m):
             u = np.arange(1, m + 1, dtype=float)
             j, logw = _stage1_log_weights(n, b)
             log_terms = logw[:, None] + log_binom_pmf(
                 u[None, :], float(m), (j / b)[:, None]
             )
-            return np.exp(log_terms).sum(axis=0)
-        case MUSTwo(n=n, b=b, m=m):
-            u = np.arange(1, m + 1, dtype=float)
-            # Hypergeometric second stage: C(j,u) C(b-j,m-u) / C(b,m), zero
-            # when b-j < m-u. Evaluated through the draws/successes symmetry
-            # C(m,u) C(b-m,j-u) / C(b,j), whose C(b,j) cancels the stage-I
-            # binomial coefficient exactly; this keeps every log-gamma
-            # magnitude O(m log b) and the result accurate to ~1e-14.
-            # C(b-m, j-u) depends on j - u alone: one row over the
-            # j[0]-m .. j[-1]-1 it spans, indexed by j - u.
-            j, _ = _stage1_log_weights(n, b)
-            low = j[0] - m
-            by_gap = log_binom(float(b - m), np.arange(low, j[-1]))
-            gap = (j[:, None] - u[None, :] - low).astype(int)
-            with np.errstate(divide="ignore"):
-                log_terms = (
-                    log_binom(float(m), u)[None, :]
-                    + by_gap[gap]
-                    + j[:, None] * math.log(1.0 / n)
-                    # n = 1 keeps only j = b, where this factor is 1.
-                    + ((b - j[:, None]) * math.log1p(-1.0 / n) if n > 1 else 0.0)
-                )
             return np.exp(log_terms).sum(axis=0)
     raise TypeError(f"not a sampling scheme: {scheme!r}")
 

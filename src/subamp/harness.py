@@ -70,8 +70,12 @@ class SGDConfig:
         if not (0.0 < self.delta_base < 1.0):
             raise ValueError("delta_base must lie in (0, 1)")
         _integer("iterations", self.iterations)
-        if self.clip_c <= 0 or self.learning_rate <= 0:
-            raise ValueError("clip_c, learning_rate must be positive")
+        for name in ("clip_c", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.sigma_override is not None:
+            _epsilon("sigma_override", self.sigma_override)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ class BootstrapConfig:
 
     def __post_init__(self):
         lo, hi = self.bounds
-        if not lo < hi:
-            raise ValueError("bounds must satisfy L_clip < U_clip")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bounds must be finite with L_clip < U_clip, got {self.bounds!r}")
         _integer("t_boot", self.t_boot)
         _integer("repeats", self.repeats)
         if _epsilon("eps_prime", self.eps_prime) == 0.0 or not (0.0 < self.delta_base < 1.0):

@@ -22,7 +22,6 @@ from .numerics import _epsilon, _integer
 __all__ = [
     "Family",
     "MechanismSpec",
-    "PrivacyPoint",
     "profile",
     "group_profile",
     "profile_numeric_oracle",
@@ -67,17 +66,6 @@ class MechanismSpec:
         if not math.isfinite(theta) or theta <= 0.0:
             raise ValueError(f"theta must be a positive finite real, got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
-
-
-@dataclass(frozen=True)
-class PrivacyPoint:
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        _epsilon("epsilon", self.epsilon)
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta!r}")
 
 
 def _check_epsilon(epsilon) -> np.ndarray:

@@ -5,10 +5,10 @@ an integer is what operator.index takes but bool (not 2.0, "3" or True), an
 epsilon a finite real >= 0 (math.isfinite). A value that breaks its rule
 raises ValueError; an epsilon that is not a number, TypeError.
 
-Binomial and hypergeometric coefficients are always accumulated through
-log-gamma: the configurations this package targets (b up to a few thousand,
-m up to a couple thousand) overflow direct factorials long before the
-probabilities themselves underflow.
+Binomial coefficients are always accumulated through log-gamma: the
+configurations this package targets (b up to a few thousand, m up to a
+couple thousand) overflow direct factorials long before the probabilities
+themselves underflow.
 
 _map_blocks runs independent slices of a loop on one thread per CPU: the
 row blocks of `pld`'s Newton kernel and CDF pass, the per-k transforms of

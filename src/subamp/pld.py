@@ -59,7 +59,6 @@ __all__ = [
     "loss_at",
     "invert_loss",
     "pld_density",
-    "pld_density_swapped",
     "log_output_density",
     "discretize",
 ]
@@ -407,24 +406,12 @@ def pld_density(model: PrivacyLossModel, s):
     """Density omega(s) of the privacy loss random variable.
 
     omega(s) = f_X(L^{-1}(s)) * d L^{-1}/ds. The derivative is closed-form
-    for Poisson and 1/L'(t) at t = L^{-1}(s) for the symmetric schemes.
+    for Poisson and 1/L'(t) at t = L^{-1}(s) for the symmetric schemes,
+    where f_X'(t) = f_X(-t) makes it also the density with X and X' swapped.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = _omega(model, s_arr)
     return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def pld_density_swapped(model: PrivacyLossModel, s):
-    """Density of the loss with X and X' exchanged (omega_{X'/X}).
-
-    For the symmetric schemes f_X'(t) = f_X(-t), so the swapped loss
-    log f_X'(T) - log f_X(T) = L(-T) of T ~ f_X' is L(T') with T' = -T ~ f_X:
-    the swapped density is pld_density itself. Used by the Lemma-style
-    identity checks; undefined for Poisson.
-    """
-    if not model.is_symmetric:
-        raise TypeError("swapped density implemented for symmetric schemes only")
-    return pld_density(model, s)
 
 
 def _check_grid(trunc_L: float, grid_r: int) -> None:

@@ -10,8 +10,10 @@ A fixed-size scheme states its stage structure once, in the class constant
 `stages`: one (population, draws, with_replacement) triple of field names
 per stage. Stage I draws from the n records; each later stage draws
 positions into the stage before it. Validation and the samplers read
-`stages`, the CLI the dataclass fields; the amplification formulas and loss
-models keep one closed form per scheme. Poisson has no stages.
+`stages`, the CLI the dataclass fields. The amplification formulas, which
+the loss models read, keep one closed form per multiplicity law: MUSTwo
+hands the mechanism WR(n, m)'s law and reads WR's form, and MUSTow reads
+WR(b, m)'s, thinned by b/n. Poisson has no stages.
 """
 
 from __future__ import annotations

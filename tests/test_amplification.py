@@ -1,11 +1,13 @@
 """Amplification formulas against exact enumeration, algebra, and each other."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from subamp import numerics
 from subamp.amplification import (
@@ -98,9 +100,11 @@ class TestMultiplicityWeights:
         assert w[0] == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     def test_mustwo_matches_wr(self):
-        w_two = multiplicity_weights(MUSTwo(300, 50, 30))
-        w_wr = multiplicity_weights(WR(300, 30))
-        assert np.max(np.abs(w_two - w_wr)) <= 1e-12
+        # MUSTwo's weights are WR(n, m)'s formula; check them against the
+        # two-stage hypergeometric sum.
+        scheme = MUSTwo(300, 50, 30)
+        w_two = multiplicity_weights(scheme)
+        assert np.max(np.abs(w_two - _reference_weights(scheme))) <= 1e-12
 
     @pytest.mark.parametrize(
         "scheme",
@@ -159,7 +163,8 @@ def _reference_stage1(n, b):
 
 
 def _reference_weights(scheme):
-    """The multiset weights with every log-binomial on the full J x m matrix."""
+    """The multiset weights with every log-binomial on the full J x m matrix;
+    MUSTwo's as the two-stage sum, with a hypergeometric second stage."""
     u = np.arange(1, scheme.m + 1, dtype=float)
     match scheme:
         case WR(n=n, m=m):
@@ -172,6 +177,8 @@ def _reference_weights(scheme):
                 u[None, :], float(m), (j / b)[:, None]
             )
         case MUSTwo(n=n, b=b, m=m):
+            # C(j,u) C(b-j,m-u) / C(b,m) = C(m,u) C(b-m,j-u) / C(b,j), whose
+            # C(b,j) cancels the stage-I binomial coefficient.
             j, _ = _reference_stage1(n, b)
             with np.errstate(divide="ignore"):
                 log_terms = (
@@ -183,13 +190,50 @@ def _reference_weights(scheme):
     return np.exp(log_terms).sum(axis=0)
 
 
+def _reference_eta(scheme):
+    """eta from each scheme's own closed form, none read through another's."""
+    match scheme:
+        case WR(n=n, m=m):
+            return -math.expm1(m * math.log1p(-1.0 / n) if n > 1 else -math.inf)
+        case MUSTow(n=n, b=b, m=m):
+            with np.errstate(divide="ignore"):
+                inner = -np.expm1(m * np.log1p(-1.0 / b))
+            return (b / n) * float(inner)
+        case MUSTww(n=n, b=b, m=m):
+            j, logw = _reference_stage1(n, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hit = -np.expm1(m * np.log1p(-j / b))
+            hit[j == b] = 1.0
+            return min(numerics.stable_sum(np.exp(logw) * hit), 1.0)
+
+
+def _reference_log_miss(scheme):
+    """log P[miss] from each scheme's own closed form."""
+    match scheme:
+        case WR(n=n, m=m):
+            return m * math.log1p(-1.0 / n) if n > 1 else -math.inf
+        case MUSTow(n=n, b=b, m=m):
+            stage2 = m * math.log1p(-1.0 / b) if b > 1 else -math.inf
+            if b == n:
+                return stage2
+            return float(np.logaddexp(math.log(b / n) + stage2, math.log1p(-b / n)))
+        case MUSTww(n=n, b=b, m=m):
+            j, logw = _reference_stage1(n, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = logw + m * np.log1p(-j / b)
+            terms[j == b] = -math.inf
+            none = b * math.log1p(-1.0 / n) if n > 1 else -math.inf
+            return float(np.logaddexp(logsumexp(terms), none))
+
+
 def _same_bits(got, want) -> bool:
     return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestLogGammaRows:
-    """log_binom_pmf and the multiset weights against the full-broadcast forms
-    they replaced: the same bits from one log-gamma row per stage."""
+    """log_binom_pmf, the multiset weights, eta and the miss probability
+    against reference forms written out in full: the same bits from one
+    log-gamma row per stage, and for MUSTwo the two-stage sum to round-off."""
 
     GRID_N = (1, 2, 3, 7, 10, 300, 1000, 30969, 60000)
     GRID_B = (1, 2, 3, 50, 175, 1000, 3000)
@@ -209,19 +253,48 @@ class TestLogGammaRows:
             args = (ks[None, :], n, ps[:, None])
             assert _same_bits(log_binom_pmf(*args), _reference_log_binom_pmf(*args))
 
-    @pytest.mark.parametrize("cls", [WR, MUSTww, MUSTwo, MUSTow], ids=lambda c: c.label)
-    def test_weights_bit_for_bit_on_grid(self, cls):
+    def grid(self, cls):
+        """Every valid scheme of class cls on GRID_N x GRID_B x GRID_M."""
         two_stage = len(cls.stages) == 2
         for n in self.GRID_N:
             for b in self.GRID_B if two_stage else (None,):
                 for m in self.GRID_M:
                     if cls is MUSTwo and m > b or cls is MUSTow and b > n:
                         continue
-                    scheme = cls(n, b, m) if two_stage else cls(n, m)
-                    assert _same_bits(multiplicity_weights(scheme), _reference_weights(scheme)), scheme
-                    if two_stage:
-                        for got, want in zip(_stage1_log_weights(n, b), _reference_stage1(n, b)):
-                            assert _same_bits(got, want), scheme
+                    yield cls(n, b, m) if two_stage else cls(n, m)
+
+    @pytest.mark.parametrize("cls", [WR, MUSTww, MUSTwo, MUSTow], ids=lambda c: c.label)
+    def test_weights_bit_for_bit_on_grid(self, cls):
+        for scheme in self.grid(cls):
+            got, want = multiplicity_weights(scheme), _reference_weights(scheme)
+            if cls is MUSTwo:
+                # WR(n, m)'s formula against the two-stage sum: round-off only
+                # (2.9e-12 at most on this grid).
+                assert np.max(np.abs(got - want)) <= 1e-11, scheme
+            else:
+                assert _same_bits(got, want), scheme
+            if cls is not WR:
+                n, b = scheme.n, scheme.b
+                for got, want in zip(_stage1_log_weights(n, b), _reference_stage1(n, b)):
+                    assert _same_bits(got, want), scheme
+
+    @pytest.mark.parametrize(
+        "cls, wr_form",
+        [(MUSTwo, lambda n, b, m: multiplicity_weights(WR(n, m))),
+         (MUSTow, lambda n, b, m: (b / n) * multiplicity_weights(WR(b, m)))],
+        ids=["mustwo", "mustow"],
+    )
+    def test_weights_read_wr_bit_for_bit(self, cls, wr_form):
+        # MUSTwo hands the mechanism WR(n, m)'s law; MUSTow is WR(b, m)
+        # thinned by P[record in stage I] = b/n.
+        for scheme in self.grid(cls):
+            assert _same_bits(multiplicity_weights(scheme), wr_form(*astuple(scheme))), scheme
+
+    @pytest.mark.parametrize("cls", [WR, MUSTww, MUSTow], ids=lambda c: c.label)
+    def test_eta_and_miss_probability_bit_for_bit_on_grid(self, cls):
+        for scheme in self.grid(cls):
+            assert _same_bits(eta(scheme), _reference_eta(scheme)), scheme
+            assert _same_bits(log_miss_probability(scheme), _reference_log_miss(scheme)), scheme
 
     @pytest.mark.parametrize(
         "scheme", [MUSTww(1000, 175, 120), MUSTwo(1000, 175, 120), MUSTww(1000, 500, 400)],

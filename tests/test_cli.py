@@ -1,6 +1,7 @@
 """Command-line surface: flags, schemas, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -451,6 +452,22 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("dpsgd_linear", "learning_rate", math.nan),
+        ("dpsgd_linear", "learning_rate", math.inf),
+        ("dpsgd_linear", "clip_c", math.nan),
+        ("bootstrap", "bounds", [-4.0, math.inf]),
+    ])
+    def test_non_finite_real_exits_2(self, capsys, tmp_path, kind, field, value):
+        # An input error (2), not the numerical failure (3) of a diverged loss.
+        cfg = {"experiment": kind, "n": 300, "repeats": 1, "iterations": 5, "t_boot": 10,
+               "schemes": [{"scheme": "wor", "n": 300, "m": 30}], field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} must be")
 
     @pytest.mark.parametrize("kind", ["bootstrap", "dpsgd_linear"])
     @pytest.mark.parametrize("repeats", [0, -1])

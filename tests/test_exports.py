@@ -20,3 +20,10 @@ def test_formerly_missing_names_import():
     assert QuadratureError is subamp.mechanisms.QuadratureError
     assert population_size is subamp.schemes.population_size
     assert scheme_from_dict is subamp.schemes.scheme_from_dict
+
+
+def test_removed_names_are_gone():
+    # pld_density_swapped returned pld_density; PrivacyPoint had no user.
+    for name in ("pld_density_swapped", "PrivacyPoint"):
+        assert name not in subamp.__all__
+        assert not hasattr(subamp, name)

@@ -183,6 +183,10 @@ class TestBootstrap:
             self.config(WOR(300, 30), bounds=(4.0, -4.0))
         with pytest.raises(ValueError):
             self.config(WOR(300, 30), eps_prime=0.0)
+        # An infinite end would otherwise surface later, as an infinite sensitivity.
+        for bounds in [(-4.0, math.inf), (-math.inf, 4.0), (math.nan, 4.0)]:
+            with pytest.raises(ValueError, match="^bounds must be finite"):
+                self.config(WOR(300, 30), bounds=bounds)
 
 
 class TestDPSGDLinear:
@@ -249,6 +253,19 @@ class TestDPSGDLinear:
                 finals[tag].append(run_dpsgd_linear(cfg, design, y)["loss_trace"][-1])
         _, p_value = sps.ks_2samp(finals["wr"], finals["mustwo"])
         assert p_value > 0.01
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("clip_c", math.nan), ("clip_c", math.inf), ("clip_c", 0.0), ("clip_c", -1.0),
+         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+         ("learning_rate", -math.inf), ("sigma_override", math.nan),
+         ("sigma_override", math.inf), ("sigma_override", -1.0)],
+    )
+    def test_config_rejects_bad_reals(self, field, value):
+        # Checked at construction: each would otherwise fail mid-run, as a
+        # divergence, a RuntimeWarning or numpy's "scale < 0".
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            self.config(WOR(200, 50), **{field: value})
 
     def test_population_size_must_match(self):
         design, y = make_synthetic("linear_regression", 100, seed=7)

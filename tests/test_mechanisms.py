@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from subamp.mechanisms import (
     Family,
     MechanismSpec,
-    PrivacyPoint,
     calibrate_sigma,
     group_profile,
     profile,
@@ -195,15 +194,6 @@ class TestCalibration:
             calibrate_sigma("laplace", 0.1, 1.0, 1.0, method="classical")
         with pytest.raises(ValueError):
             calibrate_sigma("gaussian", 0.1, 1.0, 1.0, method="nope")
-
-
-class TestPrivacyPoint:
-    def test_validation(self):
-        PrivacyPoint(0.5, 0.1)
-        with pytest.raises(ValueError):
-            PrivacyPoint(-0.1, 0.1)
-        with pytest.raises(ValueError):
-            PrivacyPoint(0.5, 1.5)
 
 
 @given(

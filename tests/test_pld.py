@@ -28,7 +28,6 @@ from subamp.pld import (
     log_output_density,
     loss_at,
     pld_density,
-    pld_density_swapped,
 )
 from subamp.pld import (
     _CELLS,
@@ -135,12 +134,11 @@ class TestInvertLoss:
 
     @pytest.mark.parametrize("tag", SYMMETRIC)
     def test_odd_to_the_bit(self, tag):
-        # L is odd, so t(-s) = -t(s) and the swapped density is the density.
+        # L is odd, so t(-s) = -t(s).
         model = MODELS[tag]
         s = np.concatenate((np.linspace(-9.0, 9.0, 37), [1e-9, -3e-5, 7.5]))
         assert np.count_nonzero(s == 0.0) == 1
         assert np.array_equal(_inverse(model, -s), -_inverse(model, s))
-        assert np.array_equal(pld_density_swapped(model, s), pld_density(model, s))
 
     def test_closed_form_and_newton_see_no_negative_s(self, monkeypatch):
         seen = []
@@ -324,11 +322,12 @@ class TestDensity:
             assert mass == pytest.approx(expected, rel=1e-6, abs=0.0), (lo, hi)
 
     def test_wor_swap_identity(self):
-        # omega_{X/X'}(s) = e^s * omega_{X'/X}(-s) on a 50-point grid.
+        # omega_{X/X'}(s) = e^s * omega_{X'/X}(-s) on a 50-point grid; with
+        # f_X'(t) = f_X(-t) the swapped density omega_{X'/X} is pld_density.
         model = MODELS["wor"]
         s = np.linspace(-3.0, 3.0, 50)
         lhs = pld_density(model, s)
-        rhs = np.exp(s) * pld_density_swapped(model, -s)
+        rhs = np.exp(s) * pld_density(model, -s)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
     def test_wor_derivative_matches_quotient(self):
@@ -340,10 +339,6 @@ class TestDensity:
         quotient = (_inverse(model, s + h) - _inverse(model, s - h)) / (2 * h)
         dinv = 1.0 / _sym_loss_and_slope(model, _inverse(model, s))[1]
         assert np.max(np.abs(quotient / dinv - 1.0)) <= 1e-6
-
-    def test_swapped_rejects_poisson(self):
-        with pytest.raises(TypeError):
-            pld_density_swapped(MODELS["poisson"], 0.1)
 
 
 def _loss_mass(model: PrivacyLossModel, s_lo: float, s_hi: float) -> float:
