@@ -80,8 +80,6 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class AccountantResult:
-    epsilon: float
-    k: int
     delta_lower: float
     delta_approx: float
     delta_upper: float
@@ -253,8 +251,6 @@ def compose_many(
                     k=k,
                     epsilon=eps,
                     result=AccountantResult(
-                        epsilon=eps,
-                        k=k,
                         delta_lower=min(dl, 1.0),
                         delta_approx=min(da, 1.0),
                         delta_upper=min(du + k * outside, 1.0),

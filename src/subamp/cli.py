@@ -3,8 +3,8 @@
 Subcommands: profile, amplify, aligned, contour, account, sample-stats,
 experiment. All tabular output is CSV with a leading "# schema=1" comment
 and 12-significant-digit numbers; runs are byte-identical given identical
-flags and seed. Exit codes: 0 success, 2 validation error, 3 numerical
-failure (diagnostics on stderr).
+flags and seed. Exit codes: 0 success, 2 validation or file-system error,
+3 numerical failure (diagnostics on stderr).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ _SCHEME_FIELDS = {f.name: f for cls in reversed(_SCHEME_TAGS.values()) for f in 
 
 _NUMERIC_FAILURES = (
     acct.NonFiniteError,
-    acct.EpsilonBeyondGridError,
     NoConvergenceError,
     QuadratureError,
     harness.DivergenceError,
@@ -343,11 +342,8 @@ _EXPERIMENTS = {
 
 
 def cmd_experiment(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ValueError(f"--config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"--config is not valid JSON: {exc}") from None
     kind = cfg.get("experiment") if isinstance(cfg, dict) else None
@@ -473,7 +469,7 @@ def main(argv=None) -> int:
         if diag:
             sys.stderr.write(f"diagnostics: {diag}\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -23,7 +23,7 @@ import numpy as np
 from .amplification import amplify_delta, amplify_epsilon, deamplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, calibrate_sigma
 from .numerics import _epsilon, _integer
-from .sampling import _count_blocks, _multiset
+from .sampling import _count_blocks
 from .schemes import Poisson, SamplingScheme, population_size
 
 __all__ = [
@@ -100,14 +100,6 @@ class BootstrapConfig:
         if _epsilon("eps_prime", self.eps_prime) == 0.0 or not (0.0 < self.delta_base < 1.0):
             raise ValueError("eps_prime must be positive, delta_base in (0, 1)")
 
-    @property
-    def n(self) -> int:
-        return population_size(self.scheme)
-
-    @property
-    def m(self) -> int:
-        return _subsample_size(self.scheme)
-
 
 def _subsample_size(scheme: SamplingScheme) -> int:
     """Nominal subsample size m (expected size for Poisson)."""
@@ -148,7 +140,7 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
     each, and the across-subsample averages are released.
     """
     data = np.asarray(data, dtype=float)
-    n = config.n
+    n = population_size(config.scheme)
     if data.shape != (n,):
         raise ValueError(f"data must have length n={n}, got shape {data.shape}")
     lo, hi = config.bounds
@@ -179,7 +171,6 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
         "sigma_mean": sigma_mean,
         "sigma_var": sigma_var,
         "base_epsilon": eps,
-        "calibration": "classical",
     }
 
 
@@ -217,16 +208,16 @@ def _dpsgd_loop(
     loss_trace = np.empty(config.iterations)
 
     for t, row in enumerate(rows):
-        sample = _multiset(row)
-        total = sample.total
+        total = int(row.sum())
         if total == 0:
             loss_trace[t] = loss_trace[t - 1] if t else math.nan
             continue
-        x = design[sample.elements]
-        y = response[sample.elements]
-        counts = sample.counts.astype(float)
+        elements = np.flatnonzero(row)
+        x = design[elements]
+        y = response[elements]
+        counts = row[elements]
 
-        loss = loss_fn(beta, np.repeat(x, sample.counts, axis=0), np.repeat(y, sample.counts))
+        loss = loss_fn(beta, np.repeat(x, counts, axis=0), np.repeat(y, counts))
         loss_trace[t] = loss
         if not math.isfinite(loss) or loss > _DIVERGENCE_LIMIT:
             raise DivergenceError(
@@ -258,7 +249,6 @@ def _dpsgd_loop(
         "base_epsilon": eps,
         "eps_prime_per_iter": amplify_epsilon(eta(scheme), eps),
         "delta_prime_per_iter": delta_prime,
-        "calibration": "classical",
     }
 
 

@@ -41,6 +41,7 @@ fills the other half.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,6 +124,8 @@ class PrivacyLossModel:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if self.sigma * self.sigma < sys.float_info.min:
+            raise ValueError(f"sigma={self.sigma!r} is too small: sigma**2 underflows")
 
     @property
     def is_symmetric(self) -> bool:
@@ -275,14 +278,18 @@ def _poisson_inverse_derivative(model: PrivacyLossModel, s: np.ndarray) -> np.nd
 
 
 def _wor_inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of the WOR loss at s >= 0.
+    """Inverse of the WOR loss at s >= 0, in closed form where a^2 is normal.
 
     With q = m/n, a = q e^{-1/(2 sigma^2)}, P = (1-q)(1-e^s) and
     Q = 4 a^2 e^s: e^{t / sigma^2} = (-P + sqrt(P^2 + Q)) / (2a). P <= 0 for
-    s >= 0, so the sum does not cancel.
+    s >= 0, so the sum does not cancel. Below about sigma = 0.038 at
+    q = 0.1, a^2 underflows and t(0) comes out -inf (below about 0.026, a
+    itself is 0); there Newton inverts WOR as it does the multiset schemes.
     """
     q = model.scheme.m / model.scheme.n
     a = q * math.exp(-1.0 / (2.0 * model.sigma**2))
+    if a * a < sys.float_info.min:
+        return _invert_newton(model, s)
     p = (1.0 - q) * (-np.expm1(s))
     root = np.sqrt(p * p + 4.0 * a * a * np.exp(s))
     return model.sigma**2 * (np.log(root - p) - math.log(2.0 * a))
@@ -324,7 +331,10 @@ def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
         fallback = ~np.isfinite(t_new) | (t_new <= lo[active]) | (t_new >= hi[active])
         t_new = np.where(fallback, 0.5 * (lo[active] + hi[active]), t_new)
         t[active] = t_new
+    # The last step is measured but not yet tested: it may have converged.
     worst = float(np.abs(_sym_loss_and_slope(model, t[active])[0] - s[active]).max())
+    if worst <= _NEWTON_TOL:
+        return t
     raise NoConvergenceError(
         f"Newton inversion did not reach |L(t)-s| <= {_NEWTON_TOL:g} after "
         f"{_NEWTON_MAX_ITER} iterations ({active.size} points open, worst residual {worst:.3e})",

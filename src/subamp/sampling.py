@@ -52,24 +52,6 @@ class Multiset:
         if np.any(self.counts < 1):
             raise ValueError("all multiset counts must be >= 1")
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def unique_count(self) -> int:
-        return int(self.elements.size)
-
-    @property
-    def entries(self) -> dict[int, int]:
-        return {int(e): int(c) for e, c in zip(self.elements, self.counts)}
-
-    def count_of(self, element: int) -> int:
-        idx = np.searchsorted(self.elements, element)
-        if idx < self.elements.size and self.elements[idx] == element:
-            return int(self.counts[idx])
-        return 0
-
 
 @dataclass(frozen=True)
 class RunStats:
@@ -140,14 +122,11 @@ def _count_blocks(scheme: SamplingScheme, rng: np.random.Generator, rows: int):
             yield np.bincount(values.ravel(), minlength=size * n).reshape(size, n)
 
 
-def _multiset(row: np.ndarray) -> Multiset:
-    elements = np.flatnonzero(row)
-    return Multiset(elements, row[elements])
-
-
 def draw(scheme: SamplingScheme, seed: int) -> Multiset:
     """One subsample under the scheme, deterministic given the seed."""
-    return _multiset(next(_count_blocks(scheme, np.random.default_rng(seed), 1))[0])
+    row = next(_count_blocks(scheme, np.random.default_rng(seed), 1))[0]
+    elements = np.flatnonzero(row)
+    return Multiset(elements, row[elements])
 
 
 def _unique_per_row(values: np.ndarray) -> np.ndarray:

@@ -416,6 +416,20 @@ class TestBoundsContainQuadrature:
                 checked += 1
         assert checked >= 1
 
+    @pytest.mark.parametrize("m", [10, 50, 100])
+    @pytest.mark.parametrize("sigma", [0.01, 0.03])
+    def test_wor_where_the_closed_form_underflows(self, sigma, m):
+        # (q e^{-1/(2 sigma^2)})^2 underflows below sigma ~ 0.038 at q = 0.1,
+        # where Newton inverts WOR: no warning, masses summing to 1, and a
+        # k=1 bracket around quadrature to its 1e-12 accuracy.
+        model = PrivacyLossModel(WOR(100, m), sigma)
+        pld = discretize(model, 10.0, 1024)
+        assert pld.c.sum() + pld.mass_outside == pytest.approx(1.0, rel=0.0, abs=1e-13)
+        for cell in compose_many(pld, [1], [0.5, 1.0]):
+            direct = delta_direct(model, cell.epsilon)
+            res = cell.result
+            assert res.delta_lower - 1e-12 <= direct <= res.delta_upper + 1e-12, cell.epsilon
+
 
 class TestAmplifyPathConsistency:
     def test_poisson_tail_equals_amplified_profile(self):

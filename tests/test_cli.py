@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import subamp.pld
 from subamp.cli import SCHEMA_LINE, main
 from subamp.sampling import _KEYS_MAX_N
 
@@ -299,6 +300,37 @@ def test_unknown_scheme_is_named_and_writes_nothing(capsys, tmp_path, tag, argv)
     assert not list(tmp_path.glob("**/*.csv"))
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["profile", "--family", "gaussian", "--theta", "1", "--eps-grid", "0:1"], "--eps-grid"),
+    (["contour", "--schemes", "mustow", "--n", "100", "--b-range", "3", "--m-range", "2:3"],
+     "--b-range"),
+], ids=["eps_grid", "b_range"])
+def test_malformed_range_flag_is_named(capsys, tmp_path, argv, flag):
+    if argv[0] == "contour":
+        argv = [*argv, "--output-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} expects ")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["profile", "--family", "gaussian", "--theta", "1", "--eps", "1", "--output"],
+     "missing/x.csv"),
+    (["contour", "--schemes", "mustow", "--n", "100", "--b-range", "2:3", "--m-range", "2:3",
+      "--output-dir"], "file"),
+    (["experiment", "--config"], "directory"),
+], ids=["output_in_missing_dir", "output_dir_is_a_file", "config_is_a_directory"])
+def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
+    # One error line naming the path, like any validation error.
+    (tmp_path / "file").touch()
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 class TestContourGridsScript:
     """scripts/run_contour_grids.py: --output-dir, and every other flag passed on."""
 
@@ -382,6 +414,56 @@ class TestAccountCommand:
         assert code == 3
         assert err.startswith("numerical failure: delta quadrature achieved error")
 
+    def test_failed_verify_tolerance_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "1000", "--m", "200",
+            "--sigma", "2", "--k-list", "1", "--eps-list", "1", "--r", "16384",
+            "--verify", "--verify-tol", "1e-30",
+        )
+        assert code == 3
+        assert len(parse_csv(out)[1]) == 1
+        assert err.startswith("verify k=1 eps=1: fft=") and err.endswith(" FAIL\n")
+
+    @pytest.mark.parametrize("budget, code", [(1, 0), (0, 3)])
+    def test_newton_budget(self, capsys, monkeypatch, budget, code):
+        # One Newton step meets the tolerance on this grid, so a budget of
+        # one returns; a budget of none is a numerical failure.
+        monkeypatch.setattr(subamp.pld, "_NEWTON_MAX_ITER", budget)
+        got, out, err = run_cli(
+            capsys, "account", "--scheme", "wr", "--n", "1000", "--m", "200",
+            "--sigma", "2", "--k-list", "1", "--eps-list", "1", "--r", "4096",
+        )
+        assert got == code
+        if code == 0:
+            assert err == "" and len(parse_csv(out)[1]) == 1
+        else:
+            assert err.startswith("numerical failure: Newton inversion did not reach")
+
+    @pytest.mark.parametrize("sigma", ["0.01", "0.03"])
+    def test_wor_where_the_closed_form_underflows(self, capsys, sigma):
+        # (q e^{-1/(2 sigma^2)})^2 underflows below sigma ~ 0.038 at q = 0.1;
+        # Newton inverts there. The mass at loss ~0 and the mass beyond L
+        # give the same row as the closed form at sigma = 0.045.
+        def row(value):
+            code, out, err = run_cli(
+                capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10",
+                "--sigma", value, "--k-list", "1", "--eps-list", "1", "--r", "1024",
+            )
+            assert (code, err) == (0, "")
+            return parse_csv(out)[1][0]
+
+        newton, closed = row(sigma), row("0.045")
+        assert newton[7:] == closed[7:]
+
+    @pytest.mark.parametrize("scheme", ["wor", "wr"])
+    def test_sigma_whose_square_underflows_exits_2(self, capsys, scheme):
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", scheme, "--n", "100", "--m", "10",
+            "--sigma", "1e-200", "--k-list", "1", "--eps-list", "1", "--r", "1024",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sigma=1e-200 is too small: sigma**2 underflows\n"
+
     def test_zero_sigma_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10",
@@ -429,11 +511,10 @@ class TestSampleStatsCommand:
 
 class TestExperimentCommand:
     def test_missing_config_exits_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "experiment", "--config", str(tmp_path / "nope.json")
-        )
+        path = tmp_path / "nope.json"
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
-        assert "config" in err
+        assert err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize("config", [
         {"experiment": "bootstrap", "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},

@@ -1,6 +1,7 @@
 """The package namespace: `import subamp` exports each module's `__all__`."""
 
 import importlib
+from dataclasses import fields
 
 import subamp
 
@@ -27,3 +28,26 @@ def test_removed_names_are_gone():
     for name in ("pld_density_swapped", "PrivacyPoint"):
         assert name not in subamp.__all__
         assert not hasattr(subamp, name)
+
+
+def test_removed_attributes_are_gone():
+    # Each had no reader outside the tests; the replacements are
+    # counts.sum(), elements.size, dict(zip(elements, counts)),
+    # population_size(scheme) and SweepCell.k / .epsilon.
+    ms = subamp.draw(subamp.WOR(5, 2), 0)
+    for name in ("total", "unique_count", "entries", "count_of"):
+        assert not hasattr(ms, name)
+    config = subamp.BootstrapConfig(
+        scheme=subamp.WOR(300, 30), t_boot=10, bounds=(-4.0, 4.0), eps_prime=0.1,
+        delta_base=1 / 300, repeats=1, seed=0,
+    )
+    assert not hasattr(config, "n") and not hasattr(config, "m")
+    assert {"k", "epsilon"}.isdisjoint(f.name for f in fields(subamp.AccountantResult))
+    data = subamp.make_synthetic("gaussian_univariate", 300, seed=0)
+    assert "calibration" not in subamp.run_bootstrap(config, data)
+    design, response = subamp.make_synthetic("linear_regression", 100, seed=0)
+    sgd = subamp.SGDConfig(
+        scheme=subamp.WOR(100, 10), eps_prime_per_iter=0.01, delta_base=0.01, clip_c=3.0,
+        learning_rate=0.04, iterations=2, seed=0,
+    )
+    assert "calibration" not in subamp.run_dpsgd_linear(sgd, design, response)

@@ -17,6 +17,7 @@ from subamp.harness import (
     DivergenceError,
     SGDConfig,
     _clip_rows,
+    _subsample_size,
     calibrate_for_scheme,
     make_synthetic,
     run_bootstrap,
@@ -92,7 +93,6 @@ class TestBootstrap:
         )
         assert res["sigma_mean"] == pytest.approx(0.11, abs=0.01)
         assert res["sigma_var"] == pytest.approx(0.84, abs=0.01)
-        assert res["calibration"] == "classical"
 
     def test_estimates_near_truth(self):
         means, variances = [], []
@@ -272,6 +272,22 @@ class TestDPSGDLinear:
         with pytest.raises(ValueError):
             run_dpsgd_linear(self.config(WOR(200, 50)), design, y)
 
+    def test_empty_poisson_step_keeps_beta_and_loss(self, monkeypatch):
+        # An empty Poisson draw takes no step and repeats the previous loss.
+        # Without noise, rows (full, empty, full) end where (full, full) do.
+        design, y = make_synthetic("linear_regression", 4, seed=2)
+        full, empty = [1, 0, 1, 1], [0, 0, 0, 0]
+        runs = {}
+        for rows in ([full, empty, full], [full, full]):
+            blocks = [np.array(rows, dtype=np.int64)]
+            monkeypatch.setattr(subamp.harness, "_count_blocks", lambda *_: iter(blocks))
+            cfg = self.config(Poisson(0.5, n=4), sigma_override=0.0, iterations=len(rows))
+            runs[len(rows)] = run_dpsgd_linear(cfg, design, y)
+        trace = runs[3]["loss_trace"]
+        assert trace[1] == trace[0]
+        assert np.array_equal(trace[[0, 2]], runs[2]["loss_trace"])
+        assert np.array_equal(runs[3]["beta_hat"], runs[2]["beta_hat"])
+
 
 class TestDPSGDLogistic:
     def test_smoke_classification_beats_chance(self):
@@ -298,12 +314,7 @@ class TestCalibrationPlumbing:
         assert sig_c != sig_e
 
     def test_poisson_uses_expected_size(self):
-        cfg = BootstrapConfig(
-            scheme=Poisson(0.1, n=300), t_boot=10, bounds=(-4, 4),
-            eps_prime=0.1, delta_base=1 / 300, repeats=1, seed=0,
-        )
-        assert cfg.n == 300
-        assert cfg.m == 30
+        assert _subsample_size(Poisson(0.1, n=300)) == 30
 
     def test_sigma_ordering_across_schemes(self):
         n, b, m = 1000, 200, 100

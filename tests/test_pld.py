@@ -21,6 +21,7 @@ import subamp
 from subamp.harness import calibrate_for_scheme
 from subamp.pld import (
     DiscretizedPLD,
+    NoConvergenceError,
     OutOfDomainError,
     PrivacyLossModel,
     discretize,
@@ -31,6 +32,7 @@ from subamp.pld import (
 )
 from subamp.pld import (
     _CELLS,
+    _NEWTON_TOL,
     _edge_probabilities,
     _inverse,
     _invert_newton,
@@ -155,6 +157,26 @@ class TestInvertLoss:
             discretize(MODELS[tag], 8.0, 512)
         assert len(seen) == 3 * len(SYMMETRIC)
         assert not any(np.signbit(values).any() for values in seen)
+
+    def test_newton_budget(self, monkeypatch):
+        # The residual after the last step is tested before raising: one step
+        # from the presolve meets the tolerance here, no step does not.
+        model, s = PrivacyLossModel(WR(1000, 200), 2.0), np.linspace(0.0, 10.0, 2049)
+        monkeypatch.setattr(subamp.pld, "_NEWTON_MAX_ITER", 1)
+        t = _invert_newton(model, s)
+        assert np.abs(_sym_loss_and_slope(model, t)[0] - s).max() <= _NEWTON_TOL
+        monkeypatch.setattr(subamp.pld, "_NEWTON_MAX_ITER", 0)
+        with pytest.raises(NoConvergenceError) as excinfo:
+            _invert_newton(model, s)
+        assert excinfo.value.iterations == 0
+        assert excinfo.value.worst_residual > _NEWTON_TOL
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+    def test_sigma_whose_square_underflows(self, sigma):
+        # 1e-200 squares to 0 and 1e-160 to a subnormal.
+        with pytest.raises(ValueError, match=r"^sigma=.* sigma\*\*2 underflows"):
+            PrivacyLossModel(WR(100, 10), sigma)
+        PrivacyLossModel(WR(100, 10), 1e-150)
 
     def test_scalar_in_scalar_out(self):
         out = invert_loss(MODELS["wr"], 0.25)
