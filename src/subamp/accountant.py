@@ -17,6 +17,8 @@ same masses at the right edges shifts the composed array by k dx, so the
 three deltas are tails of one array: delta_lower at eps, delta_approx
 (centres) at eps - k dx/2 and delta_upper at eps - k dx, plus a union
 bound over the mass outside the grid. They are ordered by construction.
+_cell builds each (k, eps) cell inside its k's task; a new bracket term
+(wrap-around, pair bounds, the larger Poisson direction) goes there alone.
 The bounds hold for the exact masses up to FFT round-off and wrap-around
 of the composed loss past +-L, neither of which is bounded yet. The
 additive residual term that appears for base mechanisms with
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -167,17 +170,17 @@ def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
     The bounds hold for the exact cell masses of the grid, up to FFT
     round-off and wrap-around of the composed loss past +-L.
     """
-    cells = compose_many(pld, [k], [epsilon])
-    cell = cells[0]
+    (cell,) = compose_many(pld, [k], [epsilon])
     if cell.error is not None:
         raise EpsilonBeyondGridError(cell.error)
     return cell.result
 
 
-def compose_many(
-    pld: DiscretizedPLD, k_list: Sequence[int], eps_grid: Sequence[float]
-) -> list[SweepCell]:
-    """compose over the k x epsilon grid: one forward rfft, one irfft per k.
+def _cell(
+    pld: DiscretizedPLD, s: np.ndarray, u: np.ndarray, k: int, eps: float, m_right: float,
+    diagnostics: Diagnostics,
+) -> SweepCell:
+    """The (k, eps) cell from the k-fold composed masses u on the grid s.
 
     The composed masses u place each loss at the sum of its cells' left
     edges, so the true sum lies in [s_i, s_i + k dx). The tail at eps is
@@ -186,9 +189,34 @@ def compose_many(
     does not dominate, by a union bound over the k terms: mass_outside for
     a loss below -L, and for a loss above L (held in the last cell, at L)
     its excess over placing it at L, at most c[-1] e^{eps - L} M^{k-1} with
-    M = sum_i c_i e^{-(s_i + dx)}. Per-cell epsilon validation failures are
-    collected into the returned cells; numerical (non-finite) failures
-    abort, as the whole composition for that k is meaningless.
+    M = sum_i c_i e^{-(s_i + dx)} = m_right. An eps at or beyond the last
+    grid point gives an error cell, as its tail sum is empty.
+    """
+    if eps >= s[-1]:
+        return SweepCell(k=k, epsilon=eps, error=(
+            f"epsilon={eps:g} must lie below the last grid point "
+            f"L - dx = {s[-1]:g}; enlarge trunc_L or grid_r"
+        ))
+    dx, c_last = pld.dx, float(pld.c[-1])
+    dl, da, du = _tail(s, u, (eps, eps - k * dx / 2.0, eps - k * dx))
+    outside = pld.mass_outside + c_last * math.exp(eps - pld.trunc_L) * m_right ** (k - 1)
+    return SweepCell(k=k, epsilon=eps, result=AccountantResult(
+        delta_lower=min(dl, 1.0),
+        delta_approx=min(da, 1.0),
+        delta_upper=min(du + k * outside, 1.0),
+        diagnostics=diagnostics,
+    ))
+
+
+def compose_many(
+    pld: DiscretizedPLD, k_list: Sequence[int], eps_grid: Sequence[float]
+) -> list[SweepCell]:
+    """compose over the k x epsilon grid: one forward rfft, one irfft per k.
+
+    Each k's task composes and floors the masses, then builds its cells
+    with _cell. Per-cell epsilon validation failures are collected into the
+    returned cells; numerical (non-finite) failures abort, as the whole
+    composition for that k is meaningless.
 
     The values of k run on one thread per CPU in the affinity mask, each
     writing its own slot, and the cells come back in k-list order. Memory
@@ -202,12 +230,15 @@ def compose_many(
 
     context = {"grid_r": pld.grid_r, "trunc_L": pld.trunc_L, "scheme": pld.scheme.label}
     s, dx, c = pld.s, pld.dx, pld.c
-    last, c_last = s[-1], float(c[-1])
     # As e^(log c - s - dx): e^-(s+dx) alone overflows for L above 709.
     with np.errstate(divide="ignore"):
         m_right = float(np.exp(np.log(c) - (s + dx)).sum())
+    diagnostics = partial(
+        Diagnostics, grid_r=pld.grid_r, trunc_L=pld.trunc_L, mass_defect=pld.mass_outside,
+        max_cell_mass=float(c.max()), occupied_cells=int(np.count_nonzero(c)),
+    )
     spectrum = _spectrum(c, min(k_values, default=1))
-    per_k: list = [None] * len(k_values)  # (floored mass, tails per eps) of each k
+    per_k: list[list[SweepCell]] = [[] for _ in k_values]
 
     def compose_k(items: slice) -> None:
         for i in range(len(k_values))[items]:
@@ -217,48 +248,11 @@ def compose_many(
             negative = u < 0.0
             floored = float(-u[negative].sum()) if negative.any() else 0.0
             u[negative] = 0.0
-            tails = [
-                _tail(s, u, (eps, eps - k * dx / 2.0, eps - k * dx)) if eps < last else None
-                for eps in eps_values
-            ]
-            per_k[i] = floored, tails
+            diag = diagnostics(floored_mass=floored)
+            per_k[i] = [_cell(pld, s, u, k, eps, m_right, diag) for eps in eps_values]
 
     _map_blocks(compose_k, len(k_values), 1)
-
-    max_cell_mass = float(c.max())
-    occupied_cells = int(np.count_nonzero(c))
-    cells: list[SweepCell] = []
-    for k, (floored, tails) in zip(k_values, per_k):
-        diag = Diagnostics(
-            grid_r=pld.grid_r,
-            trunc_L=pld.trunc_L,
-            mass_defect=pld.mass_outside,
-            max_cell_mass=max_cell_mass,
-            occupied_cells=occupied_cells,
-            floored_mass=floored,
-        )
-        for eps, sums in zip(eps_values, tails):
-            if sums is None:
-                cells.append(SweepCell(k=k, epsilon=eps, error=(
-                    f"epsilon={eps:g} must lie below the last grid point "
-                    f"L - dx = {last:g}; enlarge trunc_L or grid_r"
-                )))
-                continue
-            dl, da, du = sums
-            outside = pld.mass_outside + c_last * math.exp(eps - pld.trunc_L) * m_right ** (k - 1)
-            cells.append(
-                SweepCell(
-                    k=k,
-                    epsilon=eps,
-                    result=AccountantResult(
-                        delta_lower=min(dl, 1.0),
-                        delta_approx=min(da, 1.0),
-                        delta_upper=min(du + k * outside, 1.0),
-                        diagnostics=diag,
-                    ),
-                )
-            )
-    return cells
+    return [cell for cells in per_k for cell in cells]
 
 
 def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:

@@ -250,18 +250,13 @@ def cmd_account(args) -> int:
         "scheme", "n", "b", "m", "sigma", "k", "epsilon",
         "delta_lower", "delta_approx", "delta_upper", "grid_r", "trunc_L",
     ]
-    rows = []
-    failures = []
-    for cell in cells:
-        if cell.error is not None:
-            failures.append(cell)
-            continue
-        res = cell.result
-        rows.append([
-            cols["scheme"], cols["n"], cols["b"], cols["m"], args.sigma,
-            cell.k, cell.epsilon, res.delta_lower, res.delta_approx,
-            res.delta_upper, res.diagnostics.grid_r, res.diagnostics.trunc_L,
-        ])
+    rows = [
+        [cols["scheme"], cols["n"], cols["b"], cols["m"], args.sigma, cell.k, cell.epsilon,
+         cell.result.delta_lower, cell.result.delta_approx, cell.result.delta_upper,
+         cell.result.diagnostics.grid_r, cell.result.diagnostics.trunc_L]
+        for cell in cells if cell.error is None
+    ]
+    failures = [cell for cell in cells if cell.error is not None]
     _emit(header, rows, args)
     for cell in failures:
         sys.stderr.write(f"error: k={cell.k} eps={cell.epsilon}: {cell.error}\n")

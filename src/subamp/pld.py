@@ -95,6 +95,10 @@ _CDF_WINDOW = 2.0**-60
 # Shifted kernel terms are raised to this before exp: e^-700 ~ 1e-304 adds
 # nothing to a sum of at least 1, and exp stays off its slow underflow path.
 _EXP_FLOOR = -700.0
+# The largest sigma accepted. Inverted outputs are t ~ sigma^2 x (x: s plus a
+# log weight ratio) and quadrature squares them, so t^2 is finite for x < 1e54;
+# delta_direct's t^2 overflows from sigma ~1e77, the presolve span from ~3e153.
+_SIGMA_MAX = 1e50
 
 
 class OutOfDomainError(ValueError):
@@ -126,6 +130,8 @@ class PrivacyLossModel:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.sigma * self.sigma < sys.float_info.min:
             raise ValueError(f"sigma={self.sigma!r} is too small: sigma**2 underflows")
+        if self.sigma > _SIGMA_MAX:
+            raise ValueError(f"sigma={self.sigma!r} is too large: the limit is {_SIGMA_MAX:g}")
 
     @property
     def is_symmetric(self) -> bool:
@@ -370,14 +376,16 @@ def _inverse(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
 
     The one scheme dispatch of the inversion: closed forms for Poisson and
     WOR, safeguarded Newton otherwise. L is odd for every scheme but
-    Poisson, so those invert |s| and negate t where s < 0: the WOR closed
-    form and Newton see s >= 0 only.
+    Poisson, so those invert |s|, negate t where s < 0 and give t = 0 at
+    s = 0 (Newton's tolerance alone leaves t(0) anywhere in a flat stretch
+    of L around 0): the WOR closed form and Newton see s >= 0 only.
     """
     if isinstance(model.scheme, Poisson):
         return _poisson_inverse(model, s)
     invert = _wor_inverse if isinstance(model.scheme, WOR) else _invert_newton
     t = invert(model, np.abs(s))
     np.negative(t, out=t, where=s < 0.0)
+    t[s == 0.0] = 0.0
     return t
 
 

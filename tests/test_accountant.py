@@ -313,6 +313,19 @@ class TestThreadedCompose:
             if cell.epsilon < poisson_pld.trunc_L:
                 assert cell.result == compose(poisson_pld, cell.k, cell.epsilon)
 
+    def test_last_grid_point_is_the_first_error(self, cpus):
+        # eps = s[-1] leaves an empty tail sum at every k; the float just
+        # below it still gives a bracket, its upper bound the union bound.
+        pld = discretize(POISSON_MODEL, 10.0, 4096)
+        last = pld.s[-1]
+        cells = compose_many(pld, [1, 3], [last, np.nextafter(last, 0.0)])
+        assert [(c.k, c.error is None) for c in cells] == [
+            (1, False), (1, True), (3, False), (3, True)
+        ]
+        assert all(c.error.startswith(f"epsilon={last:g} must lie below") for c in cells[::2])
+        upper = [c.result.delta_upper for c in cells[1::2]]
+        assert upper == pytest.approx([4.93038065763132e-32, 8.887699086369692e-169], rel=1e-12)
+
     def test_no_thread_outlives_the_call(self, cpus, poisson_pld):
         baseline = threading.active_count()
         compose_many(poisson_pld, [1, 2, 3, 200], [0.5])

@@ -464,6 +464,21 @@ class TestAccountCommand:
         assert (code, out) == (2, "")
         assert err == "error: sigma=1e-200 is too small: sigma**2 underflows\n"
 
+    @pytest.mark.parametrize("sigma", ["1e50", "1e153", "3e153", "1e154", "1e160", "1e200"])
+    @pytest.mark.parametrize("scheme", ["poisson", "wor", "wr", "mustwo", "mustow", "mustww"])
+    def test_large_sigma_gives_a_row_or_exits_2(self, capsys, scheme, sigma):
+        # Warnings are errors here: an overflow anywhere fails the case.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", scheme, "--n", "1000", "--b", "100", "--m", "50",
+            "--sigma", sigma, "--k-list", "1", "--eps-list", "1", "--r", "1024", "--verify",
+        )
+        if float(sigma) <= 1e50:
+            assert code == 0 and len(parse_csv(out)[1]) == 1
+            assert err.startswith("verify k=1 eps=1: ") and err.endswith(" PASS\n")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: sigma={float(sigma)!r} is too large: the limit is 1e+50\n"
+
     def test_zero_sigma_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10",

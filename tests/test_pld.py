@@ -43,7 +43,7 @@ from subamp.pld import (
 )
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
-from oracles import mixture_loss_mass
+from oracles import mixture_loss_mass, mixture_weights
 
 MODELS = {
     "poisson": PrivacyLossModel(Poisson(0.02, n=100), 2.0),
@@ -177,6 +177,12 @@ class TestInvertLoss:
         with pytest.raises(ValueError, match=r"^sigma=.* sigma\*\*2 underflows"):
             PrivacyLossModel(WR(100, 10), sigma)
         PrivacyLossModel(WR(100, 10), 1e-150)
+
+    @pytest.mark.parametrize("sigma", [1e153, 1e200, math.nextafter(1e50, math.inf)])
+    def test_sigma_above_the_limit(self, sigma):
+        with pytest.raises(ValueError, match=r"^sigma=.* is too large: the limit is 1e\+50$"):
+            PrivacyLossModel(WR(100, 10), sigma)
+        PrivacyLossModel(WR(100, 10), 1e50)
 
     def test_scalar_in_scalar_out(self):
         out = invert_loss(MODELS["wr"], 0.25)
@@ -452,6 +458,22 @@ class TestDiscretize:
                 expected = _loss_mass(model, pld.s[lo], pld.s[hi])
                 assert pld.c[lo:hi].sum() == pytest.approx(expected, rel=1e-9, abs=0.0), (
                     tag, pld.s[lo], pld.s[hi])
+
+    @pytest.mark.parametrize(
+        "scheme, sigma",
+        [(WR(100, 10), 0.1), (MUSTow(1000, 100, 50), 0.1), (MUSTww(100, 20, 10), 0.045),
+         (WOR(100, 10), 0.03)],
+        ids=repr,
+    )
+    def test_mass_below_zero_where_the_loss_is_flat(self, scheme, sigma):
+        # L is flat around t = 0 at these sigmas, so |L(t)| is within
+        # Newton's tolerance over a wide stretch of t; t(0) must be 0 for
+        # P[L < 0] to be the mixture CDF at 0, sum_l w_l Phi(-l / sigma).
+        pld = discretize(PrivacyLossModel(scheme, sigma), 10.0, 1024)
+        w = np.array([0.9, 0.1]) if isinstance(scheme, WOR) else mixture_weights(scheme)
+        expected = float((w * ndtr(-np.arange(w.size) / sigma)).sum())
+        below = pld.mass_outside + pld.c[: pld.grid_r // 2].sum()
+        assert below == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_poisson_mass_below_domain_is_zero(self):
         pld = discretize(MODELS["poisson"], 10.0, 100_000)
