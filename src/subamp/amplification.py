@@ -12,6 +12,7 @@ two-stage variants) can repeat an element, and their weights run to u = m.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -168,15 +169,22 @@ def _check_eta(eta_value: float) -> float:
 
 
 def amplify_epsilon(eta_value: float, epsilon: float) -> float:
-    """eps' = log(1 + eta*(e^eps - 1))."""
+    """eps' = log(1 + eta*(e^eps - 1)), with e^eps factored out where it overflows."""
     eta_value = _check_eta(eta_value)
-    return math.log1p(eta_value * math.expm1(_epsilon("epsilon", epsilon)))
+    epsilon = _epsilon("epsilon", epsilon)
+    with contextlib.suppress(OverflowError):
+        return math.log1p(eta_value * math.expm1(epsilon))
+    return epsilon + math.log(eta_value + (1 - eta_value) * math.exp(-epsilon))
 
 
 def deamplify_epsilon(eta_value: float, eps_prime: float) -> float:
-    """Inverse of amplify_epsilon: the base eps giving eps' after subsampling."""
+    """Inverse of amplify_epsilon, with e^eps' factored out where it overflows."""
     eta_value = _check_eta(eta_value)
-    return math.log1p(math.expm1(_epsilon("eps_prime", eps_prime)) / eta_value)
+    eps_prime = _epsilon("eps_prime", eps_prime)
+    with contextlib.suppress(OverflowError):
+        if math.isfinite(scaled := math.expm1(eps_prime) / eta_value):
+            return math.log1p(scaled)
+    return eps_prime - math.log(eta_value) + math.log1p((eta_value - 1) * math.exp(-eps_prime))
 
 
 def amplify_delta(

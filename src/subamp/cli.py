@@ -241,6 +241,7 @@ def cmd_account(args) -> int:
     eps_list = [float(v) for v in args.eps_list.split(",")]
     if args.verify and 1 not in k_list:
         raise ValueError("--verify needs k = 1 in --k-list")
+    _epsilon("--verify-tol", args.verify_tol)
     model = PrivacyLossModel(scheme, args.sigma)
     pld = discretize(model, args.L, args.r)
     cells = acct.compose_many(pld, k_list, eps_list)

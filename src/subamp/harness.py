@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .amplification import amplify_delta, amplify_epsilon, deamplify_epsilon, eta
-from .mechanisms import Family, MechanismSpec, calibrate_sigma
+from .amplification import deamplify_epsilon, eta
+from .mechanisms import Family, calibrate_sigma
 from .numerics import _epsilon, _integer
 from .sampling import _count_blocks
 from .schemes import Poisson, SamplingScheme, population_size
@@ -147,7 +147,7 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
     clamped = np.clip(data, lo, hi)
 
     width = hi - lo
-    sigma_mean, eps = calibrate_for_scheme(
+    sigma_mean, _ = calibrate_for_scheme(
         config.scheme, config.eps_prime, config.delta_base, width / n, "classical"
     )
     sigma_var, _ = calibrate_for_scheme(
@@ -170,7 +170,6 @@ def run_bootstrap(config: BootstrapConfig, data: np.ndarray) -> dict:
         "pp_var": float((variances + rng.normal(0.0, sigma_var, means.size)).mean()),
         "sigma_mean": sigma_mean,
         "sigma_var": sigma_var,
-        "base_epsilon": eps,
     }
 
 
@@ -195,9 +194,8 @@ def _dpsgd_loop(
     m = _subsample_size(scheme)
     if config.sigma_override is not None:
         sigma = float(config.sigma_override)
-        eps = deamplify_epsilon(eta(scheme), config.eps_prime_per_iter)
     else:
-        sigma, eps = calibrate_for_scheme(
+        sigma, _ = calibrate_for_scheme(
             scheme, config.eps_prime_per_iter, config.delta_base,
             config.clip_c / n, "classical",
         )
@@ -235,21 +233,7 @@ def _dpsgd_loop(
         noise = (total / m) * rng.normal(0.0, m * sigma, size=p)
         beta = beta - config.learning_rate * (grad_sum + noise) / total
 
-    if config.sigma_override is not None:
-        delta_prime = math.nan
-    else:
-        theta = (config.clip_c / n) / sigma
-        delta_prime = amplify_delta(
-            scheme, MechanismSpec(Family.GAUSSIAN, theta), eps
-        )
-    return {
-        "beta_hat": beta,
-        "loss_trace": loss_trace,
-        "sigma_used": sigma,
-        "base_epsilon": eps,
-        "eps_prime_per_iter": amplify_epsilon(eta(scheme), eps),
-        "delta_prime_per_iter": delta_prime,
-    }
+    return {"beta_hat": beta, "loss_trace": loss_trace, "sigma_used": sigma}
 
 
 def _linear_grads(beta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -99,6 +99,10 @@ _EXP_FLOOR = -700.0
 # log weight ratio) and quadrature squares them, so t^2 is finite for x < 1e54;
 # delta_direct's t^2 overflows from sigma ~1e77, the presolve span from ~3e153.
 _SIGMA_MAX = 1e50
+# The largest trunc_L accepted: the closed-form inverses see every grid edge,
+# and WOR's squares expm1(s), which overflows above s ~ 354.9 (Poisson's
+# expm1(s) above ~709.78).
+_TRUNC_L_MAX = 350.0
 
 
 class OutOfDomainError(ValueError):
@@ -435,6 +439,8 @@ def pld_density(model: PrivacyLossModel, s):
 def _check_grid(trunc_L: float, grid_r: int) -> None:
     if not (math.isfinite(trunc_L) and trunc_L > 0.0):
         raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
+    if trunc_L > _TRUNC_L_MAX:
+        raise ValueError(f"trunc_L={trunc_L!r} is too large: the limit is {_TRUNC_L_MAX:g}")
     if _integer("grid_r", grid_r) % 2 != 0:
         raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")
 

@@ -346,6 +346,15 @@ class TestEpsilonMaps:
         with pytest.raises(ValueError):
             deamplify_epsilon(0.5, -1.0)
 
+    @pytest.mark.parametrize("eps", [709.7, 709.8, 800.0, 1e6])
+    @pytest.mark.parametrize("eta_value", [1e-3, 0.5, 1.0])
+    def test_finite_where_e_to_the_eps_overflows(self, eta_value, eps):
+        # e^eps overflows from eps ~ 709.78, and (e^eps - 1)/eta earlier.
+        eps_prime = amplify_epsilon(eta_value, eps)
+        assert eps + math.log(eta_value) <= eps_prime <= eps
+        assert deamplify_epsilon(eta_value, eps_prime) == pytest.approx(eps, rel=1e-12)
+        assert math.isfinite(deamplify_epsilon(eta_value, eps))
+
 
 @given(
     eta_value=st.floats(1e-6, 1.0, exclude_min=False),

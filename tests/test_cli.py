@@ -331,6 +331,64 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--family", "gaussian", "--theta", "1", "--eps-grid", "0:1:0"],
+     "--eps-grid produced an empty grid"),
+    (["contour", "--schemes", "mustow", "--n", "10", "--b-range", "5:4", "--m-range", "2:2"],
+     "--b-range range is empty: '5:4'"),
+    (["amplify", "--scheme", "wor", "--n", "10", "--m", "3", "--family", "gaussian",
+      "--theta", "1", "--eps", "0"], "--eps must be a positive real"),
+    (["contour", "--schemes", "mustow", "--n", "10", "--b-range", "4:5", "--m-range", "2:2",
+      "--family", "gaussian", "--theta", "1", "--eps", "0"],
+     "--eps must be positive when a mechanism is given"),
+    (["experiment", "--config", "{"], "--config is not valid JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["experiment", "--config", '{"experiment": "nope"}'],
+     "config field 'experiment' must be 'bootstrap' or 'dpsgd_linear', got 'nope'"),
+], ids=["empty_eps_grid", "empty_b_range", "amplify_eps_zero", "contour_eps_zero",
+        "config_not_json", "unknown_experiment"])
+def test_validation_error_exits_2(capsys, tmp_path, argv, message):
+    out_dir = tmp_path / "D"
+    if argv[0] == "contour":
+        argv = [*argv, "--output-dir", str(out_dir)]
+    elif argv[0] == "experiment":
+        path = tmp_path / "cfg.json"
+        path.write_text(argv[-1])
+        argv = [*argv[:-1], str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["amplify", "--scheme", "wor", "--n", "10", "--m", "3", "--family", "gaussian",
+     "--theta", "1", "--eps", "709.8"],
+    ["aligned", "--schemes", "wor,mustow", "--families", "gaussian", "--thetas", "1",
+     "--n", "10", "--b", "5", "--m", "3", "--eps-grid", "1:800:3"],
+    ["contour", "--schemes", "mustow", "--n", "10", "--b-range", "4:5", "--m-range", "2:3",
+     "--family", "gaussian", "--theta", "1", "--eps", "800"],
+    ["experiment", "--config"],
+], ids=["amplify", "aligned", "contour", "experiment"])
+def test_eps_where_e_to_the_eps_overflows(capsys, tmp_path, argv):
+    # e^eps overflows above eps ~ 709.78; every value is still finite.
+    if argv[0] in ("aligned", "contour"):
+        argv = [*argv, "--output-dir", str(tmp_path)]
+    elif argv[0] == "experiment":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "experiment": "bootstrap", "n": 100, "eps_prime": 800, "repeats": 1,
+            "t_boot": 20, "schemes": [{"scheme": "wor", "n": 100, "m": 10}],
+        }))
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    tables = [p.read_text() for p in sorted(tmp_path.glob("*.csv"))] or [out]
+    for text in tables:
+        _, rows = parse_csv(text)
+        assert rows
+        assert not {"inf", "-inf", "nan"} & {v for row in rows for v in row}
+
+
 class TestContourGridsScript:
     """scripts/run_contour_grids.py: --output-dir, and every other flag passed on."""
 
@@ -424,6 +482,22 @@ class TestAccountCommand:
         assert len(parse_csv(out)[1]) == 1
         assert err.startswith("verify k=1 eps=1: fft=") and err.endswith(" FAIL\n")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_verify_tol(self, capsys, tol):
+        # |diff| = 1.089e-07 on this cell: a tolerance of 0 fails it, and an
+        # invalid one is rejected before anything is discretized.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "poisson", "--gamma", "0.1", "--n", "100",
+            "--sigma", "1", "--k-list", "1", "--eps-list", "1", "--r", "1024",
+            "--verify", "--verify-tol", tol,
+        )
+        if tol == "0":
+            assert code == 3 and len(parse_csv(out)[1]) == 1
+            assert err.endswith("|diff|=1.089e-07 FAIL\n")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: --verify-tol must be finite and >= 0, got {float(tol)!r}\n"
+
     @pytest.mark.parametrize("budget, code", [(1, 0), (0, 3)])
     def test_newton_budget(self, capsys, monkeypatch, budget, code):
         # One Newton step meets the tolerance on this grid, so a budget of
@@ -478,6 +552,21 @@ class TestAccountCommand:
         else:
             assert (code, out) == (2, "")
             assert err == f"error: sigma={float(sigma)!r} is too large: the limit is 1e+50\n"
+
+    @pytest.mark.parametrize("trunc_L", [350.0, math.nextafter(350.0, math.inf), 1000.0, 1e308])
+    @pytest.mark.parametrize("scheme", ["poisson", "wor", "wr", "mustwo", "mustow", "mustww"])
+    def test_wide_grid_gives_a_row_or_exits_2(self, capsys, scheme, trunc_L):
+        # Warnings are errors here: an overflow in a closed-form inverse fails the case.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", scheme, "--gamma", "0.1", "--n", "100",
+            "--b", "50", "--m", "10", "--sigma", "1", "--k-list", "1,2", "--eps-list", "1",
+            "--L", repr(trunc_L), "--r", "4096",
+        )
+        if trunc_L <= subamp.pld._TRUNC_L_MAX:
+            assert (code, err) == (0, "") and len(parse_csv(out)[1]) == 2
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: trunc_L={trunc_L!r} is too large: the limit is 350\n"
 
     def test_zero_sigma_exits_2(self, capsys):
         code, out, err = run_cli(

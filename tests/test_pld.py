@@ -184,6 +184,16 @@ class TestInvertLoss:
             PrivacyLossModel(WR(100, 10), sigma)
         PrivacyLossModel(WR(100, 10), 1e50)
 
+    @pytest.mark.parametrize("trunc_L", [math.nextafter(350.0, math.inf), 1000.0, 1e308])
+    def test_trunc_L_above_the_limit(self, trunc_L):
+        # WOR's closed-form inverse overflows from s ~ 354.9, Poisson's from ~709.78.
+        message = r"^trunc_L=.* is too large: the limit is 350$"
+        with pytest.raises(ValueError, match=message):
+            discretize(MODELS["wor"], trunc_L, 64)
+        with pytest.raises(ValueError, match=message):
+            DiscretizedPLD(trunc_L, 64, np.full(64, 1 / 64), 0.0, WOR(100, 10), 1.0)
+        assert discretize(MODELS["wor"], 350.0, 64).trunc_L == 350.0
+
     def test_scalar_in_scalar_out(self):
         out = invert_loss(MODELS["wr"], 0.25)
         assert isinstance(out, float)
