@@ -20,7 +20,9 @@ bound over the mass outside the grid. They are ordered by construction.
 _cell builds each (k, eps) cell inside its k's task; a new bracket term
 (wrap-around, pair bounds, the larger Poisson direction) goes there alone.
 The bounds hold for the exact masses up to FFT round-off and wrap-around
-of the composed loss past +-L, neither of which is bounded yet. The
+of the composed loss past +-L, neither of which is bounded yet; where a
+k's delta_upper falls below a smaller k's delta_lower, which no true delta
+does, compose_many returns an error cell. The
 additive residual term that appears for base mechanisms with
 delta(inf) > 0 is identically zero here: loss models only exist for the
 Gaussian base, so it is omitted.
@@ -38,10 +40,9 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .mechanisms import _quad
-from .numerics import _epsilon, _integer, _map_blocks
+from .numerics import _NumericalFailure, _epsilon, _integer, _map_blocks
 from .pld import DiscretizedPLD, PrivacyLossModel, log_output_density, loss_at
 
 __all__ = [
@@ -58,17 +59,13 @@ class EpsilonBeyondGridError(ValueError):
     """epsilon at or beyond the last grid point; the tail sum is empty."""
 
 
-class NonFiniteError(RuntimeError):
+class NonFiniteError(_NumericalFailure):
     """NaN/Inf appeared in the composed intensities.
 
     The cell masses are finite and sum to at most 1, so every power of
-    their spectrum is bounded by 1; this is a guard, with structured
-    diagnostics, not an expected outcome.
+    their spectrum is bounded by 1; this is a guard, whose message names
+    the grid and the scheme, not an expected outcome.
     """
-
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -101,23 +98,25 @@ class SweepCell:
     error: str | None = None
 
 
-def _check_finite(name: str, arr: np.ndarray, context: dict) -> None:
+def _check_finite(name: str, arr: np.ndarray, context: str) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
         raise NonFiniteError(
-            f"non-finite values in {name} ({int(bad.sum())} of {arr.size} entries)",
-            diagnostics={**context, "stage": name, "count": int(bad.sum())},
+            f"non-finite values in {name} ({int(bad.sum())} of {arr.size} entries; {context})"
         )
 
 
-def _survives(mag: np.ndarray, k: int) -> np.ndarray:
-    # Entries whose k-th power can be nonzero: |z| <= exp(-750/k) gives
-    # |z|^k <= e^-750 < 2^-1075. Written as ~(<=) so that NaN is kept.
-    return ~(mag <= math.exp(-750.0 / k))
+def _survives(log_mag: np.ndarray, k: int) -> np.ndarray:
+    # Entries whose k-th power can be nonzero: k log|z| <= -750 gives
+    # |z|^k <= e^-750 < 2^-1075. Written as ~(<=) so that NaN is kept. The
+    # test is on k log|z|, not on |z| <= exp(-750/k), which rounds to 1 for
+    # k above ~1.4e19 and would drop |z| = 1, the total mass.
+    return ~(k * log_mag <= -750.0)
 
 
-def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices, magnitudes and angles of the half-spectrum kept at k_min.
+def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, ...]:
+    """Indices, magnitudes, log magnitudes and angles of the half-spectrum
+    kept at k_min.
 
     The masses are half-swapped first, so that index 0 holds the loss 0:
     the spectrum of a loss centred near 0 has small angles, which k * angle
@@ -126,13 +125,13 @@ def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, np.ndarray, np.n
     """
     spec = np.fft.rfft(np.roll(vec, vec.size // 2))
     mag = np.abs(spec)
-    idx = np.flatnonzero(_survives(mag, k_min))
-    return idx, mag[idx], np.angle(spec[idx])
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag)
+    idx = np.flatnonzero(_survives(log_mag, k_min))
+    return idx, mag[idx], log_mag[idx], np.angle(spec[idx])
 
 
-def _powered(
-    polar: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, grid_r: int
-) -> np.ndarray:
+def _powered(polar: tuple[np.ndarray, ...], k: int, grid_r: int) -> np.ndarray:
     """The half-spectrum of the k-fold composed masses, half-swapped back.
 
     The elementwise power runs in polar form (magnitude^k, angle*k) to limit
@@ -141,8 +140,8 @@ def _powered(
     it. Half-swapping the inverse transform multiplies frequency f by
     (-1)^f, which is applied to the powered entries instead.
     """
-    idx, mag, ang = polar
-    keep = _survives(mag, k)
+    idx, mag, log_mag, ang = polar
+    keep = _survives(log_mag, k)
     freq = idx[keep]
     values = mag[keep] ** k * np.exp(1j * k * ang[keep])
     np.negative(values, out=values, where=freq % 2 == 1)
@@ -208,6 +207,38 @@ def _cell(
     ))
 
 
+# delta_k(eps) never falls as k grows. A fall of up to this much from one
+# bracket to the next is taken as round-off, as long as that is not bounded.
+_ROUND_OFF = 1e-12
+
+
+def _rising_in_k(per_k: list[list[SweepCell]], k_values: list[int]) -> None:
+    """Make each cell of per_k whose delta_upper lies more than _ROUND_OFF
+    below the largest delta_lower of a smaller k at its eps an error cell.
+
+    The two brackets cannot both hold, and the larger k's is the one that
+    wrap-around of the composed loss past +-L bends down. The cells of a
+    repeated k are equal, and a bracket's delta_lower is at most its
+    delta_upper, so a floor of the same k never makes an error cell.
+    """
+    order = sorted(range(len(k_values)), key=k_values.__getitem__)
+    for j in range(len(per_k[0]) if per_k else 0):
+        floor = None  # the cell of a smaller k with the largest delta_lower
+        for i in order:
+            cell = per_k[i][j]
+            if cell.result is None:
+                continue
+            upper = cell.result.delta_upper
+            if floor is not None and upper < floor.result.delta_lower - _ROUND_OFF:
+                per_k[i][j] = SweepCell(k=cell.k, epsilon=cell.epsilon, error=(
+                    f"delta_upper={upper:.6g} lies below delta_lower="
+                    f"{floor.result.delta_lower:.6g} at k={floor.k}, but delta never "
+                    "falls as k grows; enlarge trunc_L"
+                ))
+            elif floor is None or cell.result.delta_lower > floor.result.delta_lower:
+                floor = cell
+
+
 def compose_many(
     pld: DiscretizedPLD, k_list: Sequence[int], eps_grid: Sequence[float]
 ) -> list[SweepCell]:
@@ -215,8 +246,9 @@ def compose_many(
 
     Each k's task composes and floors the masses, then builds its cells
     with _cell. Per-cell epsilon validation failures are collected into the
-    returned cells; numerical (non-finite) failures abort, as the whole
-    composition for that k is meaningless.
+    returned cells, and so is a delta that falls with k (_rising_in_k);
+    numerical (non-finite) failures abort, as the whole composition for
+    that k is meaningless.
 
     The values of k run on one thread per CPU in the affinity mask, each
     writing its own slot, and the cells come back in k-list order. Memory
@@ -228,7 +260,7 @@ def compose_many(
     k_values = [_integer("k", k) for k in k_list]
     eps_values = [_epsilon("epsilon", e) for e in eps_grid]
 
-    context = {"grid_r": pld.grid_r, "trunc_L": pld.trunc_L, "scheme": pld.scheme.label}
+    context = f"grid_r={pld.grid_r}, trunc_L={pld.trunc_L:g}, scheme={pld.scheme.label}"
     s, dx, c = pld.s, pld.dx, pld.c
     # As e^(log c - s - dx): e^-(s+dx) alone overflows for L above 709.
     with np.errstate(divide="ignore"):
@@ -252,6 +284,7 @@ def compose_many(
             per_k[i] = [_cell(pld, s, u, k, eps, m_right, diag) for eps in eps_values]
 
     _map_blocks(compose_k, len(k_values), 1)
+    _rising_in_k(per_k, k_values)
     return [cell for cells in per_k for cell in cells]
 
 
@@ -262,7 +295,11 @@ def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
     omega into the integral of max(0, 1 - e^{eps - L(t)}) f_X(t) dt, so no
     density inversion is needed. The crossing L(t) = eps is located by plain
     bracketed root finding, independent of the production Newton path.
+    scipy.optimize is imported here, not with the module, as it and the
+    scipy.linalg it loads are most of `import subamp`'s cost.
     """
+    from scipy import optimize
+
     epsilon = _epsilon("epsilon", epsilon)
 
     sigma = model.sigma

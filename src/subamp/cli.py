@@ -21,9 +21,9 @@ import numpy as np
 from . import accountant as acct
 from . import harness
 from .amplification import aligned_profile, amplify_delta, amplify_epsilon, eta
-from .mechanisms import Family, MechanismSpec, QuadratureError, profile
-from .numerics import _epsilon, _integer
-from .pld import NoConvergenceError, PrivacyLossModel, discretize
+from .mechanisms import Family, MechanismSpec, profile
+from .numerics import _NumericalFailure, _epsilon, _integer
+from .pld import PrivacyLossModel, discretize
 from .sampling import mc_stats
 from .schemes import _SCHEME_TAGS, Poisson, SamplingScheme, _scheme_class, scheme_from_dict
 
@@ -31,14 +31,6 @@ SCHEMA_LINE = "# schema=1"
 _FAMILIES = tuple(family.value for family in Family)
 # Every field of the scheme classes once, in the flag and column order n, b, m, gamma.
 _SCHEME_FIELDS = {f.name: f for cls in reversed(_SCHEME_TAGS.values()) for f in fields(cls)}
-
-_NUMERIC_FAILURES = (
-    acct.NonFiniteError,
-    NoConvergenceError,
-    QuadratureError,
-    harness.DivergenceError,
-    harness.DegenerateSampleError,
-)
 
 
 def _fmt(value) -> str:
@@ -84,6 +76,19 @@ def _write_files(output_dir: str, header: list[str], tables: dict[str, list]) ->
 def _comma_list(spec: str) -> list[str]:
     """The entries of a comma list, each once, in order of first appearance."""
     return list(dict.fromkeys(v.strip() for v in spec.split(",") if v.strip()))
+
+
+def _number_list(spec: str, flag: str, kind: type) -> list:
+    """The numbers of a comma list, each once, in order of first appearance.
+
+    Repeats are dropped after conversion, so 1 and 1.0 are one float. An
+    empty list or entry is an error that names the flag.
+    """
+    try:
+        return list(dict.fromkeys(kind(v) for v in spec.split(",")))
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects a comma list of {what}, got {spec!r}") from None
 
 
 def _parse_grid(spec: str, flag: str) -> np.ndarray:
@@ -170,8 +175,7 @@ def cmd_amplify(args) -> int:
 
 def cmd_aligned(args) -> int:
     grid = _parse_grid(args.eps_grid, "--eps-grid")
-    # Repeats are dropped in order of first appearance; 1 and 1.0 are one theta.
-    thetas = list(dict.fromkeys(float(v) for v in args.thetas.split(",")))
+    thetas = _number_list(args.thetas, "--thetas", float)
     schemes = {tag: _scheme(tag, args) for tag in _comma_list(args.schemes)}
     mechs = {
         f: [MechanismSpec(Family(f), theta) for theta in thetas]
@@ -237,8 +241,8 @@ def cmd_contour(args) -> int:
 
 def cmd_account(args) -> int:
     scheme = _scheme(args.scheme, args)
-    k_list = [int(v) for v in args.k_list.split(",")]
-    eps_list = [float(v) for v in args.eps_list.split(",")]
+    k_list = _number_list(args.k_list, "--k-list", int)
+    eps_list = _number_list(args.eps_list, "--eps-list", float)
     if args.verify and 1 not in k_list:
         raise ValueError("--verify needs k = 1 in --k-list")
     _epsilon("--verify-tol", args.verify_tol)
@@ -459,11 +463,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_FAILURES as exc:
-        diag = getattr(exc, "diagnostics", None)
+    except _NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
-        if diag:
-            sys.stderr.write(f"diagnostics: {diag}\n")
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .amplification import deamplify_epsilon, eta
 from .mechanisms import Family, calibrate_sigma
-from .numerics import _epsilon, _integer
+from .numerics import _NumericalFailure, _epsilon, _integer
 from .sampling import _count_blocks
 from .schemes import Poisson, SamplingScheme, population_size
 
@@ -40,16 +40,11 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e6
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(_NumericalFailure):
     """Training loss blew past the divergence threshold."""
 
-    def __init__(self, message: str, iteration: int, loss: float):
-        super().__init__(message)
-        self.iteration = iteration
-        self.loss = loss
 
-
-class DegenerateSampleError(RuntimeError):
+class DegenerateSampleError(_NumericalFailure):
     """No bootstrap subsample held the two records a variance needs."""
 
 
@@ -219,9 +214,7 @@ def _dpsgd_loop(
         loss_trace[t] = loss
         if not math.isfinite(loss) or loss > _DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"loss {loss:.3e} exceeded {_DIVERGENCE_LIMIT:.0e} at iteration {t}",
-                iteration=t,
-                loss=loss,
+                f"loss {loss:.3e} exceeded {_DIVERGENCE_LIMIT:.0e} at iteration {t}"
             )
 
         grads = grad_fn(beta, x, y)

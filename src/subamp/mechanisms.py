@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 from scipy.special import log_ndtr, ndtr
 
-from .numerics import _epsilon, _integer
+from .numerics import _NumericalFailure, _epsilon, _integer
 
 __all__ = [
     "Family",
@@ -41,12 +40,8 @@ class Family(str, Enum):
     GAUSSIAN = "gaussian"
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(_NumericalFailure):
     """Adaptive quadrature did not reach the requested accuracy."""
-
-    def __init__(self, message: str, achieved_error: float):
-        super().__init__(message)
-        self.achieved_error = achieved_error
 
 
 @dataclass(frozen=True)
@@ -133,14 +128,16 @@ def _log_output_density(family: Family, shift: float, t: np.ndarray) -> np.ndarr
 def _quad(integrand, lo: float, hi: float, what: str, points=None) -> float:
     """integrate.quad over [lo, hi], accepted only if its error estimate is at
     most _QUAD_TOL; otherwise QuadratureError names `what`. The one rule for
-    every quadrature oracle of the package."""
+    every quadrature oracle of the package. scipy.integrate is imported on
+    first use, so that `import subamp` does not load it."""
+    from scipy import integrate
+
     value, err = integrate.quad(
         integrand, lo, hi, points=points, limit=300, epsabs=_QUAD_TOL * 1e-3, epsrel=1e-12
     )
     if err > _QUAD_TOL:
         raise QuadratureError(
-            f"{what} quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e}",
-            achieved_error=err,
+            f"{what} quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e}"
         )
     return value
 

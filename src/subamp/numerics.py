@@ -13,6 +13,9 @@ themselves underflow.
 _map_blocks runs independent slices of a loop on one thread per CPU: the
 row blocks of `pld`'s Newton kernel and CDF pass, the per-k transforms of
 `accountant.compose_many`, and the trial blocks of `sampling.mc_stats`.
+
+_NumericalFailure is the base of every numerical failure of the package
+(the CLI's exit 3); each subclass states its numbers in its message.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ __all__ = [
     "log_binom_pmf",
     "stable_sum",
 ]
+
+
+class _NumericalFailure(RuntimeError):
+    """A numerical method failed on valid input: no convergence, an
+    inaccurate quadrature, a non-finite composition or a diverged loss."""
 
 
 def _integer(name: str, value, low: int = 1) -> int:

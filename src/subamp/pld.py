@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
-from .numerics import _integer, _map_blocks
+from .numerics import _NumericalFailure, _integer, _map_blocks
 from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
@@ -109,13 +109,8 @@ class OutOfDomainError(ValueError):
     """Requested loss value lies outside the image of L."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(_NumericalFailure):
     """Root finder exhausted its iteration budget."""
-
-    def __init__(self, message: str, iterations: int, worst_residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.worst_residual = worst_residual
 
 
 @dataclass(frozen=True)
@@ -315,7 +310,7 @@ def _loss_ceiling(model: PrivacyLossModel, s_max: float) -> float:
         if not _sym_loss_and_slope(model, np.array([bound]))[0][0] - s_max < 0.0:
             return bound
         bound *= 2.0
-    raise NoConvergenceError("loss ceiling search failed", 200, math.inf)
+    raise NoConvergenceError("loss ceiling search failed after 200 doublings")
 
 
 def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
@@ -347,9 +342,7 @@ def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
         return t
     raise NoConvergenceError(
         f"Newton inversion did not reach |L(t)-s| <= {_NEWTON_TOL:g} after "
-        f"{_NEWTON_MAX_ITER} iterations ({active.size} points open, worst residual {worst:.3e})",
-        iterations=_NEWTON_MAX_ITER,
-        worst_residual=worst,
+        f"{_NEWTON_MAX_ITER} iterations ({active.size} points open, worst residual {worst:.3e})"
     )
 
 
@@ -445,9 +438,20 @@ def _check_grid(trunc_L: float, grid_r: int) -> None:
         raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")
 
 
+def _edges(trunc_L: float, grid_r: int) -> np.ndarray:
+    """The r + 1 cell edges s_j = dx (j - r/2), j = 0..r, with dx = 2L/r.
+
+    The one formula of the grid, for discretize and DiscretizedPLD.s. The
+    middle edge is 0 exactly and the edges are odd bit for bit: dx * -j is
+    -(dx * j).
+    """
+    return 2.0 * trunc_L / grid_r * (np.arange(grid_r + 1) - grid_r // 2)
+
+
 @dataclass(frozen=True)
 class DiscretizedPLD:
-    """Exact masses of a PLD on the grid s_i = -L + i*dx, i = 0..r-1.
+    """Exact masses of a PLD on the grid s_i = dx (i - r/2) (s_0 = -L up to
+    rounding), i = 0..r-1.
 
     c[i] = P[L in [s_i, s_i + dx)], except that the last cell also holds
     P[L >= L]; mass_outside = P[L < -L], so c.sum() + mass_outside = 1.
@@ -458,7 +462,6 @@ class DiscretizedPLD:
     c: np.ndarray
     mass_outside: float
     scheme: SamplingScheme
-    sigma: float
 
     def __post_init__(self):
         _check_grid(self.trunc_L, self.grid_r)
@@ -486,8 +489,8 @@ class DiscretizedPLD:
 
     @property
     def s(self) -> np.ndarray:
-        """Grid points s_i = -L + i*dx, i = 0..r-1."""
-        return -self.trunc_L + self.dx * np.arange(self.grid_r)
+        """The left cell edges s_i = dx (i - r/2), i = 0..r-1."""
+        return _edges(self.trunc_L, self.grid_r)[:-1]
 
 
 def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> np.ndarray:
@@ -530,7 +533,7 @@ def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> n
 def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> DiscretizedPLD:
     """Exact cell masses of the PLD on the accountant grid.
 
-    The left cell edges s_j = -L + j*dx are inverted once, t_j =
+    The left cell edges s_j = dx (j - r/2) (_edges) are inverted once, t_j =
     L^{-1}(s_j) (-inf below Poisson's loss floor log(1-q)), and each cell's
     mass is a difference of mixture CDFs at its two edges left of s = 0 and
     of survival functions right of it, so no tail mass cancels against 1.
@@ -541,17 +544,17 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     inverts every edge above its floor.
     """
     _check_grid(trunc_L, grid_r)
-    dx = 2.0 * trunc_L / grid_r
     half = grid_r // 2
+    edges = _edges(trunc_L, grid_r)
     if model.is_symmetric:
-        # L is odd: t(-s) = -t(s). dx * j is bit-equal to -(dx * -j), so the
-        # mirrored edges are the grid's own.
-        t_pos = _inverse(model, dx * np.arange(half + 1))
+        # L is odd: t(-s) = -t(s), and the edges are odd bit for bit, so
+        # the mirrored edges are the grid's own.
+        t_pos = _inverse(model, edges[half:])
         t = np.empty(grid_r)
         t[half:] = t_pos[:half]
         np.negative(t_pos[half:0:-1], out=t[:half])
     else:
-        edges = dx * (np.arange(grid_r) - half)  # s_half = 0 exactly
+        edges = edges[:-1]
         inside = edges > model.loss_domain_low
         t = np.full(grid_r, -math.inf)
         t[inside] = _inverse(model, edges[inside])
@@ -568,5 +571,4 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
         c=np.maximum(c, 0.0),
         mass_outside=float(cdf[0]),
         scheme=model.scheme,
-        sigma=model.sigma,
     )

@@ -2,18 +2,20 @@
 
 Exact rational enumeration of the subsampling schemes (feasible for tiny
 configurations), a float evaluation of the inclusion-probability double
-sum for the WR-then-WOR scheme, and privacy-loss masses of the multiset
-schemes from normal mixture CDFs. These never share code with the
-production formulas they verify.
+sum for the WR-then-WOR scheme, privacy-loss masses of the multiset
+schemes from normal mixture CDFs, and the exact k-fold delta of WOR(n, n),
+the Gaussian mechanism itself. These never share code with the production
+formulas they verify.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, log_ndtr
 
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, SamplingScheme, WOR, WR
 
@@ -161,3 +163,19 @@ def mixture_loss_mass(scheme: SamplingScheme, sigma: float, s_lo: float, s_hi: f
     if s_lo >= 0.0:
         return float(np.sum(w * (norm.sf(t_lo, l_vals, sigma) - norm.sf(t_hi, l_vals, sigma))))
     return float(np.sum(w * (norm.cdf(t_hi, l_vals, sigma) - norm.cdf(t_lo, l_vals, sigma))))
+
+
+def gaussian_delta(sigma: float, k: int, eps: float) -> float:
+    """delta_k(eps) of WOR(n, n) at noise sigma, exactly, at any k.
+
+    WOR(n, n) keeps the record, so f_X = N(1, sigma^2), f_X' = N(-1, sigma^2),
+    the loss 2t / sigma^2 is N(mu^2/2, mu^2) with mu = 2/sigma, and k
+    compositions give N(k mu^2/2, k mu^2). With mu_k = 2 sqrt(k) / sigma,
+    delta = Phi(-eps/mu_k + mu_k/2) - e^eps Phi(-eps/mu_k - mu_k/2), taken in
+    logs, as the difference cancels in the tail: Phi(a) (1 - e^{eps +
+    log Phi(b) - log Phi(a)}).
+    """
+    mu = 2.0 * math.sqrt(k) / sigma
+    log_a = float(log_ndtr(-eps / mu + mu / 2.0))
+    log_b = float(log_ndtr(-eps / mu - mu / 2.0))
+    return math.exp(log_a) * -math.expm1(eps + log_b - log_a)

@@ -439,6 +439,42 @@ class TestAccountCommand:
             "grid_r", "trunc_L",
         ]
 
+    def test_repeated_k_and_eps_are_computed_once(self, capsys):
+        # Repeats are dropped after conversion, in order of first appearance.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "1",
+            "--k-list", "2,1,2", "--eps-list", "1,1.0,0.5", "--r", "1024",
+        )
+        assert (code, err) == (0, "")
+        assert [row[5:7] for row in parse_csv(out)[1]] == [
+            ["2", "1"], ["2", "0.5"], ["1", "1"], ["1", "0.5"],
+        ]
+
+    @pytest.mark.parametrize("flag, spec, what", [
+        ("--k-list", "1,,2", "integers"), ("--k-list", "", "integers"),
+        ("--k-list", "1.5", "integers"), ("--eps-list", "1,x", "numbers"),
+        ("--eps-list", "", "numbers"),
+    ])
+    def test_malformed_list_names_its_flag(self, capsys, flag, spec, what):
+        lists = {"--k-list": "1", "--eps-list": "1", flag: spec}
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "1",
+            "--r", "1024", *(arg for item in lists.items() for arg in item),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} expects a comma list of {what}, got {spec!r}\n"
+
+    def test_delta_falling_with_k_exits_3(self, capsys):
+        # The k = 2 bracket of WR(10, 100) lies below k = 1's: an error line
+        # for k = 2, the k = 1 row, and exit 3.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wr", "--n", "10", "--m", "100", "--sigma", "1",
+            "--k-list", "1,2", "--eps-list", "1", "--r", "16384",
+        )
+        assert code == 3
+        assert [row[5] for row in parse_csv(out)[1]] == ["1"]
+        assert err.startswith("error: k=2 eps=1.0: delta_upper=0.000214") and err.count("\n") == 1
+
     def test_verify_without_k_one_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "account", "--scheme", "mustow", "--n", "10000", "--b", "118",

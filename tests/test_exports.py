@@ -1,9 +1,14 @@
 """The package namespace: `import subamp` exports each module's `__all__`."""
 
 import importlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import subamp
+from subamp.numerics import _NumericalFailure
 
 MODULES = ("accountant", "amplification", "harness", "mechanisms", "pld", "sampling", "schemes")
 
@@ -51,3 +56,32 @@ def test_removed_attributes_are_gone():
         learning_rate=0.04, iterations=2, seed=0,
     )
     assert "calibration" not in subamp.run_dpsgd_linear(sgd, design, response)
+
+
+def test_import_leaves_optimize_and_integrate_unloaded():
+    # Only delta_direct and the quadrature oracles use them, and they
+    # import them on first use.
+    code = (
+        "import sys, subamp; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_numerical_failures_share_one_base():
+    # The CLI maps this one base to exit 3; each failure carries its
+    # numbers in its message, not in fields.
+    failures = (
+        subamp.NoConvergenceError, subamp.QuadratureError, subamp.NonFiniteError,
+        subamp.DivergenceError, subamp.DegenerateSampleError,
+    )
+    for cls in failures:
+        assert issubclass(cls, _NumericalFailure) and issubclass(cls, RuntimeError)
+        assert "__init__" not in vars(cls)
+    assert "_NumericalFailure" not in subamp.__all__
+    assert "sigma" not in {f.name for f in fields(subamp.DiscretizedPLD)}
