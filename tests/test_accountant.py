@@ -216,16 +216,16 @@ class TestSkippedFrequencies:
         ks = [200, 1, 1000, 2]
         cells = compose_many(pld, ks, [0.5, 1.0, 2.0])
         assert len(cells) == 12
-        full = {(c.k, c.epsilon): _full_power_deltas(pld, c.k, c.epsilon) for c in cells}
         for cell in cells:
-            (lo, mid, hi), floored = full[cell.k, cell.epsilon]
+            (lo, mid, hi), floored = _full_power_deltas(pld, cell.k, cell.epsilon)
             if cell.error is not None:
-                # WOR wraps around past L = 10 at k = 1000: its delta_upper
-                # falls below k = 200's delta_lower with every frequency too.
+                # WOR wraps around past L = 10 at k = 1000, so the k = 200
+                # cells of this call turn its cells into error cells; alone
+                # (compose, one k) it still gives its bracket.
                 assert (which, cell.k) == ("wor", 1000)
-                assert hi < full[200, cell.epsilon][0][0] - 1e-12
-                continue
-            res = cell.result
+                res = compose(pld, cell.k, cell.epsilon)
+            else:
+                res = cell.result
             assert (res.delta_lower, res.delta_approx, res.delta_upper) == (lo, mid, hi)
             assert res.diagnostics.floored_mass == floored
         # At k = 1000 most frequencies underflow, so the skip is exercised.
@@ -254,9 +254,13 @@ _COMPOSE_CHILD = (
     "if sys.argv[1] == 'pin':\n"
     "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
     "import numpy as np\n"
+    "from subamp import accountant\n"
     "from subamp.accountant import compose_many\n"
     "from subamp.pld import PrivacyLossModel, discretize\n"
     "from subamp.schemes import MUSTow, Poisson, WOR\n"
+    "# The WOR cells at k >= 600 fall below k = 200 and become error cells;\n"
+    "# without the guard, every cell the threads built keeps its values.\n"
+    "accountant._rising_in_k = lambda per_k, k_values: None\n"
     "print(len(os.sched_getaffinity(0)))\n"
     "for scheme, sigma, r in (\n"
     "    (WOR(1000, 200), 2.0, 1 << 18),\n"
@@ -266,10 +270,10 @@ _COMPOSE_CHILD = (
     "    pld = discretize(PrivacyLossModel(scheme, sigma), 10.0, r)\n"
     "    cells = compose_many(pld, [1, 2, 200, 600, 1000], [0.5, 1.0, 2.0])\n"
     "    values = [\n"
-    "        c.error or (c.result.delta_lower, c.result.delta_approx, c.result.delta_upper,\n"
-    "                    c.result.diagnostics.floored_mass) for c in cells\n"
+    "        (c.result.delta_lower, c.result.delta_approx, c.result.delta_upper,\n"
+    "         c.result.diagnostics.floored_mass) for c in cells\n"
     "    ]\n"
-    "    print(hashlib.sha256(repr(values).encode()).hexdigest())\n"
+    "    print(hashlib.sha256(np.array(values).tobytes()).hexdigest())\n"
 )
 
 
@@ -315,6 +319,25 @@ class TestThreadedCompose:
         assert runs["pin"][0] == "1" and int(runs["free"][0]) >= 2
         assert len(runs["pin"]) == 4
         assert runs["pin"][1:] == runs["free"][1:]
+
+    def test_falling_delta_gives_the_same_error_cells(self, cpus):
+        # The guard runs after the per-k tasks: WOR(1000, 200) wraps around
+        # past L = 10 by k = 600, and at any thread count the k >= 600
+        # cells are the error cells, each naming k = 200's delta_lower.
+        pld = discretize(WOR_MODEL, 10.0, 1 << 14)
+        cells = compose_many(pld, [1000, 1, 600, 2, 200], [0.5, 1.0, 2.0])
+        lowers = {c.epsilon: c.result.delta_lower for c in cells if c.k == 200}
+        for cell in cells:
+            if cell.k < 600:
+                assert cell.error is None
+                continue
+            alone = compose(pld, cell.k, cell.epsilon).delta_upper
+            assert alone < lowers[cell.epsilon] - 1e-12
+            assert cell.error == (
+                f"delta_upper={alone:.6g} lies below delta_lower="
+                f"{lowers[cell.epsilon]:.6g} at k=200, but delta never falls "
+                "as k grows; enlarge trunc_L"
+            )
 
     def test_cells_in_k_list_order(self, cpus, poisson_pld):
         ks, eps_list = [200, 1, 1000, 2, 1], [0.5, 99.0, 1.0]

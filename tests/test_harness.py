@@ -1,10 +1,6 @@
 """Bootstrap and DP-SGD harness behavior."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +22,8 @@ from subamp.harness import (
 )
 from subamp.sampling import _count_blocks
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
+
+from child_peak import child_peak_mb
 
 
 class TestSynthetic:
@@ -155,7 +153,6 @@ class TestBootstrap:
         # One (rows, n) count block for all 2000 rows of WR(60000, 30) would
         # be 960 MB; the harness draws them in blocks of _BLOCK_BUDGET counts.
         code = (
-            "import os, resource\n"
             "from subamp.harness import BootstrapConfig, SGDConfig, make_synthetic,"
             " run_bootstrap, run_dpsgd_linear\n"
             "from subamp.schemes import WR\n"
@@ -166,22 +163,8 @@ class TestBootstrap:
             "run_dpsgd_linear(SGDConfig(scheme=scheme, eps_prime_per_iter=0.01,"
             " delta_base=1 / n, clip_c=3.0, learning_rate=0.04, iterations=2000, seed=0),"
             " *make_synthetic('linear_regression', n, seed=0))\n"
-            "# VmHWM is this process's own peak. ru_maxrss is not: the parent's\n"
-            "# peak is copied into it across fork and exec.\n"
-            "if os.path.exists('/proc/self/status'):\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
-            "else:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=600,
-        )
-        # VmHWM and Linux's ru_maxrss are in KiB, macOS's ru_maxrss in bytes.
-        peak_mb = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
-        assert peak_mb < 400.0
+        assert child_peak_mb(code) < 400.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

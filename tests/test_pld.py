@@ -43,6 +43,7 @@ from subamp.pld import (
 )
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
+from child_peak import child_peak_mb
 from oracles import mixture_loss_mass, mixture_weights
 
 MODELS = {
@@ -518,26 +519,11 @@ class TestDiscretize:
         # MUSTww(1000, 10, 2000) keeps 1533 mixture components; the 40 005
         # Newton rows of r=2e4 must not be held against all of them at once.
         code = (
-            "import os, resource\n"
             "from subamp.pld import PrivacyLossModel, discretize\n"
             "from subamp.schemes import MUSTww\n"
             "discretize(PrivacyLossModel(MUSTww(1000, 10, 2000), 4.0), 10.0, 20_000)\n"
-            "# VmHWM is this process's own peak. ru_maxrss is not: the parent's\n"
-            "# peak is copied into it across fork and exec.\n"
-            "if os.path.exists('/proc/self/status'):\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
-            "else:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(subamp.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=600,
-        )
-        # VmHWM and Linux's ru_maxrss are in KiB, macOS's ru_maxrss in bytes.
-        peak_mb = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
-        assert peak_mb < 400.0
+        assert child_peak_mb(code) < 400.0
 
     def test_needs_no_inverse_derivative(self, monkeypatch):
         # discretize inverts the edges for t alone; only the density pays for
