@@ -310,12 +310,10 @@ def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
     def resid(t: float) -> float:
         return loss_at(model, t) - epsilon
 
-    left = lo
+    # L(lo) < 0 <= eps: L is odd and increasing, and Poisson's L is < 0 below t = 1/2.
     while resid(hi) < 0.0:
         hi *= 2.0
-    while resid(left) > 0.0:
-        left *= 2.0
-    t_cross = optimize.brentq(resid, left, hi, xtol=1e-13, rtol=1e-14)
+    t_cross = optimize.brentq(resid, lo, hi, xtol=1e-13, rtol=1e-14)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)

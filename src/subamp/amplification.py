@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .mechanisms import MechanismSpec, group_profile, profile
-from .numerics import _epsilon, log_binom_pmf, stable_sum
+from .numerics import _epsilon, _real, log_binom_pmf, stable_sum
 from .schemes import (
     MUSTow,
     MUSTwo,
@@ -162,10 +162,7 @@ def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
 
 
 def _check_eta(eta_value: float) -> float:
-    eta_value = float(eta_value)
-    if not (0.0 < eta_value <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta_value!r}")
-    return eta_value
+    return _real("eta", eta_value, "lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
 
 
 def amplify_epsilon(eta_value: float, epsilon: float) -> float:

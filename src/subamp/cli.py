@@ -3,8 +3,8 @@
 Subcommands: profile, amplify, aligned, contour, account, sample-stats,
 experiment. All tabular output is CSV with a leading "# schema=1" comment
 and 12-significant-digit numbers; runs are byte-identical given identical
-flags and seed. Exit codes: 0 success, 2 validation or file-system error,
-3 numerical failure (diagnostics on stderr).
+flags and seed. Exit codes: 0 success, 2 validation, file-system or
+out-of-memory error, 3 numerical failure (diagnostics on stderr).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import accountant as acct
 from . import harness
 from .amplification import aligned_profile, amplify_delta, amplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, profile
-from .numerics import _NumericalFailure, _epsilon, _integer
+from .numerics import _NumericalFailure, _epsilon, _integer, _positive
 from .pld import PrivacyLossModel, discretize
 from .sampling import mc_stats
 from .schemes import _SCHEME_TAGS, Poisson, SamplingScheme, _scheme_class, scheme_from_dict
@@ -156,9 +156,7 @@ def cmd_profile(args) -> int:
 def cmd_amplify(args) -> int:
     scheme = _scheme(args.scheme, args)
     mech = _mech_from_args(args)
-    if _epsilon("--eps", args.eps) == 0.0:
-        raise ValueError("--eps must be a positive real")
-    pt = aligned_profile(scheme, mech, [args.eps])[0]
+    pt = aligned_profile(scheme, mech, [_positive("--eps", args.eps)])[0]
     cols = _scheme_columns(scheme)
     header = [
         *cols.keys(), "family", "theta", "epsilon", "eta", "eps_prime",
@@ -205,8 +203,7 @@ def cmd_contour(args) -> int:
     mech = None
     if args.family is not None:
         mech = _mech_from_args(args)
-        if args.eps is None or _epsilon("--eps", args.eps) == 0.0:
-            raise ValueError("--eps must be positive when a mechanism is given")
+        _positive("--eps", args.eps)
     elif args.theta is not None:
         raise ValueError("--theta needs --family")
     eps = 1.0 if args.eps is None else args.eps
@@ -305,8 +302,8 @@ def _bootstrap_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list
         scheme=scheme,
         t_boot=cfg.get("t_boot", 500),
         bounds=tuple(cfg.get("bounds", (-4.0, 4.0))),
-        eps_prime=float(cfg.get("eps_prime", 0.1)),
-        delta_base=float(cfg.get("delta_base", 1.0 / n)),
+        eps_prime=cfg.get("eps_prime", 0.1),
+        delta_base=cfg.get("delta_base", 1.0 / n),
         repeats=cfg.get("repeats", 20),
         seed=seed,
     )
@@ -322,10 +319,10 @@ def _dpsgd_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
     )
     config = harness.SGDConfig(
         scheme=scheme,
-        eps_prime_per_iter=float(cfg.get("eps_prime", 0.01)),
-        delta_base=float(cfg.get("delta_base", 1.0 / n)),
-        clip_c=float(cfg.get("clip_c", 3.0)),
-        learning_rate=float(cfg.get("learning_rate", 0.04)),
+        eps_prime_per_iter=cfg.get("eps_prime", 0.01),
+        delta_base=cfg.get("delta_base", 1.0 / n),
+        clip_c=cfg.get("clip_c", 3.0),
+        learning_rate=cfg.get("learning_rate", 0.04),
         iterations=cfg.get("iterations", 200),
         seed=seed,
     )
@@ -351,8 +348,8 @@ def cmd_experiment(args) -> int:
         kinds = " or ".join(map(repr, _EXPERIMENTS))
         raise ValueError(f"config field 'experiment' must be {kinds}, got {kind!r}")
     columns, run = _EXPERIMENTS[kind]
-    # Config fields are read as the runs go: a missing one raises KeyError
-    # there, and a value of the wrong type TypeError.
+    # Config fields are read as the runs go, unconverted: a missing one raises
+    # KeyError there, a malformed one ValueError (its rule's) or TypeError.
     try:
         seed = _integer("config field 'seed'", cfg.get("seed", 0), low=0)
         n = _integer("config field 'n'", cfg["n"])
@@ -468,6 +465,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .amplification import deamplify_epsilon, eta
 from .mechanisms import Family, calibrate_sigma
-from .numerics import _NumericalFailure, _epsilon, _integer
+from .numerics import _NumericalFailure, _epsilon, _integer, _positive, _probability
 from .sampling import _count_blocks
 from .schemes import Poisson, SamplingScheme, population_size
 
@@ -60,15 +60,10 @@ class SGDConfig:
     sigma_override: float | None = None  # force a noise scale (0 disables noise)
 
     def __post_init__(self):
-        if _epsilon("eps_prime_per_iter", self.eps_prime_per_iter) == 0.0:
-            raise ValueError("eps_prime_per_iter must be positive")
-        if not (0.0 < self.delta_base < 1.0):
-            raise ValueError("delta_base must lie in (0, 1)")
+        for name in ("eps_prime_per_iter", "clip_c", "learning_rate"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        object.__setattr__(self, "delta_base", _probability("delta_base", self.delta_base))
         _integer("iterations", self.iterations)
-        for name in ("clip_c", "learning_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.sigma_override is not None:
             _epsilon("sigma_override", self.sigma_override)
 
@@ -92,8 +87,8 @@ class BootstrapConfig:
             raise ValueError(f"bounds must be finite with L_clip < U_clip, got {self.bounds!r}")
         _integer("t_boot", self.t_boot)
         _integer("repeats", self.repeats)
-        if _epsilon("eps_prime", self.eps_prime) == 0.0 or not (0.0 < self.delta_base < 1.0):
-            raise ValueError("eps_prime must be positive, delta_base in (0, 1)")
+        object.__setattr__(self, "eps_prime", _positive("eps_prime", self.eps_prime))
+        object.__setattr__(self, "delta_base", _probability("delta_base", self.delta_base))
 
 
 def _subsample_size(scheme: SamplingScheme) -> int:

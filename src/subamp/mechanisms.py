@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .numerics import _NumericalFailure, _epsilon, _integer
+from .numerics import _NumericalFailure, _epsilon, _epsilons, _integer, _positive, _probability
 
 __all__ = [
     "Family",
@@ -57,17 +57,7 @@ class MechanismSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        theta = float(self.theta)
-        if not math.isfinite(theta) or theta <= 0.0:
-            raise ValueError(f"theta must be a positive finite real, got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
-
-
-def _check_epsilon(epsilon) -> np.ndarray:
-    eps = np.asarray(epsilon, dtype=float)
-    if not np.isfinite(eps).all() or (eps < 0.0).any():
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    return eps
+        object.__setattr__(self, "theta", _positive("theta", self.theta))
 
 
 def _laplace_profile(theta, eps):
@@ -98,7 +88,7 @@ def _profile_values(family: Family, theta, epsilon) -> np.ndarray:
 
 def profile(mech: MechanismSpec, epsilon):
     """Tight delta(eps) of the base mechanism. Accepts scalars or arrays."""
-    eps = _check_epsilon(epsilon)
+    eps = _epsilons("epsilon", epsilon)
     out = _profile_values(mech.family, mech.theta, eps)
     return float(out) if np.ndim(epsilon) == 0 else out
 
@@ -114,7 +104,7 @@ def group_profile(mech: MechanismSpec, j, epsilon):
     j_arr = np.asarray(j)
     if j_arr.dtype.kind not in "iu" or (j_arr < 1).any():
         raise ValueError(f"group size j must be a positive integer, got {j!r}")
-    eps = _check_epsilon(epsilon)
+    eps = _epsilons("epsilon", epsilon)
     out = _profile_values(mech.family, j_arr * mech.theta, eps)
     return float(out) if np.ndim(j) == 0 and np.ndim(epsilon) == 0 else out
 
@@ -190,12 +180,9 @@ def calibrate_sigma(
     tight profile for the smallest sigma with delta(eps) <= delta_target.
     """
     family = Family(family)
-    if not (0.0 < delta_target < 1.0):
-        raise ValueError(f"delta_target must lie in (0, 1), got {delta_target!r}")
-    if _epsilon("epsilon", epsilon) == 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not (math.isfinite(sensitivity) and sensitivity > 0.0):
-        raise ValueError(f"sensitivity must be positive and finite, got {sensitivity!r}")
+    delta_target = _probability("delta_target", delta_target)
+    epsilon = _positive("epsilon", epsilon)
+    sensitivity = _positive("sensitivity", sensitivity)
 
     if method == "classical":
         if family is not Family.GAUSSIAN:

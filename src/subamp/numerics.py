@@ -1,9 +1,9 @@
 """Scalar input rules, log-space combinatorics and the one parallel helper.
 
-_integer and _epsilon check every scalar count and epsilon of the package:
-an integer is what operator.index takes but bool (not 2.0, "3" or True), an
-epsilon a finite real >= 0 (math.isfinite). A value that breaks its rule
-raises ValueError; an epsilon that is not a number, TypeError.
+_integer, _epsilon, _positive and _probability check every scalar input
+(_epsilons, an array of epsilons). An integer is an int but bool (not 2.0 or
+True); a real is a numbers.Real but bool (not "0.5") that is finite and >= 0,
+finite and > 0, or in (0, 1). Each returns an int or float or raises ValueError.
 
 Binomial coefficients are always accumulated through log-gamma: the
 configurations this package targets (b up to a few thousand, m up to a
@@ -20,12 +20,14 @@ _NumericalFailure is the base of every numerical failure of the package
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from numbers import Real
 
 import numpy as np
 from scipy.special import gammaln
@@ -54,11 +56,37 @@ def _integer(name: str, value, low: int = 1) -> int:
     return number
 
 
+def _real(name: str, value, what: str, ok: Callable[[float], bool]) -> float:
+    """value as a float, if it is a real other than bool for which ok holds
+    (an int too large for a float fails every rule)."""
+    if type(value) is float or isinstance(value, Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if ok(number := float(value)):
+                return number
+    raise ValueError(f"{name} must {what}, got {value!r}")
+
+
 def _epsilon(name: str, value) -> float:
     """value as a float, if it is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return float(value)
+    return _real(name, value, "be finite and >= 0", lambda x: 0.0 <= x < math.inf)
+
+
+def _positive(name: str, value) -> float:
+    """value as a float, if it is finite and > 0."""
+    return _real(name, value, "be positive and finite", lambda x: 0.0 < x < math.inf)
+
+
+def _probability(name: str, value) -> float:
+    """value as a float, if it lies strictly between 0 and 1."""
+    return _real(name, value, "lie in (0, 1)", lambda x: 0.0 < x < 1.0)
+
+
+def _epsilons(name: str, values) -> np.ndarray:
+    """values as a float array, if each is an int or float, finite and >= 0."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf" or not ((array >= 0) & (array < math.inf)).all():
+        raise ValueError(f"{name} must be finite and >= 0, got {values!r}")
+    return array.astype(float, copy=False)
 
 
 def log_binom(n, k):

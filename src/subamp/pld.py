@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
-from .numerics import _NumericalFailure, _integer, _map_blocks
+from .numerics import _NumericalFailure, _integer, _map_blocks, _positive
 from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
@@ -125,8 +125,7 @@ class PrivacyLossModel:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", _positive("sigma", self.sigma))
         if self.sigma * self.sigma < sys.float_info.min:
             raise ValueError(f"sigma={self.sigma!r} is too small: sigma**2 underflows")
         if self.sigma > _SIGMA_MAX:
@@ -430,9 +429,7 @@ def pld_density(model: PrivacyLossModel, s):
 
 
 def _check_grid(trunc_L: float, grid_r: int) -> None:
-    if not (math.isfinite(trunc_L) and trunc_L > 0.0):
-        raise ValueError(f"trunc_L must be positive and finite, got {trunc_L!r}")
-    if trunc_L > _TRUNC_L_MAX:
+    if _positive("trunc_L", trunc_L) > _TRUNC_L_MAX:
         raise ValueError(f"trunc_L={trunc_L!r} is too large: the limit is {_TRUNC_L_MAX:g}")
     if _integer("grid_r", grid_r) % 2 != 0:
         raise ValueError(f"grid_r must be a positive even integer, got {grid_r!r}")

@@ -124,7 +124,8 @@ def _count_blocks(scheme: SamplingScheme, rng: np.random.Generator, rows: int):
 
 def draw(scheme: SamplingScheme, seed: int) -> Multiset:
     """One subsample under the scheme, deterministic given the seed."""
-    row = next(_count_blocks(scheme, np.random.default_rng(seed), 1))[0]
+    rng = np.random.default_rng(_integer("seed", seed, low=0))
+    row = next(_count_blocks(scheme, rng, 1))[0]
     elements = np.flatnonzero(row)
     return Multiset(elements, row[elements])
 
@@ -143,6 +144,7 @@ def mc_stats(scheme: SamplingScheme, trials: int, seed: int, probe: int = 0) -> 
     exchangeability). eta_hat is the fraction of trials containing the probe.
     """
     trials = _integer("trials", trials)
+    seed = _integer("seed", seed, low=0)
     n = population_size(scheme)
     if _integer("probe", probe, low=0) >= n:
         raise ValueError(f"probe element must lie in [0, {n}), got {probe}")

@@ -19,10 +19,9 @@ WR(b, m)'s, thinned by b/n. Poisson has no stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import ClassVar, Union, get_args
 
-from .numerics import _integer
+from .numerics import _integer, _probability
 
 __all__ = [
     "Poisson",
@@ -56,8 +55,7 @@ class Poisson:
     n: int | None = None  # population size; only needed to draw samples
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, Real) and 0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
+        object.__setattr__(self, "gamma", _probability("gamma", self.gamma))
         if self.n is not None:
             object.__setattr__(self, "n", _integer("n", self.n))
 

@@ -3,9 +3,10 @@
 Exact rational enumeration of the subsampling schemes (feasible for tiny
 configurations), a float evaluation of the inclusion-probability double
 sum for the WR-then-WOR scheme, privacy-loss masses of the multiset
-schemes from normal mixture CDFs, and the exact k-fold delta of WOR(n, n),
-the Gaussian mechanism itself. These never share code with the production
-formulas they verify.
+schemes from normal mixture CDFs, the exact k-fold delta of WOR(n, n),
+the Gaussian mechanism itself, and the delta of two compositions of any
+scheme by one quadrature, with neither a grid nor an FFT. These never
+share code with the production formulas they verify.
 """
 
 from __future__ import annotations
@@ -179,3 +180,139 @@ def gaussian_delta(sigma: float, k: int, eps: float) -> float:
     log_a = float(log_ndtr(-eps / mu + mu / 2.0))
     log_b = float(log_ndtr(-eps / mu - mu / 2.0))
     return math.exp(log_a) * -math.expm1(eps + log_b - log_a)
+
+
+# -- the delta of two compositions, by one quadrature -----------------------
+#
+# For a pair (P, Q) with loss L = log(dP/dQ), delta_k(eps) = E_P[(1 -
+# e^(eps - S_k))_+], S_k the sum of k independent losses. With g(e) =
+# E_P[(1 - e^(e - L))_+], the k = 1 delta extended to every real e,
+# delta_2(eps) = int f_X(t) g(eps - L(t)) dt. L is increasing, so L > e
+# exactly where t > tau(e) = L^-1(e), and g(e) = S_P(tau) - e^e S_Q(tau)
+# in closed form from the normal survival functions; dg/dtau = 0 at the
+# root, so an error in tau enters g only at second order.
+
+
+def _rowwise_lse(x: np.ndarray) -> np.ndarray:
+    peak = x.max(axis=1)
+    return peak + np.log(np.exp(x - peak[:, None]).sum(axis=1))
+
+
+class _Pair:
+    """f_X = sum_l w_l N(l, sigma^2) and f_X' (N(0, sigma^2) for Poisson, f_X(-t)
+    otherwise) of one scheme, with the loss between them.
+
+    Poisson and WOR hold the record once with probability gamma or m/n.
+    MUSTwo's WOR stage keeps m of b i.i.d. uniform picks, so the record
+    occurs Binomial(m, 1/n) times, as under WR(n, m).
+    """
+
+    def __init__(self, scheme: SamplingScheme, sigma: float):
+        if isinstance(scheme, (Poisson, WOR)):
+            q = scheme.gamma if isinstance(scheme, Poisson) else scheme.m / scheme.n
+            w = np.array([1.0 - q, q])
+        else:
+            w = mixture_weights(WR(scheme.n, scheme.m) if isinstance(scheme, MUSTwo) else scheme)
+        keep = w > 0.0
+        self.l, self.log_w = np.arange(w.size, dtype=float)[keep], np.log(w[keep])
+        self.sigma = sigma
+        self.gamma = scheme.gamma if isinstance(scheme, Poisson) else None
+
+    def _terms(self, t: np.ndarray, sign: float) -> np.ndarray:
+        """log(w_l N(t; sign l, sigma^2)) up to the normal's constant, t by l."""
+        return self.log_w - (t[:, None] - sign * self.l) ** 2 / (2.0 * self.sigma**2)
+
+    def log_density(self, t: np.ndarray) -> np.ndarray:
+        """log f_X(t)."""
+        return _rowwise_lse(self._terms(t, 1.0)) - math.log(self.sigma * math.sqrt(2.0 * math.pi))
+
+    def loss_and_slope(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L(t) and L'(t): L' is the mean of l / sigma^2 under each side's
+        posterior over components (Poisson's reference side has none)."""
+        p = self._terms(t, 1.0)
+        lse_p = _rowwise_lse(p)
+        slope = np.exp(p - lse_p[:, None]) @ self.l / self.sigma**2
+        if self.gamma is not None:
+            return lse_p + t**2 / (2.0 * self.sigma**2), slope
+        q = self._terms(t, -1.0)
+        lse_q = _rowwise_lse(q)
+        return lse_p - lse_q, slope + np.exp(q - lse_q[:, None]) @ self.l / self.sigma**2
+
+    def inverse(self, e: np.ndarray) -> np.ndarray:
+        """tau(e) = L^-1(e); -inf at and below Poisson's loss floor log(1 - gamma).
+
+        Poisson in closed form. Otherwise L is odd: bracketed Newton on |e|
+        from [0, 2^j] (bisection where a step leaves the bracket), mirrored.
+        """
+        if self.gamma is not None:
+            gap = np.expm1(e) + self.gamma  # e^e - (1 - gamma), > 0 above the floor
+            tau = np.full(e.shape, -math.inf)
+            above = gap > 0.0
+            tau[above] = self.sigma**2 * (np.log(gap[above]) - math.log(self.gamma)) + 0.5
+            return tau
+        target = np.abs(e)
+        lo, hi = np.zeros_like(target), np.ones_like(target)
+        while (short := self.loss_and_slope(hi)[0] < target).any():
+            lo[short], hi[short] = hi[short], 2.0 * hi[short]
+        t = 0.5 * (lo + hi)
+        for _ in range(100):
+            loss, slope = self.loss_and_slope(t)
+            resid = loss - target
+            lo, hi = np.where(resid < 0.0, t, lo), np.where(resid > 0.0, t, hi)
+            live = (np.abs(resid) > 1e-12 * np.maximum(1.0, target)) & (hi - lo > 1e-15 * hi)
+            if not live.any():
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = t - resid / slope
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            t = np.where(live, step, t)
+        return np.copysign(t, e)
+
+    def delta(self, e: np.ndarray) -> np.ndarray:
+        """g(e) = S_P(tau) - e^e S_Q(tau) at tau = tau(e), from log survival
+        functions: 1 - e^e below Poisson's floor, where tau = -inf."""
+        tau = self.inverse(e)[:, None]
+        log_sp = _rowwise_lse(self.log_w + log_ndtr((self.l - tau) / self.sigma))
+        if self.gamma is not None:
+            log_sq = log_ndtr(-tau[:, 0] / self.sigma)
+        else:
+            log_sq = _rowwise_lse(self.log_w + log_ndtr((-self.l - tau) / self.sigma))
+        return np.exp(log_sp) * -np.expm1(e + log_sq - log_sp)
+
+
+def delta_k1(scheme: SamplingScheme, sigma: float, e) -> np.ndarray:
+    """g(e), the delta of one application at every real e, elementwise."""
+    with np.errstate(over="ignore", under="ignore"):
+        return _Pair(scheme, sigma).delta(np.atleast_1d(np.asarray(e, dtype=float)))
+
+
+def delta_k2(scheme: SamplingScheme, sigma: float, eps: float, nodes: int = 12) -> float:
+    """delta_2(eps) = int f_X(t) g(eps - L(t)) dt by Gauss-Legendre panels.
+
+    Where L is steep, g(eps - L(t)) rises over a short range of t, so the
+    panel edges are uniform in loss: tau(s) for s = -40, -39.5, ..., 40,
+    with 40 uniform panels over [l_min - 40 sigma, l_max + 40 sigma] for the
+    bulk of f_X. Poisson's g switches to 1 - e^e where eps - L(t) reaches
+    the floor, at t* = tau(eps - log(1 - gamma)); its smooth side behaves
+    like exp(-log^2) of the distance, which panels of fixed width resolve to
+    only ~3e-5, so edges at t* +- 2^-j, j < 60, grade toward it.
+    """
+    pair = _Pair(scheme, sigma)
+    with np.errstate(over="ignore", under="ignore"):
+        loss_levels = np.arange(-80, 81) / 2.0
+        edges = [np.linspace(pair.l[0] - 40.0 * sigma, pair.l[-1] + 40.0 * sigma, 41)]
+        if pair.gamma is None:
+            edges.append(pair.inverse(loss_levels))
+        else:
+            floor = math.log1p(-pair.gamma)
+            edges.append(pair.inverse(loss_levels[loss_levels > floor]))
+            kink = pair.inverse(np.array([eps - floor]))[0]
+            graded = np.multiply.outer([-1.0, 1.0], 2.0 ** -np.arange(60)).ravel()
+            edges += [[kink], kink + graded]
+        edges = np.unique(np.concatenate(edges))
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        half, mid = np.diff(edges) / 2.0, (edges[1:] + edges[:-1]) / 2.0
+        t = (mid[:, None] + half[:, None] * x).ravel()
+        weights = (half[:, None] * w).ravel()
+        inner = pair.delta(eps - pair.loss_and_slope(t)[0])
+        return float(np.sum(weights * np.exp(pair.log_density(t)) * inner))

@@ -14,6 +14,7 @@ import pytest
 
 import subamp
 from subamp.accountant import (
+    AccountantResult,
     EpsilonBeyondGridError,
     compose,
     compose_many,
@@ -396,6 +397,13 @@ class TestFailureModes:
         for k in (2.5, True):  # neither is a count, so neither becomes one
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 compose_many(poisson_pld, [1, k], [1.0])
+
+    def test_result_must_bracket_its_approximation(self, poisson_pld):
+        diagnostics = compose(poisson_pld, 1, 1.0).diagnostics
+        AccountantResult(0.1, 0.1, 0.1, diagnostics)
+        for lower, approx, upper in [(0.2, 0.1, 0.3), (0.1, 0.3, 0.2), (0.3, 0.2, 0.1)]:
+            with pytest.raises(ValueError, match="bracket"):
+                AccountantResult(lower, approx, upper, diagnostics)
 
     def test_huge_k_keeps_the_total_mass(self):
         # Above k ~ 1.4e19, exp(-750/k) rounds to 1, and a skip test on it

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import subamp.cli
 import subamp.pld
 from subamp.cli import SCHEMA_LINE, main
 from subamp.sampling import _KEYS_MAX_N
@@ -337,10 +338,10 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
     (["contour", "--schemes", "mustow", "--n", "10", "--b-range", "5:4", "--m-range", "2:2"],
      "--b-range range is empty: '5:4'"),
     (["amplify", "--scheme", "wor", "--n", "10", "--m", "3", "--family", "gaussian",
-      "--theta", "1", "--eps", "0"], "--eps must be a positive real"),
+      "--theta", "1", "--eps", "0"], "--eps must be positive and finite, got 0.0"),
     (["contour", "--schemes", "mustow", "--n", "10", "--b-range", "4:5", "--m-range", "2:2",
       "--family", "gaussian", "--theta", "1", "--eps", "0"],
-     "--eps must be positive when a mechanism is given"),
+     "--eps must be positive and finite, got 0.0"),
     (["experiment", "--config", "{"], "--config is not valid JSON: Expecting property name "
      "enclosed in double quotes: line 1 column 2 (char 1)"),
     (["experiment", "--config", '{"experiment": "nope"}'],
@@ -474,6 +475,44 @@ class TestAccountCommand:
         assert code == 3
         assert [row[5] for row in parse_csv(out)[1]] == ["1"]
         assert err.startswith("error: k=2 eps=1.0: delta_upper=0.000214") and err.count("\n") == 1
+
+    def test_verify_checks_k_one_only(self, capsys):
+        # k = 2 gets its row and no verify line: the quadrature is a k = 1 check.
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "1",
+            "--k-list", "1,2", "--eps-list", "1", "--r", "4096", "--verify",
+        )
+        assert code == 0
+        assert [row[5] for row in parse_csv(out)[1]] == ["1", "2"]
+        assert err.startswith("verify k=1 eps=1: ") and err.count("\n") == 1
+
+    def test_non_finite_composition_exits_3(self, capsys, monkeypatch):
+        # A NaN out of the inverse transform is a numerical failure whose
+        # message names the grid and the scheme.
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) * math.nan)
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "mustow", "--n", "100", "--b", "20", "--m", "10",
+            "--sigma", "1", "--k-list", "2", "--eps-list", "1", "--L", "8", "--r", "1024",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical failure: non-finite values in intensities (1024 of 1024 entries; "
+            "grid_r=1024, trunc_L=8, scheme=mustow)\n"
+        )
+
+    def test_input_too_large_to_allocate_exits_2(self, capsys, monkeypatch):
+        # The --r of 2^40 that numpy cannot allocate, without allocating it.
+        def discretize(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(subamp.cli, "discretize", discretize)
+        code, out, err = run_cli(
+            capsys, "account", "--scheme", "wor", "--n", "10", "--m", "3", "--sigma", "1",
+            "--k-list", "1", "--eps-list", "1", "--r", "1099511627776",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
 
     def test_verify_without_k_one_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -648,6 +687,13 @@ class TestSampleStatsCommand:
         assert row["unique_min"] == row["unique_max"] == "30"
         assert float(row["eta_hat"]) == pytest.approx(0.1, abs=0.03)
 
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample-stats", "--scheme", "wor", "--n", "10", "--m", "3",
+            "--trials", "5", "--seed", "-1",
+        )
+        assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
+
 
 class TestExperimentCommand:
     def test_missing_config_exits_2(self, capsys, tmp_path):
@@ -689,6 +735,25 @@ class TestExperimentCommand:
         code, out, err = run_cli(capsys, "experiment", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("bootstrap", {"eps_prime": "0.1"}, "eps_prime must be positive and finite, got '0.1'"),
+        ("bootstrap", {"delta_base": True}, "delta_base must lie in (0, 1), got True"),
+        ("dpsgd_linear", {"eps_prime": True, "clip_c": "3", "learning_rate": True},
+         "eps_prime_per_iter must be positive and finite, got True"),
+        ("dpsgd_linear", {"clip_c": "3"}, "clip_c must be positive and finite, got '3'"),
+        ("dpsgd_linear", {"learning_rate": True},
+         "learning_rate must be positive and finite, got True"),
+    ])
+    def test_number_fields_are_not_converted(self, capsys, tmp_path, kind, fields, message):
+        # A string or a bool is not a number: the field's rule sees the value
+        # as written and names it, as {"iterations": true} always did.
+        cfg = {"experiment": kind, "n": 300, "repeats": 1, "iterations": 5, "t_boot": 10,
+               "schemes": [{"scheme": "wor", "n": 300, "m": 30}], **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("kind", ["bootstrap", "dpsgd_linear"])
     @pytest.mark.parametrize("repeats", [0, -1])

@@ -124,6 +124,16 @@ class TestInvertLoss:
         with pytest.raises(OutOfDomainError):
             invert_loss(model, math.log(1.0 - 0.02) - 0.1)
 
+    def test_rejects_nonfinite(self):
+        for s in (math.nan, math.inf, [0.5, -math.inf]):
+            with pytest.raises(ValueError, match="^s must be finite$"):
+                invert_loss(MODELS["wr"], s)
+
+    def test_loss_ceiling_search_fails_past_200_doublings(self):
+        # L(t) grows like t: 10 sigma^2 2^200 ~ 2e61 does not reach s = 1e300.
+        with pytest.raises(NoConvergenceError, match="^loss ceiling search failed after 200"):
+            invert_loss(PrivacyLossModel(WR(10, 3), 1.0), 1e300)
+
     def test_wor_closed_form_matches_newton(self):
         # The closed form near 0 and in its far tails against the root
         # finder the multiset schemes use, mirrored on |s| as _inverse does.
@@ -625,6 +635,14 @@ class TestDiscretize:
                 DiscretizedPLD(
                     trunc_L=trunc_L, grid_r=4, c=np.array(c), mass_outside=0.0,
                     scheme=WOR(10, 2),
+                )
+
+    def test_construction_validates_the_mass_array(self):
+        cases = [([0.25] * 3, "length grid_r"), ([0.25, math.nan, 0.25, 0.25], "non-finite")]
+        for c, message in cases:
+            with pytest.raises(ValueError, match=message):
+                DiscretizedPLD(
+                    trunc_L=1.0, grid_r=4, c=np.array(c), mass_outside=0.0, scheme=WOR(10, 2),
                 )
 
 

@@ -1,6 +1,7 @@
 """Samplers against the closed forms they are meant to certify."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import subamp
 from subamp.amplification import eta, multiplicity_weights
 from subamp.sampling import (
-    _KEYS_MAX_N, _block_size, _draw_values_block, _subsets, draw, mc_stats,
+    _KEYS_MAX_N, Multiset, _block_size, _draw_values_block, _subsets, draw, mc_stats,
 )
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
@@ -134,6 +135,20 @@ class TestMcStats:
             mc_stats(WOR(10, 3), 1000, seed=1, probe=0.5)
         with pytest.raises(ValueError, match="trials"):
             mc_stats(WOR(10, 3), 10.5, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"], ids=repr)
+    def test_seed_is_checked_by_the_integer_rule(self, seed):
+        message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            mc_stats(WOR(10, 3), 10, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            draw(WOR(10, 3), seed)
+
+    def test_multiset_validates_its_arrays(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Multiset(np.array([0, 1]), np.array([1]))
+        with pytest.raises(ValueError, match="counts must be >= 1"):
+            Multiset(np.array([0, 1]), np.array([1, 0]))
 
 
 class TestStages:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
+from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR, scheme_from_dict
 
 # One valid construction per scheme, as keyword arguments.
 VALID = {
@@ -73,3 +73,9 @@ def test_stages_name_fields_and_are_class_constants():
     assert Poisson.stages == ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         MUSTow(5, 5, 9).stages = ()
+
+
+def test_scheme_from_dict_names_an_unknown_field():
+    assert scheme_from_dict({"scheme": "WOR", "n": 10, "m": 3}) == WOR(10, 3)
+    with pytest.raises(ValueError, match="^bad parameters for scheme 'wor': .*'b'"):
+        scheme_from_dict({"scheme": "wor", "n": 10, "b": 5, "m": 3})
