@@ -1,9 +1,8 @@
 """Scalar input rules, log-space combinatorics and the one parallel helper.
 
-_integer, _epsilon, _positive and _probability check every scalar input
-(_epsilons, an array of epsilons). An integer is an int but bool (not 2.0 or
-True); a real is a numbers.Real but bool (not "0.5") that is finite and >= 0,
-finite and > 0, or in (0, 1). Each returns an int or float or raises ValueError.
+_integer, _epsilon, _positive and _probability (_epsilons on arrays) check
+every scalar input: an int but bool (not 2.0), or a numbers.Real but bool
+(not "0.5") finite and >= 0, finite and > 0, or in (0, 1); else ValueError.
 
 Binomial coefficients are always accumulated through log-gamma: the
 configurations this package targets (b up to a few thousand, m up to a
@@ -20,7 +19,6 @@ _NumericalFailure is the base of every numerical failure of the package
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 import operator
@@ -57,12 +55,14 @@ def _integer(name: str, value, low: int = 1) -> int:
 
 
 def _real(name: str, value, what: str, ok: Callable[[float], bool]) -> float:
-    """value as a float, if it is a real other than bool for which ok holds
-    (an int too large for a float fails every rule)."""
+    """value as a float, if it is a real other than bool for which ok holds."""
     if type(value) is float or isinstance(value, Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
-            if ok(number := float(value)):
-                return number
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float fails every rule
+            number = math.inf
+        if ok(number):
+            return number
     raise ValueError(f"{name} must {what}, got {value!r}")
 
 
