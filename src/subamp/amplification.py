@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .mechanisms import MechanismSpec, group_profile, profile
-from .numerics import _epsilon, _real, log_binom_pmf, stable_sum
+from .numerics import _epsilon, _real, _reals, log_binom_pmf, stable_sum
 from .schemes import (
     MUSTow,
     MUSTwo,
@@ -237,15 +237,20 @@ class AlignedPoint:
     neighboring: str
 
 
+def _eps_grid(name: str, values) -> np.ndarray:
+    """values as a float array, if they are a non-empty increasing 1-d grid of
+    positive, finite epsilons."""
+    grid = _reals(name, values, "be positive and finite", lambda x: (x > 0) & (x < np.inf))
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"{name} must be a non-empty increasing 1-d grid, got {values!r}")
+    return grid
+
+
 def aligned_profile(
     scheme: SamplingScheme, mech: MechanismSpec, eps_grid: Sequence[float]
 ) -> list[AlignedPoint]:
     """Aligned privacy profile (eps'/eps, delta' - delta) over an eps grid."""
-    grid = np.asarray(eps_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("eps_grid must be a non-empty 1-d sequence")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("eps_grid must be strictly positive and increasing")
+    grid = _eps_grid("eps_grid", eps_grid)
 
     eta_value = eta(scheme)
     # The multiplicity weights do not depend on eps: one evaluation per profile.

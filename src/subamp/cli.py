@@ -20,9 +20,9 @@ import numpy as np
 
 from . import accountant as acct
 from . import harness
-from .amplification import aligned_profile, amplify_delta, amplify_epsilon, eta
+from .amplification import _eps_grid, aligned_profile, amplify_delta, amplify_epsilon, eta
 from .mechanisms import Family, MechanismSpec, profile
-from .numerics import _NumericalFailure, _epsilon, _integer, _positive
+from .numerics import _NumericalFailure, _epsilon, _epsilons, _integer, _positive
 from .pld import PrivacyLossModel, discretize
 from .sampling import mc_stats
 from .schemes import _SCHEME_TAGS, Poisson, SamplingScheme, _scheme_class, scheme_from_dict
@@ -78,20 +78,23 @@ def _comma_list(spec: str) -> list[str]:
     return list(dict.fromkeys(v.strip() for v in spec.split(",") if v.strip()))
 
 
-def _number_list(spec: str, flag: str, kind: type) -> list:
-    """The numbers of a comma list, each once, in order of first appearance.
+def _number_list(spec: str, flag: str, kind: type, rule) -> list:
+    """The numbers of a comma list, each once, in order of first appearance,
+    each checked by rule(flag, number).
 
     Repeats are dropped after conversion, so 1 and 1.0 are one float. An
     empty list or entry is an error that names the flag.
     """
     try:
-        return list(dict.fromkeys(kind(v) for v in spec.split(",")))
+        numbers = dict.fromkeys(kind(v) for v in spec.split(","))
     except ValueError:
         what = "integers" if kind is int else "numbers"
         raise ValueError(f"{flag} expects a comma list of {what}, got {spec!r}") from None
+    return [rule(flag, v) for v in numbers]
 
 
-def _parse_grid(spec: str, flag: str) -> np.ndarray:
+def _parse_grid(spec: str, flag: str, rule) -> np.ndarray:
+    """The grid lo:hi:count, checked by rule(flag, grid)."""
     try:
         lo, hi, count = spec.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))
@@ -99,7 +102,7 @@ def _parse_grid(spec: str, flag: str) -> np.ndarray:
         raise ValueError(f"{flag} expects lo:hi:count, got {spec!r}") from None
     if grid.size == 0:
         raise ValueError(f"{flag} produced an empty grid")
-    return grid
+    return rule(flag, grid)
 
 
 def _parse_int_range(spec: str, flag: str) -> range:
@@ -145,9 +148,9 @@ def _scheme_columns(scheme: SamplingScheme) -> dict:
 def cmd_profile(args) -> int:
     mech = _mech_from_args(args)
     if args.eps is not None:
-        grid = np.array([args.eps], dtype=float)
+        grid = [_epsilon("--eps", args.eps)]
     else:
-        grid = _parse_grid(args.eps_grid, "--eps-grid")
+        grid = _parse_grid(args.eps_grid, "--eps-grid", _epsilons)
     rows = [[float(e), profile(mech, float(e))] for e in grid]
     _emit(["epsilon", "delta"], rows, args)
     return 0
@@ -172,8 +175,8 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_aligned(args) -> int:
-    grid = _parse_grid(args.eps_grid, "--eps-grid")
-    thetas = _number_list(args.thetas, "--thetas", float)
+    grid = _parse_grid(args.eps_grid, "--eps-grid", _eps_grid)
+    thetas = _number_list(args.thetas, "--thetas", float, _positive)
     schemes = {tag: _scheme(tag, args) for tag in _comma_list(args.schemes)}
     mechs = {
         f: [MechanismSpec(Family(f), theta) for theta in thetas]
@@ -206,7 +209,7 @@ def cmd_contour(args) -> int:
         _positive("--eps", args.eps)
     elif args.theta is not None:
         raise ValueError("--theta needs --family")
-    eps = 1.0 if args.eps is None else args.eps
+    eps = 1.0 if args.eps is None else _epsilon("--eps", args.eps)
     # Every cell's scheme is built before any amplification is computed.
     cells = {}
     for tag in _comma_list(args.schemes):
@@ -238,8 +241,8 @@ def cmd_contour(args) -> int:
 
 def cmd_account(args) -> int:
     scheme = _scheme(args.scheme, args)
-    k_list = _number_list(args.k_list, "--k-list", int)
-    eps_list = _number_list(args.eps_list, "--eps-list", float)
+    k_list = _number_list(args.k_list, "--k-list", int, _integer)
+    eps_list = _number_list(args.eps_list, "--eps-list", float, _epsilon)
     if args.verify and 1 not in k_list:
         raise ValueError("--verify needs k = 1 in --k-list")
     _epsilon("--verify-tol", args.verify_tol)
@@ -315,11 +318,11 @@ def _bootstrap_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list
 def _dpsgd_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list:
     design, response = harness.make_synthetic("linear_regression", n, seed=seed)
     test_x, test_y = harness.make_synthetic(
-        "linear_regression", cfg.get("n_test", n), seed=seed + 7
+        "linear_regression", _integer("n_test", cfg.get("n_test", n)), seed=seed + 7
     )
     config = harness.SGDConfig(
         scheme=scheme,
-        eps_prime_per_iter=cfg.get("eps_prime", 0.01),
+        eps_prime_per_iter=_positive("eps_prime", cfg.get("eps_prime", 0.01)),
         delta_base=cfg.get("delta_base", 1.0 / n),
         clip_c=cfg.get("clip_c", 3.0),
         learning_rate=cfg.get("learning_rate", 0.04),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .amplification import deamplify_epsilon, eta
 from .mechanisms import Family, calibrate_sigma
-from .numerics import _NumericalFailure, _epsilon, _integer, _positive, _probability
+from .numerics import _NumericalFailure, _epsilon, _integer, _positive, _probability, _real
 from .sampling import _count_blocks
 from .schemes import Poisson, SamplingScheme, population_size
 
@@ -63,7 +63,8 @@ class SGDConfig:
         for name in ("eps_prime_per_iter", "clip_c", "learning_rate"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
         object.__setattr__(self, "delta_base", _probability("delta_base", self.delta_base))
-        _integer("iterations", self.iterations)
+        object.__setattr__(self, "iterations", _integer("iterations", self.iterations))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, low=0))
         if self.sigma_override is not None:
             _epsilon("sigma_override", self.sigma_override)
 
@@ -82,13 +83,16 @@ class BootstrapConfig:
     seed: int
 
     def __post_init__(self):
-        lo, hi = self.bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"bounds must be finite with L_clip < U_clip, got {self.bounds!r}")
-        _integer("t_boot", self.t_boot)
-        _integer("repeats", self.repeats)
+        rule = "be finite with L_clip < U_clip"
+        lo, hi = (_real("bounds", end, rule, math.isfinite) for end in self.bounds)
+        if not lo < hi:
+            raise ValueError(f"bounds must {rule}, got {self.bounds!r}")
+        object.__setattr__(self, "bounds", (lo, hi))
+        for name in ("t_boot", "repeats"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "eps_prime", _positive("eps_prime", self.eps_prime))
         object.__setattr__(self, "delta_base", _probability("delta_base", self.delta_base))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, low=0))
 
 
 def _subsample_size(scheme: SamplingScheme) -> int:

@@ -88,9 +88,7 @@ def _profile_values(family: Family, theta, epsilon) -> np.ndarray:
 
 def profile(mech: MechanismSpec, epsilon):
     """Tight delta(eps) of the base mechanism. Accepts scalars or arrays."""
-    eps = _epsilons("epsilon", epsilon)
-    out = _profile_values(mech.family, mech.theta, eps)
-    return float(out) if np.ndim(epsilon) == 0 else out
+    return group_profile(mech, 1, epsilon)
 
 
 def group_profile(mech: MechanismSpec, j, epsilon):

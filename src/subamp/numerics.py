@@ -1,8 +1,9 @@
-"""Scalar input rules, log-space combinatorics and the one parallel helper.
+"""Input rules, log-space combinatorics and the one parallel helper.
 
-_integer, _epsilon, _positive and _probability (_epsilons on arrays) check
-every scalar input: an int but bool (not 2.0), or a numbers.Real but bool
-(not "0.5") finite and >= 0, finite and > 0, or in (0, 1); else ValueError.
+_integer, _epsilon, _positive and _probability check every scalar input: an
+int but bool (not 2.0), or a numbers.Real but bool (not "0.5") finite and
+>= 0, finite and > 0, or in (0, 1); _reals (and _epsilons) each element of
+an array of int or float dtype (not bool or str) by a test; else ValueError.
 
 Binomial coefficients are always accumulated through log-gamma: the
 configurations this package targets (b up to a few thousand, m up to a
@@ -81,12 +82,17 @@ def _probability(name: str, value) -> float:
     return _real(name, value, "lie in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
-def _epsilons(name: str, values) -> np.ndarray:
-    """values as a float array, if each is an int or float, finite and >= 0."""
+def _reals(name: str, values, what: str, ok: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """values as a float array of any shape, if its dtype is int or float and ok holds."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf" or not ((array >= 0) & (array < math.inf)).all():
-        raise ValueError(f"{name} must be finite and >= 0, got {values!r}")
+    if array.dtype.kind not in "iuf" or not ok(array).all():
+        raise ValueError(f"{name} must {what}, got {values!r}")
     return array.astype(float, copy=False)
+
+
+def _epsilons(name: str, values) -> np.ndarray:
+    """values as a float array, if each is finite and >= 0."""
+    return _reals(name, values, "be finite and >= 0", lambda x: (x >= 0) & (x < math.inf))
 
 
 def log_binom(n, k):

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
-from .numerics import _NumericalFailure, _integer, _map_blocks, _positive
+from .numerics import _NumericalFailure, _integer, _map_blocks, _positive, _reals
 from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
@@ -246,9 +246,7 @@ def _sym_loss_and_slope(model: PrivacyLossModel, t: np.ndarray) -> tuple[np.ndar
 
 def loss_at(model: PrivacyLossModel, t):
     """The privacy loss L(t) of outputting t. Accepts scalars or arrays."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("t must be finite")
+    t_arr = np.atleast_1d(_reals("t", t, "be finite", np.isfinite))
     if isinstance(model.scheme, Poisson):
         q = model.scheme.gamma
         arg = (2.0 * t_arr - 1.0) / (2.0 * model.sigma**2)
@@ -260,7 +258,7 @@ def loss_at(model: PrivacyLossModel, t):
 
 def log_output_density(model: PrivacyLossModel, t):
     """log f_X(t): the subsampled-mechanism output density under X."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.atleast_1d(_reals("t", t, "be finite", np.isfinite))
     sig = model.sigma
     l_vals, log_w = model._mixture
     terms = log_w[None, :] - (t_arr[:, None] - l_vals[None, :]) ** 2 / (2.0 * sig**2)
@@ -391,9 +389,7 @@ def invert_loss(model: PrivacyLossModel, s):
     Poisson and WOR use the closed-form inverses; the multiset schemes use
     bracketed Newton to |L(t) - s| <= _NEWTON_TOL.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all(np.isfinite(s_arr)):
-        raise ValueError("s must be finite")
+    s_arr = np.atleast_1d(_reals("s", s, "be finite", np.isfinite))
     low = model.loss_domain_low
     if np.any(s_arr <= low):
         raise OutOfDomainError(
@@ -423,7 +419,7 @@ def pld_density(model: PrivacyLossModel, s):
     for Poisson and 1/L'(t) at t = L^{-1}(s) for the symmetric schemes,
     where f_X'(t) = f_X(-t) makes it also the density with X and X' swapped.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    s_arr = np.atleast_1d(_reals("s", s, "be finite", np.isfinite))
     out = _omega(model, s_arr)
     return float(out[0]) if np.ndim(s) == 0 else out
 

@@ -173,6 +173,22 @@ class TestAlignedCommand:
         assert check_printed(float(row["delta_prime"]), "0.052")
         assert row["pa_class"] == "weak_type_i"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--thetas", "1,-1", "--eps-grid", "0.5:1:2"],
+         "--thetas must be positive and finite, got -1.0"),
+        (["--thetas", "1", "--eps-grid", "0:1:2"],
+         "--eps-grid must be positive and finite, got array([0., 1.])"),
+        (["--thetas", "1", "--eps-grid", "2:1:2"],
+         "--eps-grid must be a non-empty increasing 1-d grid, got array([2., 1.])"),
+    ], ids=["theta_negative", "eps_grid_zero", "eps_grid_decreasing"])
+    def test_validation_error_names_the_flag(self, capsys, tmp_path, flags, message):
+        code, out, err = run_cli(
+            capsys, "aligned", "--schemes", "wor", "--families", "laplace", "--n", "100",
+            "--m", "10", *flags, "--output-dir", str(tmp_path / "D"),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "D").exists()
+
     def test_invalid_scheme_writes_nothing(self, capsys, tmp_path):
         # wor builds, mustow lacks --b: no file may be written for wor.
         code, out, err = run_cli(
@@ -346,8 +362,23 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
      "enclosed in double quotes: line 1 column 2 (char 1)"),
     (["experiment", "--config", '{"experiment": "nope"}'],
      "config field 'experiment' must be 'bootstrap' or 'dpsgd_linear', got 'nope'"),
+    (["profile", "--family", "gaussian", "--theta", "1", "--eps", "-1"],
+     "--eps must be finite and >= 0, got -1.0"),
+    (["profile", "--family", "gaussian", "--theta", "1", "--eps-grid=-1:1:3"],
+     "--eps-grid must be finite and >= 0, got array([-1.,  0.,  1.])"),
+    (["contour", "--schemes", "mustow", "--n", "1000", "--b-range", "150:150",
+      "--m-range", "100:100", "--eps", "-1"], "--eps must be finite and >= 0, got -1.0"),
+    (["account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "2",
+      "--k-list", "1,0", "--eps-list", "1"], "--k-list must be a positive integer, got 0"),
+    (["account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "2",
+      "--k-list", "1", "--eps-list", "1,-1"], "--eps-list must be finite and >= 0, got -1.0"),
+    (["experiment", "--config", '{"experiment": "dpsgd_linear", "n": 300, "repeats": 1, '
+      '"n_test": 0, "schemes": [{"scheme": "wor", "n": 300, "m": 30}]}'],
+     "n_test must be a positive integer, got 0"),
 ], ids=["empty_eps_grid", "empty_b_range", "amplify_eps_zero", "contour_eps_zero",
-        "config_not_json", "unknown_experiment"])
+        "config_not_json", "unknown_experiment", "profile_eps_negative",
+        "profile_eps_grid_negative", "contour_eps_negative", "account_k_zero",
+        "account_eps_negative", "experiment_n_test_zero"])
 def test_validation_error_exits_2(capsys, tmp_path, argv, message):
     out_dir = tmp_path / "D"
     if argv[0] == "contour":
@@ -740,7 +771,7 @@ class TestExperimentCommand:
         ("bootstrap", {"eps_prime": "0.1"}, "eps_prime must be positive and finite, got '0.1'"),
         ("bootstrap", {"delta_base": True}, "delta_base must lie in (0, 1), got True"),
         ("dpsgd_linear", {"eps_prime": True, "clip_c": "3", "learning_rate": True},
-         "eps_prime_per_iter must be positive and finite, got True"),
+         "eps_prime must be positive and finite, got True"),
         ("dpsgd_linear", {"clip_c": "3"}, "clip_c must be positive and finite, got '3'"),
         ("dpsgd_linear", {"learning_rate": True},
          "learning_rate must be positive and finite, got True"),

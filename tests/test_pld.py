@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -125,8 +126,8 @@ class TestInvertLoss:
             invert_loss(model, math.log(1.0 - 0.02) - 0.1)
 
     def test_rejects_nonfinite(self):
-        for s in (math.nan, math.inf, [0.5, -math.inf]):
-            with pytest.raises(ValueError, match="^s must be finite$"):
+        for s, shown in ((math.nan, "nan"), (math.inf, "inf"), ([0.5, -math.inf], "[0.5, -inf]")):
+            with pytest.raises(ValueError, match=f"^s must be finite, got {re.escape(shown)}$"):
                 invert_loss(MODELS["wr"], s)
 
     def test_loss_ceiling_search_fails_past_200_doublings(self):
