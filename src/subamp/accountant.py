@@ -1,16 +1,18 @@
 """k-fold privacy loss composition via FFT convolution (Fourier accountant).
 
-The exact cell masses of the discretized loss are real, so their spectrum
-is Hermitian: they are transformed once with a real FFT, each of the r/2+1
+The 1-fold composition is the exact cell masses themselves, so k = 1 reads
+them with no transform. For k >= 2 the masses, being real, have a Hermitian
+spectrum: they are transformed once with a real FFT, each of the r/2+1
 frequencies of the half-spectrum is raised to the k-th power, and one real
-inverse FFT per k gives the composed masses, which are tail summed against
-(1 - e^{eps - s}). Only frequencies with |spectrum| above exp(-750/k) are
-powered; the others are set to exactly 0. Their k-th power is at most
-e^-750, under 1% of the smallest subnormal 2^-1074, which pow rounds to
-+0, so the skip changes no output bit. The per-k work (power, inverse,
-floor, tails) runs on one thread per CPU in the process's affinity mask,
-one k per task, and reduces with numpy's own sums, never BLAS, so the
-output bits do not depend on the number of CPUs or of BLAS threads.
+inverse FFT per k >= 2 gives the composed masses. Either array is tail
+summed against (1 - e^{eps - s}). Only frequencies with |spectrum| above
+exp(-750/k) are powered; the others are set to exactly 0. Their k-th
+power is at most e^-750, under 1% of the smallest subnormal 2^-1074,
+which pow rounds to +0, so the skip changes no output bit. The per-k
+work (power, inverse, floor, tails) runs on one thread per CPU in the
+process's affinity mask, one k per task, and reduces with numpy's own
+sums, never BLAS, so the output bits do not depend on the number of CPUs
+or of BLAS threads.
 
 The composed array places each loss at its cell's left edge. Placing the
 same masses at the right edges shifts the composed array by k dx, so the
@@ -19,11 +21,11 @@ three deltas are tails of one array: delta_lower at eps, delta_approx
 bound over the mass outside the grid. They are ordered by construction.
 _cell builds each (k, eps) cell inside its k's task; a new bracket term
 (wrap-around, pair bounds, the larger Poisson direction) goes there alone.
-The bounds hold for the exact masses up to FFT round-off and wrap-around
-of the composed loss past +-L, neither of which is bounded yet; where a
-k's delta_upper falls below a smaller k's delta_lower, which no true delta
-does, compose_many returns an error cell. The
-additive residual term that appears for base mechanisms with
+The bounds hold for the exact masses up to FFT round-off (none at k = 1)
+and wrap-around of the composed loss past +-L, neither of which is
+bounded yet; where a k's delta_upper falls below a smaller k's
+delta_lower, which no true delta does, compose_many returns an error
+cell. The additive residual term that appears for base mechanisms with
 delta(inf) > 0 is identically zero here: loss models only exist for the
 Gaussian base, so it is omitted.
 
@@ -167,7 +169,7 @@ def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
     """delta(eps) after k-fold composition, with lower and upper bounds.
 
     The bounds hold for the exact cell masses of the grid, up to FFT
-    round-off and wrap-around of the composed loss past +-L.
+    round-off (none at k = 1) and wrap-around of the composed loss past +-L.
     """
     (cell,) = compose_many(pld, [k], [epsilon])
     if cell.error is not None:
@@ -242,13 +244,16 @@ def _rising_in_k(per_k: list[list[SweepCell]], k_values: list[int]) -> None:
 def compose_many(
     pld: DiscretizedPLD, k_list: Sequence[int], eps_grid: Sequence[float]
 ) -> list[SweepCell]:
-    """compose over the k x epsilon grid: one forward rfft, one irfft per k.
+    """compose over the k x epsilon grid: one forward rfft, one irfft per k >= 2.
 
     Each k's task composes and floors the masses, then builds its cells
-    with _cell. Per-cell epsilon validation failures are collected into the
-    returned cells, and so is a delta that falls with k (_rising_in_k);
-    numerical (non-finite) failures abort, as the whole composition for
-    that k is meaningless.
+    with _cell. At k = 1 the composed masses are c itself, read with no
+    transform and nothing floored; the forward rfft runs only when some
+    k >= 2, keeping the frequencies that survive the smallest such k.
+    Per-cell epsilon validation failures are collected into the returned
+    cells, and so is a delta that falls with k (_rising_in_k); numerical
+    (non-finite) failures abort, as the whole composition for that k is
+    meaningless.
 
     The values of k run on one thread per CPU in the affinity mask, each
     writing its own slot, and the cells come back in k-list order. Memory
@@ -268,17 +273,21 @@ def compose_many(
         Diagnostics, grid_r=pld.grid_r, trunc_L=pld.trunc_L, mass_defect=pld.mass_outside,
         max_cell_mass=float(c.max()), occupied_cells=int(np.count_nonzero(c)),
     )
-    spectrum = _spectrum(c, min(k_values, default=1))
+    k_transformed = [k for k in k_values if k > 1]
+    spectrum = _spectrum(c, min(k_transformed)) if k_transformed else None
     per_k: list[list[SweepCell]] = [[] for _ in k_values]
 
     def compose_k(items: slice) -> None:
         for i in range(len(k_values))[items]:
             k = k_values[i]
-            u = np.fft.irfft(_powered(spectrum, k, pld.grid_r), n=pld.grid_r)
-            _check_finite("intensities", u, context)
-            negative = u < 0.0
-            floored = float(-u[negative].sum()) if negative.any() else 0.0
-            u[negative] = 0.0
+            if k == 1:  # the 1-fold composition is the masses themselves
+                u, floored = c, 0.0
+            else:
+                u = np.fft.irfft(_powered(spectrum, k, pld.grid_r), n=pld.grid_r)
+                _check_finite("intensities", u, context)
+                negative = u < 0.0
+                floored = float(-u[negative].sum()) if negative.any() else 0.0
+                u[negative] = 0.0
             diag = diagnostics(floored_mass=floored)
             per_k[i] = [_cell(pld, s, u, k, eps, m_right, diag) for eps in eps_values]
 

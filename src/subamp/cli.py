@@ -304,7 +304,7 @@ def _bootstrap_row(cfg: dict, scheme: SamplingScheme, n: int, seed: int) -> list
     config = harness.BootstrapConfig(
         scheme=scheme,
         t_boot=cfg.get("t_boot", 500),
-        bounds=tuple(cfg.get("bounds", (-4.0, 4.0))),
+        bounds=cfg.get("bounds", (-4.0, 4.0)),
         eps_prime=cfg.get("eps_prime", 0.1),
         delta_base=cfg.get("delta_base", 1.0 / n),
         repeats=cfg.get("repeats", 20),

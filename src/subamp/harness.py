@@ -83,8 +83,14 @@ class BootstrapConfig:
     seed: int
 
     def __post_init__(self):
+        try:
+            ends = tuple(self.bounds)
+        except TypeError:
+            ends = ()
+        if len(ends) != 2:
+            raise ValueError(f"bounds must be a pair (L_clip, U_clip), got {self.bounds!r}")
         rule = "be finite with L_clip < U_clip"
-        lo, hi = (_real("bounds", end, rule, math.isfinite) for end in self.bounds)
+        lo, hi = (_real("bounds", end, rule, math.isfinite) for end in ends)
         if not lo < hi:
             raise ValueError(f"bounds must {rule}, got {self.bounds!r}")
         object.__setattr__(self, "bounds", (lo, hi))

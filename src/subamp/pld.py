@@ -15,6 +15,10 @@ f_X(t) dL^{-1}/ds takes the inverse derivative in closed form for Poisson
 and as 1/L'(t) at t = L^{-1}(s) for every symmetric scheme; the density with
 X and X' exchanged is omega itself.
 
+Newton starts from a presolve on [0, ceiling]: the kernel's L and L' at
+_PRESOLVE_GRID + 1 coarse nodes give each target a bracket and a cubic
+Hermite start of t(s), which on the benchmark's sweep and census grids
+meets the tolerance at once, so the kernel passes over the edges once.
 The Newton kernel writes L = log N - log D over the K mixture components
 and takes one exponential per side. It and the CDF pass work in blocks of
 _CELLS // K rows, which run on one thread per CPU in the process's
@@ -49,7 +53,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .amplification import log_miss_probability, multiplicity_weights
-from .numerics import _NumericalFailure, _integer, _map_blocks, _positive, _reals
+from .numerics import _NumericalFailure, _integer, _map_blocks, _positive, _real, _reals
 from .schemes import Poisson, SamplingScheme, WOR
 
 __all__ = [
@@ -343,24 +347,37 @@ def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
     )
 
 
-# Coarse nodes of the presolve. On the r = 3e5 grids 16384 nodes start
-# Newton close enough that one step meets the tolerance almost everywhere:
-# two kernel passes over the grid where 4096 nodes needed three.
+# Coarse nodes of the presolve, on [0, ceiling]. On the benchmark's sweep
+# and census grids (r = 2e5 and 3e5) the Hermite start from 16384 nodes
+# meets the tolerance at every edge, so Newton makes one kernel pass over
+# the grid; a linear start on [-10 sigma^2, ceiling] needed two.
 _PRESOLVE_GRID = 16384
 
 
 def _presolve_starts(model: PrivacyLossModel, s: np.ndarray):
-    """Tight starting points/brackets by interpolating L on a coarse t-grid.
+    """Starting points and brackets from L on a coarse t-grid over [0, ceiling].
 
-    L is strictly increasing, so the two coarse nodes around each target s
-    bracket the root and linear interpolation lands within a few Newton
-    steps of it. The span starts at -10 sigma^2, where L < 0 <= s.
+    The targets are s >= 0 and L(0) = 0, so the span starts at 0. L is
+    strictly increasing, so the two coarse nodes around each target s
+    bracket the root. The start is the cubic Hermite interpolant of t(s)
+    between them, with slopes dt/ds = 1/L'(t) from the kernel, clipped into
+    the bracket; where a node's L' is 0 or not finite it is the linear
+    interpolant.
     """
-    span = (-10.0 * model.sigma**2, _loss_ceiling(model, s.max()))
-    t_coarse = np.linspace(*span, _PRESOLVE_GRID + 1)
-    s_coarse = _sym_loss_and_slope(model, t_coarse)[0]
-    t0 = np.interp(s, s_coarse, t_coarse)
+    t_coarse = np.linspace(0.0, _loss_ceiling(model, s.max()), _PRESOLVE_GRID + 1)
+    s_coarse, slope = _sym_loss_and_slope(model, t_coarse)
     idx = np.clip(np.searchsorted(s_coarse, s, side="right"), 1, _PRESOLVE_GRID)
+    t_lo, t_hi = t_coarse[idx - 1], t_coarse[idx]
+    ds = s_coarse[idx] - s_coarse[idx - 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = (s - s_coarse[idx - 1]) / ds
+        # Tangents of t over one cell: (dt/ds) ds at its two nodes.
+        m_lo, m_hi = ds / slope[idx - 1], ds / slope[idx]
+        dt = t_hi - t_lo
+        t0 = t_lo + u * (m_lo + u * (3.0 * dt - 2.0 * m_lo - m_hi + u * (m_lo + m_hi - 2.0 * dt)))
+    good = (slope > 0.0) & np.isfinite(slope)
+    ok = np.isfinite(t0) & good[idx - 1] & good[idx]
+    t0 = np.where(ok, np.clip(t0, t_lo, t_hi), np.interp(s, s_coarse, t_coarse))
     # One spare cell on each side absorbs ulp-level wiggles in s_coarse.
     return t0, t_coarse[np.maximum(idx - 2, 0)], t_coarse[np.minimum(idx + 1, _PRESOLVE_GRID)]
 
@@ -458,12 +475,14 @@ class DiscretizedPLD:
 
     def __post_init__(self):
         _check_grid(self.trunc_L, self.grid_r)
+        object.__setattr__(self, "c", _reals(
+            "c", self.c, "be finite and >= 0", lambda x: (x >= 0.0) & (x < math.inf)
+        ))
         if self.c.shape != (self.grid_r,):
             raise ValueError("c must have length grid_r")
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError("non-finite mass in c")
-        if np.any(self.c < 0.0) or not 0.0 <= self.mass_outside <= 1.0:
-            raise ValueError("negative mass in c or mass_outside outside [0, 1]")
+        object.__setattr__(self, "mass_outside", _real(
+            "mass_outside", self.mass_outside, "lie in [0, 1]", lambda x: 0.0 <= x <= 1.0
+        ))
 
     @property
     def dx(self) -> float:

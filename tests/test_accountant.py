@@ -16,6 +16,7 @@ import subamp
 from subamp.accountant import (
     AccountantResult,
     EpsilonBeyondGridError,
+    _cell,
     compose,
     compose_many,
     delta_direct,
@@ -210,7 +211,8 @@ def _complex_composed(c, k):
 
 class TestSkippedFrequencies:
     # compose_many powers only the frequencies whose k-th power can be
-    # nonzero; powering all of them must give the same bits.
+    # nonzero; powering all of them must give the same bits. k = 1 reads
+    # the masses themselves.
     @pytest.mark.parametrize("which", ["wor", "mustow"])
     def test_matches_full_array_power(self, which, fig_pld):
         pld = discretize(WOR_MODEL, 10.0, 100_000) if which == "wor" else fig_pld
@@ -218,7 +220,10 @@ class TestSkippedFrequencies:
         cells = compose_many(pld, ks, [0.5, 1.0, 2.0])
         assert len(cells) == 12
         for cell in cells:
-            (lo, mid, hi), floored = _full_power_deltas(pld, cell.k, cell.epsilon)
+            if cell.k == 1:
+                (lo, mid, hi), floored = _deltas(pld, pld.c, 1, cell.epsilon)
+            else:
+                (lo, mid, hi), floored = _full_power_deltas(pld, cell.k, cell.epsilon)
             if cell.error is not None:
                 # WOR wraps around past L = 10 at k = 1000, so the k = 200
                 # cells of this call turn its cells into error cells; alone
@@ -232,6 +237,25 @@ class TestSkippedFrequencies:
         # At k = 1000 most frequencies underflow, so the skip is exercised.
         powered = _full_power(pld.c, 1000)
         assert np.count_nonzero(powered) < powered.size // 4
+
+
+class TestNoTransformAtK1:
+    def test_cells_are_reads_of_the_masses(self, fig_pld, monkeypatch):
+        # The 1-fold composition is c itself: no transform runs, nothing is
+        # floored, and each cell is _cell's read of c, bit for bit.
+        def no_transform(*args, **kwargs):
+            raise AssertionError("k = 1 needs no transform")
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, no_transform)
+        eps_list = [0.0, 0.5, 1.0, 2.0]
+        cells = compose_many(fig_pld, [1], eps_list)
+        s, c = fig_pld.s, fig_pld.c
+        m_right = float((c * np.exp(-(s + fig_pld.dx))).sum())
+        assert [cell.epsilon for cell in cells] == eps_list
+        for cell in cells:
+            assert cell.result.diagnostics.floored_mass == 0.0
+            assert cell == _cell(fig_pld, s, c, 1, cell.epsilon, m_right, cell.result.diagnostics)
 
 
 class TestRealPipeline:
@@ -566,14 +590,15 @@ class TestDeltaDirect:
 # on L = 10 and L = 40 at one dx (r = 2^17 and 2^19). The cells whose
 # bracket misses the exact delta, by the side they miss on: below
 # delta_lower, where FFT round-off of about 1e-16 lifts a tinier delta
-# (ROADMAP item 6), and above delta_upper, where the composed loss wraps
-# around past +-L (item 9).
+# (ROADMAP item 6; k = 1 reads the masses, untransformed, and misses no
+# cell), and above delta_upper, where the composed loss wraps around past
+# +-L (item 9).
 _GAUSSIAN_SIGMAS = (0.5, 1.0, 4.0, 20.0)
 _GAUSSIAN_GRIDS = {10.0: 1 << 17, 40.0: 1 << 19}
 _GAUSSIAN_K, _GAUSSIAN_EPS = (1, 2, 10, 100, 1000), (0.5, 1.0, 4.0)
-_ROUND_OFF_MISSES = {(4.0, L, 1, 4.0) for L in _GAUSSIAN_GRIDS} | {
+_ROUND_OFF_MISSES = {
     (20.0, L, k, eps) for L in _GAUSSIAN_GRIDS
-    for k, eps in ((1, 1.0), (1, 4.0), (2, 1.0), (2, 4.0), (10, 4.0))
+    for k, eps in ((2, 1.0), (2, 4.0), (10, 4.0))
 }
 _WRAP_MISSES = {
     (0.5, 40.0, 2, 0.5), (0.5, 40.0, 2, 1.0), (0.5, 40.0, 2, 4.0),

@@ -606,12 +606,13 @@ class TestAccountCommand:
 
     @pytest.mark.parametrize("budget, code", [(1, 0), (0, 3)])
     def test_newton_budget(self, capsys, monkeypatch, budget, code):
-        # One Newton step meets the tolerance on this grid, so a budget of
-        # one returns; a budget of none is a numerical failure.
+        # The presolve's start misses the tolerance at about half of this
+        # grid's edges and one Newton step meets it everywhere, so a budget
+        # of one returns; a budget of none is a numerical failure.
         monkeypatch.setattr(subamp.pld, "_NEWTON_MAX_ITER", budget)
         got, out, err = run_cli(
-            capsys, "account", "--scheme", "wr", "--n", "1000", "--m", "200",
-            "--sigma", "2", "--k-list", "1", "--eps-list", "1", "--r", "4096",
+            capsys, "account", "--scheme", "mustww", "--n", "1000", "--b", "10", "--m", "500",
+            "--sigma", "4", "--k-list", "1", "--eps-list", "1", "--L", "10", "--r", "20000",
         )
         assert got == code
         if code == 0:
@@ -737,8 +738,6 @@ class TestExperimentCommand:
         {"experiment": "bootstrap", "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
         {"experiment": "dpsgd_linear", "n": 400},
         {"experiment": "bootstrap", "n": 300, "schemes": [5]},
-        {"experiment": "bootstrap", "n": 300, "bounds": 4,
-         "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
         {"experiment": "bootstrap", "n": 300.5, "repeats": 1, "t_boot": 10,
          "schemes": [{"scheme": "wor", "n": 300, "m": 30}]},
         {"experiment": "bootstrap", "n": 300, "seed": 2.5, "repeats": 1, "t_boot": 10,
@@ -750,6 +749,18 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("bounds", [[1, 2, 3], 4], ids=repr)
+    def test_bounds_that_are_not_a_pair_exit_2(self, capsys, tmp_path, bounds):
+        # Formerly "too many values to unpack (expected 2)" and "config has a
+        # malformed field: 'int' object is not iterable".
+        cfg = {"experiment": "bootstrap", "n": 300, "repeats": 1, "t_boot": 10, "bounds": bounds,
+               "schemes": [{"scheme": "wor", "n": 300, "m": 30}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bounds must be a pair (L_clip, U_clip), got {bounds!r}\n"
 
     @pytest.mark.parametrize("kind, field, value", [
         ("dpsgd_linear", "learning_rate", math.nan),

@@ -12,6 +12,7 @@ from subamp.harness import BootstrapConfig, SGDConfig
 from subamp.mechanisms import MechanismSpec, calibrate_sigma, group_profile, profile
 from subamp.numerics import _epsilon, _epsilons, _positive, _probability, _reals
 from subamp.pld import (
+    DiscretizedPLD,
     PrivacyLossModel,
     discretize,
     invert_loss,
@@ -114,6 +115,7 @@ ARRAY_SITES = [
       for f, name in [(loss_at, "t"), (log_output_density, "t"), (invert_loss, "s"),
                       (pld_density, "s")]
       for model in _MODELS],
+    ("c", lambda v: DiscretizedPLD(1.0, 4, v, 0.0, WOR(10, 3)), "DiscretizedPLD"),
     ("eps_grid", lambda v: aligned_profile(WOR(100, 10), MECH, v), "aligned_profile"),
     ("epsilon", lambda v: profile(MECH, v), "profile"),
     ("epsilon", lambda v: group_profile(MECH, 2, v), "group_profile"),
@@ -140,6 +142,26 @@ def test_bootstrap_bounds_are_reals(bounds, shown):
     message = f"^bounds must be finite with L_clip < U_clip, got {re.escape(shown)}$"
     with pytest.raises(ValueError, match=message):
         BootstrapConfig(**{**BOOT, "bounds": bounds})
+
+
+@pytest.mark.parametrize("bounds", [[1, 2, 3], 4, (-4.0,), None], ids=repr)
+def test_bootstrap_bounds_are_a_pair(bounds):
+    # Formerly "too many values to unpack" and "'int' object is not iterable".
+    message = f"^bounds must be a pair \\(L_clip, U_clip\\), got {re.escape(repr(bounds))}$"
+    with pytest.raises(ValueError, match=message):
+        BootstrapConfig(**{**BOOT, "bounds": bounds})
+
+
+@pytest.mark.parametrize("c", [
+    np.array([True, False, False, False]), np.full(4, "0.25"), [True, False, False, False],
+], ids=["bool", "str", "list"])
+def test_masses_are_reals(c):
+    # Formerly the bool array was kept, the strings raised numpy's TypeError
+    # and the list an AttributeError. c is stored as a float array.
+    with pytest.raises(ValueError, match=f"^c must be finite and >= 0, got {re.escape(repr(c))}$"):
+        DiscretizedPLD(1.0, 4, c, 0.0, WOR(10, 3))
+    pld = DiscretizedPLD(1.0, 4, [1, 0, 0, 0], 0.0, WOR(10, 3))
+    assert pld.c.dtype == np.float64 and pld.c.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("config, fields", [(SGDConfig, SGD), (BootstrapConfig, BOOT)],

@@ -34,7 +34,9 @@ from subamp.pld import (
 from subamp.pld import (
     _CELLS,
     _NEWTON_TOL,
+    _PRESOLVE_GRID,
     _edge_probabilities,
+    _edges,
     _inverse,
     _invert_newton,
     _loss_ceiling,
@@ -171,9 +173,12 @@ class TestInvertLoss:
         assert not any(np.signbit(values).any() for values in seen)
 
     def test_newton_budget(self, monkeypatch):
-        # The residual after the last step is tested before raising: one step
-        # from the presolve meets the tolerance here, no step does not.
-        model, s = PrivacyLossModel(WR(1000, 200), 2.0), np.linspace(0.0, 10.0, 2049)
+        # The residual after the last step is tested before raising. On the
+        # mixture config's edges (K = 501) the presolve's Hermite start
+        # misses the tolerance at about half of them: one step meets it
+        # everywhere, no step does not.
+        model = PrivacyLossModel(MUSTww(1000, 10, 500), 4.0)
+        s = _edges(10.0, 20_000)[10_000:]
         monkeypatch.setattr(subamp.pld, "_NEWTON_MAX_ITER", 1)
         t = _invert_newton(model, s)
         assert np.abs(_sym_loss_and_slope(model, t)[0] - s).max() <= _NEWTON_TOL
@@ -603,6 +608,23 @@ class TestDiscretize:
         else:
             assert sizes == [4096 // 2 + 1]
 
+    def test_one_kernel_pass_per_edge(self, monkeypatch):
+        # The presolve's Hermite start meets the tolerance at every edge of
+        # the census MUSTow grid, so after the ceiling search and the coarse
+        # nodes the kernel sees the r/2 + 1 edges once.
+        model, sizes = _census_model(MUSTow(30969, 200, 100)), []
+        kernel = subamp.pld._sym_loss_and_slope
+
+        def counting(model, t):
+            sizes.append(t.size)
+            return kernel(model, t)
+
+        monkeypatch.setattr(subamp.pld, "_sym_loss_and_slope", counting)
+        discretize(model, 6.0, 300_000)
+        nodes = sizes.index(_PRESOLVE_GRID + 1)
+        assert set(sizes[:nodes]) == {1}
+        assert sizes[nodes + 1:] == [300_000 // 2 + 1]
+
     @pytest.mark.parametrize("tag", SYMMETRIC)
     def test_mirror_matches_full_grid_inversion(self, tag):
         # Reference: the negative edges inverted on their own by a bracketing
@@ -639,7 +661,10 @@ class TestDiscretize:
                 )
 
     def test_construction_validates_the_mass_array(self):
-        cases = [([0.25] * 3, "length grid_r"), ([0.25, math.nan, 0.25, 0.25], "non-finite")]
+        cases = [
+            ([0.25] * 3, "length grid_r"),
+            ([0.25, math.nan, 0.25, 0.25], r"^c must be finite and >= 0, got array"),
+        ]
         for c, message in cases:
             with pytest.raises(ValueError, match=message):
                 DiscretizedPLD(
