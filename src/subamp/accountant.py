@@ -297,7 +297,12 @@ def compose_many(
 
 
 def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
-    """Tight delta(eps) at k = 1 by adaptive quadrature over output space.
+    """Tight delta(eps) at k = 1 by adaptive quadrature over output space."""
+    return _delta_direct(model, epsilon)[0]
+
+
+def _delta_direct(model: PrivacyLossModel, epsilon: float) -> tuple[float, float]:
+    """delta_direct's value and the quadrature's error estimate.
 
     Change of variables turns the tail integral of (1 - e^{eps - s}) against
     omega into the integral of max(0, 1 - e^{eps - L(t)}) f_X(t) dt, so no
@@ -329,5 +334,5 @@ def delta_direct(model: PrivacyLossModel, epsilon: float) -> float:
         return np.maximum(gain, 0.0) * np.exp(log_output_density(model, t))
 
     upper = max(hi, t_cross + 40.0 * sigma)
-    value = _quad(integrand, t_cross, upper, "delta")
-    return min(max(value, 0.0), 1.0)
+    value, err = _quad(integrand, t_cross, upper, "delta")
+    return min(max(value, 0.0), 1.0), err

@@ -101,7 +101,6 @@ def eta(scheme: SamplingScheme) -> float:
             j, logw = _stage1_log_weights(n, b)
             with np.errstate(divide="ignore", invalid="ignore"):
                 hit = -np.expm1(m * np.log1p(-j / b))
-            hit[j == b] = 1.0
             return min(stable_sum(np.exp(logw) * hit), 1.0)
     raise TypeError(f"not a sampling scheme: {scheme!r}")
 
@@ -127,7 +126,6 @@ def log_miss_probability(scheme: SamplingScheme) -> float:
             j, logw = _stage1_log_weights(n, b)
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = logw + m * np.log1p(-j / b)
-            terms[j == b] = -math.inf
             selected = logsumexp(terms)
             return float(np.logaddexp(selected, _log_none_of(b, 1.0 / n)))
     raise TypeError(f"not a sampling scheme: {scheme!r}")

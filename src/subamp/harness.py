@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .amplification import deamplify_epsilon, eta
-from .mechanisms import Family, calibrate_sigma
+from .mechanisms import calibrate_sigma
 from .numerics import _NumericalFailure, _epsilon, _integer, _positive, _probability, _real
 from .sampling import _count_blocks
 from .schemes import Poisson, SamplingScheme, population_size
@@ -118,16 +118,17 @@ def calibrate_for_scheme(
     """(sigma, base eps) for a target post-amplification eps'.
 
     Deamplifies eps' through eta(scheme), then calibrates the Gaussian scale
-    for (eps, delta_base) at the given sensitivity.
+    for (eps, delta_base) at the given sensitivity by the classical bound.
+    calibration must be "classical", the one method there is.
     """
+    if calibration != "classical":
+        raise ValueError(f"calibration must be 'classical', got {calibration!r}")
     eps = deamplify_epsilon(eta(scheme), eps_prime)
     # Deamplified eps routinely exceeds 1 here; the protocol applies the
     # classical formula there regardless, so the range warning is noise.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        sigma = calibrate_sigma(
-            Family.GAUSSIAN, delta_base, eps, sensitivity, method=calibration
-        )
+        sigma = calibrate_sigma(delta_base, eps, sensitivity)
     return sigma, eps
 
 

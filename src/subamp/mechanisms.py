@@ -113,11 +113,12 @@ def _log_output_density(family: Family, shift: float, t: np.ndarray) -> np.ndarr
     return -0.5 * (t - shift) ** 2 - 0.5 * math.log(2.0 * math.pi)
 
 
-def _quad(integrand, lo: float, hi: float, what: str, points=None) -> float:
-    """integrate.quad over [lo, hi], accepted only if its error estimate is at
-    most _QUAD_TOL; otherwise QuadratureError names `what`. The one rule for
-    every quadrature oracle of the package. scipy.integrate is imported on
-    first use, so that `import subamp` does not load it."""
+def _quad(integrand, lo: float, hi: float, what: str, points=None) -> tuple[float, float]:
+    """(value, error estimate) of integrate.quad over [lo, hi], accepted only
+    if the estimate is at most _QUAD_TOL; otherwise QuadratureError names
+    `what`. The one rule for every quadrature oracle of the package.
+    scipy.integrate is imported on first use, so that `import subamp` does
+    not load it."""
     from scipy import integrate
 
     value, err = integrate.quad(
@@ -127,7 +128,7 @@ def _quad(integrand, lo: float, hi: float, what: str, points=None) -> float:
         raise QuadratureError(
             f"{what} quadrature achieved error {err:.3e} > tol {_QUAD_TOL:.3e}"
         )
-    return value
+    return value, err
 
 
 def profile_numeric_oracle(mech: MechanismSpec, j: int, epsilon: float) -> float:
@@ -157,64 +158,23 @@ def profile_numeric_oracle(mech: MechanismSpec, j: int, epsilon: float) -> float
         breaks = [(eps + shift) / 2.0, shift]
     breaks = sorted(b for b in breaks if lo < b < hi)
 
-    value = _quad(
+    value, _ = _quad(
         integrand, lo, hi, f"profile (family={family.value}, j={j}, theta={mech.theta}, "
         f"eps={eps})", points=breaks,
     )
     return min(max(value, 0.0), 1.0)
 
 
-def calibrate_sigma(
-    family: Family | str,
-    delta_target: float,
-    epsilon: float,
-    sensitivity: float,
-    method: str = "exact",
-) -> float:
-    """Noise scale giving (epsilon, delta_target)-DP.
-
-    method="classical" uses the sqrt(2 log(1.25/delta)) Gaussian bound and
-    warns outside its nominal 0 < eps < 1 range. method="exact" bisects the
-    tight profile for the smallest sigma with delta(eps) <= delta_target.
-    """
-    family = Family(family)
+def calibrate_sigma(delta_target: float, epsilon: float, sensitivity: float) -> float:
+    """Gaussian noise scale for (epsilon, delta_target)-DP by the classical
+    sqrt(2 log(1.25/delta)) bound; warns outside its nominal 0 < eps < 1."""
     delta_target = _probability("delta_target", delta_target)
     epsilon = _positive("epsilon", epsilon)
     sensitivity = _positive("sensitivity", sensitivity)
-
-    if method == "classical":
-        if family is not Family.GAUSSIAN:
-            raise ValueError("classical calibration is defined for the Gaussian mechanism only")
-        if not (0.0 < epsilon < 1.0):
-            warnings.warn(
-                f"classical Gaussian calibration is stated for 0 < eps < 1; got eps={epsilon}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta_target)) / epsilon
-
-    if method != "exact":
-        raise ValueError(f"method must be 'classical' or 'exact', got {method!r}")
-
-    def delta_at(sigma: float) -> float:
-        return float(_profile_values(family, sensitivity / sigma, epsilon))
-
-    lo, hi = 1e-12 * sensitivity, 1e12 * sensitivity
-    if delta_at(hi) > delta_target:
-        raise ValueError(
-            f"no sigma in [1e-12, 1e12] x sensitivity reaches delta <= {delta_target}"
+    if epsilon >= 1.0:
+        warnings.warn(
+            f"classical Gaussian calibration is stated for 0 < eps < 1; got eps={epsilon}",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    if delta_at(lo) <= delta_target:
-        return lo
-    # Bisect in log space: delta(sigma) is nonincreasing in sigma. Stop at
-    # relative width 1e-10 and return the feasible (upper) endpoint.
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        mid = 0.5 * (llo + lhi)
-        if delta_at(math.exp(mid)) <= delta_target:
-            lhi = mid
-        else:
-            llo = mid
-        if lhi - llo <= 1e-10:
-            break
-    return math.exp(lhi)
+    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta_target)) / epsilon

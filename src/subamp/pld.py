@@ -316,7 +316,7 @@ def _loss_ceiling(model: PrivacyLossModel, s_max: float) -> float:
 
 def _invert_newton(model: PrivacyLossModel, s: np.ndarray) -> np.ndarray:
     """t with |L(t) - s| <= _NEWTON_TOL at s >= 0, started from the presolve."""
-    if s.size == 0:  # the presolve spans [s.min(), s.max()]
+    if s.size == 0:  # the presolve's ceiling reads s.max()
         return np.empty(0)
     t, lo, hi = _presolve_starts(model, s)
     active = np.arange(s.size)

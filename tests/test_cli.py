@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,19 +79,8 @@ class TestProfileCommand:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "profile", "--family", "gaussian", "--theta", "1",
-            "--eps", "1", "--format", "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert check_printed(payload[0]["delta"], "0.127")
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_output_file_matches_stdout(self, capsys, tmp_path, fmt):
-        flags = ["profile", "--family", "gaussian", "--theta", "1",
-                 "--eps-grid", "0.5:2.5:3", "--format", fmt]
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        flags = ["profile", "--family", "gaussian", "--theta", "1", "--eps-grid", "0.5:2.5:3"]
         _, stdout, _ = run_cli(capsys, *flags)
         path = tmp_path / "out"
         code, out, _ = run_cli(capsys, *flags, "--output", str(path))
@@ -177,9 +167,9 @@ class TestAlignedCommand:
         (["--thetas", "1,-1", "--eps-grid", "0.5:1:2"],
          "--thetas must be positive and finite, got -1.0"),
         (["--thetas", "1", "--eps-grid", "0:1:2"],
-         "--eps-grid must be positive and finite, got array([0., 1.])"),
+         "--eps-grid must be positive and finite, got '0:1:2'"),
         (["--thetas", "1", "--eps-grid", "2:1:2"],
-         "--eps-grid must be a non-empty increasing 1-d grid, got array([2., 1.])"),
+         "--eps-grid must be a non-empty increasing 1-d grid, got '2:1:2'"),
     ], ids=["theta_negative", "eps_grid_zero", "eps_grid_decreasing"])
     def test_validation_error_names_the_flag(self, capsys, tmp_path, flags, message):
         code, out, err = run_cli(
@@ -365,7 +355,11 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
     (["profile", "--family", "gaussian", "--theta", "1", "--eps", "-1"],
      "--eps must be finite and >= 0, got -1.0"),
     (["profile", "--family", "gaussian", "--theta", "1", "--eps-grid=-1:1:3"],
-     "--eps-grid must be finite and >= 0, got array([-1.,  0.,  1.])"),
+     "--eps-grid must be finite and >= 0, got '-1:1:3'"),
+    (["profile", "--family", "gaussian", "--theta", "1", "--eps-grid", "1:nan:3"],
+     "--eps-grid must be finite and >= 0, got '1:nan:3'"),
+    (["sample-stats", "--scheme", "poisson", "--gamma", "0.5"],
+     "--n is required for scheme poisson"),
     (["contour", "--schemes", "mustow", "--n", "1000", "--b-range", "150:150",
       "--m-range", "100:100", "--eps", "-1"], "--eps must be finite and >= 0, got -1.0"),
     (["account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "2",
@@ -377,8 +371,9 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
      "n_test must be a positive integer, got 0"),
 ], ids=["empty_eps_grid", "empty_b_range", "amplify_eps_zero", "contour_eps_zero",
         "config_not_json", "unknown_experiment", "profile_eps_negative",
-        "profile_eps_grid_negative", "contour_eps_negative", "account_k_zero",
-        "account_eps_negative", "experiment_n_test_zero"])
+        "profile_eps_grid_negative", "profile_eps_grid_nan", "sample_stats_poisson_without_n",
+        "contour_eps_negative", "account_k_zero", "account_eps_negative",
+        "experiment_n_test_zero"])
 def test_validation_error_exits_2(capsys, tmp_path, argv, message):
     out_dir = tmp_path / "D"
     if argv[0] == "contour":
@@ -578,31 +573,54 @@ class TestAccountCommand:
         assert code == 3
         assert err.startswith("numerical failure: delta quadrature achieved error")
 
-    def test_failed_verify_tolerance_exits_3(self, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--scheme", "poisson", "--n", "10", "--m", "3", "--L", "6", "--r", "64"],
+        ["--scheme", "wr", "--n", "10", "--m", "1000", "--r", "16384"],
+    ], ids=["poisson_r64", "wr_10_1000"])
+    def test_verify_passes_a_wide_bracket(self, capsys, flags):
+        # Brackets far wider than quadrature's error estimate that hold it:
+        # [0.00598, 0.0102] against 0.00768 for Poisson at r = 64.
         code, out, err = run_cli(
-            capsys, "account", "--scheme", "wor", "--n", "1000", "--m", "200",
-            "--sigma", "2", "--k-list", "1", "--eps-list", "1", "--r", "16384",
-            "--verify", "--verify-tol", "1e-30",
+            capsys, "account", *flags, "--sigma", "1", "--k-list", "1", "--eps-list", "1",
+            "--verify",
         )
-        assert code == 3
-        assert len(parse_csv(out)[1]) == 1
-        assert err.startswith("verify k=1 eps=1: fft=") and err.endswith(" FAIL\n")
+        assert code == 0 and len(parse_csv(out)[1]) == 1
+        assert re.fullmatch(
+            r"verify k=1 eps=1: bracket=\[\S+, \S+\] quad=\S+ err=\S+ PASS\n", err
+        )
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-    def test_verify_tol(self, capsys, tol):
-        # |diff| = 1.089e-07 on this cell: a tolerance of 0 fails it, and an
-        # invalid one is rejected before anything is discretized.
+    def test_quadrature_outside_the_bracket_exits_3(self, capsys, monkeypatch):
+        # Quadrature moved 1e-3 above the bracket [0.0076809, 0.0076849],
+        # its error estimate unchanged: the row, a FAIL line and exit 3.
+        from scipy import integrate
+
+        quad = integrate.quad
+
+        def moved(*args, **kwargs):
+            value, err = quad(*args, **kwargs)
+            return value + 1e-3, err
+
+        monkeypatch.setattr(integrate, "quad", moved)
         code, out, err = run_cli(
-            capsys, "account", "--scheme", "poisson", "--gamma", "0.1", "--n", "100",
-            "--sigma", "1", "--k-list", "1", "--eps-list", "1", "--r", "1024",
-            "--verify", "--verify-tol", tol,
+            capsys, "account", "--scheme", "poisson", "--n", "10", "--m", "3",
+            "--sigma", "1", "--k-list", "1", "--eps-list", "1", "--L", "6", "--r", "65536",
+            "--verify",
         )
-        if tol == "0":
-            assert code == 3 and len(parse_csv(out)[1]) == 1
-            assert err.endswith("|diff|=1.089e-07 FAIL\n")
-        else:
-            assert (code, out) == (2, "")
-            assert err == f"error: --verify-tol must be finite and >= 0, got {float(tol)!r}\n"
+        assert code == 3 and len(parse_csv(out)[1]) == 1
+        assert err.startswith("verify k=1 eps=1: bracket=[") and err.endswith(" FAIL\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["account", "--scheme", "wor", "--n", "10", "--m", "3", "--sigma", "1",
+         "--k-list", "1", "--eps-list", "1", "--verify", "--verify-tol", "1e-6"],
+        ["profile", "--family", "gaussian", "--theta", "1", "--eps", "1", "--format", "json"],
+    ], ids=["verify_tol", "format"])
+    def test_removed_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: unrecognized arguments: " in err
 
     @pytest.mark.parametrize("budget, code", [(1, 0), (0, 3)])
     def test_newton_budget(self, capsys, monkeypatch, budget, code):

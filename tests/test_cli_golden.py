@@ -15,7 +15,7 @@ golden/streams.json pins the random streams:
 
 golden/tables.json pins the amplification tables:
 - `subamp amplify` on all six schemes, both families, two thetas and two
-  epsilons, a row on the PA boundary (eta = 1) and one `--format json` row;
+  epsilons, a row on the PA boundary (eta = 1) and MUSTww at theta = eps = 1;
 - the CSV files of a small `aligned` grid and of a small `contour` grid
   with and without a mechanism (file contents; the printed paths vary);
 - the stdout of scripts/run_pa_table.py at its defaults and of
@@ -124,7 +124,7 @@ AMPLIFY = [
     ["--scheme", "wor", "--n", "10", "--m", "10", "--family", "laplace",
      "--theta", "1", "--eps", "1"],
     ["--scheme", "mustww", *_SCHEME_FLAGS, "--family", "gaussian", "--theta", "1",
-     "--eps", "1", "--format", "json"],
+     "--eps", "1"],
 ]
 _MECH = ["--family", "laplace", "--theta", "1", "--eps", "1"]
 GRIDS = [
@@ -305,7 +305,7 @@ def _table_golden(kind: str) -> dict:
 
 
 def _amplify_id(args: list[str]) -> str:
-    flags = ("--scheme", "--family", "--theta", "--eps", "--format")
+    flags = ("--scheme", "--family", "--theta", "--eps")
     return "-".join(value for flag, value in zip(args, args[1:]) if flag in flags)
 
 

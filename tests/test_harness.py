@@ -295,11 +295,27 @@ class TestDPSGDLogistic:
 
 
 class TestCalibrationPlumbing:
-    def test_records_method(self):
-        sig_c, eps_c = calibrate_for_scheme(WOR(300, 30), 0.1, 1 / 300, 8 / 300, "classical")
-        sig_e, eps_e = calibrate_for_scheme(WOR(300, 30), 0.1, 1 / 300, 8 / 300, "exact")
-        assert eps_c == eps_e == deamplify_epsilon(0.1, 0.1)
-        assert sig_c != sig_e
+    @pytest.mark.parametrize("scheme, sigma, eps", [
+        (Poisson(100 / 30969, n=30969), 4.4869482578575015, 0.015366219720719191),
+        (WOR(30969, 100), 4.4869482578575015, 0.015366219720719191),
+        (WR(30969, 100), 4.479838764583136, 0.015390605874216624),
+        (MUSTow(30969, 200, 100), 3.5450257717764155, 0.019449063912217186),
+        (MUSTww(30969, 200, 100), 3.540609114360908, 0.01947332523267873),
+    ], ids=["poisson", "wor", "wr", "mustow", "mustww"])
+    def test_census_sigma_is_bit_for_bit(self, scheme, sigma, eps):
+        # The census calibration of the benchmark (eps' = 5e-5, delta = 1/n,
+        # sensitivity 1.5/m), pinned to the bits the classical bound gives.
+        got = calibrate_for_scheme(scheme, 5e-5, 1 / 30969, 1.5 / 100, "classical")
+        assert got == (sigma, eps)
+
+    def test_returns_the_deamplified_eps(self):
+        _, eps = calibrate_for_scheme(WOR(300, 30), 0.1, 1 / 300, 8 / 300, "classical")
+        assert eps == deamplify_epsilon(0.1, 0.1)
+
+    @pytest.mark.parametrize("calibration", ["exact", "Classical", None])
+    def test_other_calibration_raises(self, calibration):
+        with pytest.raises(ValueError, match="^calibration must be 'classical', got "):
+            calibrate_for_scheme(WOR(300, 30), 0.1, 1 / 300, 8 / 300, calibration)
 
     def test_poisson_uses_expected_size(self):
         assert _subsample_size(Poisson(0.1, n=300)) == 30

@@ -152,48 +152,24 @@ class TestCalibration:
     def test_classical_closed_form(self):
         # eps = 1 sits outside the formula's nominal range, hence the warning.
         with pytest.warns(RuntimeWarning):
-            got = calibrate_sigma("gaussian", 0.05, 1.0, 1.0, method="classical")
+            got = calibrate_sigma(0.05, 1.0, 1.0)
         assert got == pytest.approx(math.sqrt(2.0 * math.log(25.0)), rel=1e-12)
 
     def test_classical_reproduces_bootstrap_scale(self):
         # Deamplified loss for a 10% inclusion probability at eps' = 0.1.
         eps = math.log1p(math.expm1(0.1) / 0.1)
-        got = calibrate_sigma("gaussian", 1 / 300, eps, 8 / 300, method="classical")
+        got = calibrate_sigma(1 / 300, eps, 8 / 300)
         assert check_printed(got, "0.13")
 
     def test_classical_warns_outside_unit_range(self):
         with pytest.warns(RuntimeWarning):
-            calibrate_sigma("gaussian", 0.05, 1.5, 1.0, method="classical")
-
-    def test_exact_is_self_consistent(self):
-        for eps, delta in [(0.5, 1e-4), (1.0, 0.05), (2.0, 1e-8)]:
-            sigma = calibrate_sigma("gaussian", delta, eps, 1.0, method="exact")
-            assert profile(MechanismSpec("gaussian", 1.0 / sigma), eps) == pytest.approx(
-                delta, abs=1e-9
-            )
-
-    def test_exact_supports_laplace(self):
-        sigma = calibrate_sigma("laplace", 0.1, 0.5, 1.0, method="exact")
-        assert profile(MechanismSpec("laplace", 1.0 / sigma), 0.5) == pytest.approx(
-            0.1, abs=1e-9
-        )
-
-    def test_exact_monotone_in_delta(self):
-        sigmas = [
-            calibrate_sigma("gaussian", d, 1.0, 1.0, method="exact")
-            for d in (1e-8, 1e-6, 1e-4, 1e-2, 0.2)
-        ]
-        assert all(b <= a * (1 + 1e-9) for a, b in zip(sigmas, sigmas[1:]))
+            calibrate_sigma(0.05, 1.5, 1.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            calibrate_sigma("gaussian", 0.0, 1.0, 1.0)
+            calibrate_sigma(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            calibrate_sigma("gaussian", 0.1, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            calibrate_sigma("laplace", 0.1, 1.0, 1.0, method="classical")
-        with pytest.raises(ValueError):
-            calibrate_sigma("gaussian", 0.1, 1.0, 1.0, method="nope")
+            calibrate_sigma(0.1, -1.0, 1.0)
 
 
 @given(

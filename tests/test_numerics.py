@@ -81,9 +81,9 @@ SITES = [
     ("sigma", lambda v: PrivacyLossModel(WOR(10, 3), v), 0.0),
     ("trunc_L", lambda v: discretize(PrivacyLossModel(WOR(10, 3), 1.0), v, 64), 0.0),
     ("theta", lambda v: MechanismSpec("gaussian", v), 0.0),
-    ("delta_target", lambda v: calibrate_sigma("gaussian", v, 1.0, 1.0), 1.0),
-    ("epsilon", lambda v: calibrate_sigma("gaussian", 1e-5, v, 1.0), 0.0),
-    ("sensitivity", lambda v: calibrate_sigma("gaussian", 1e-5, 1.0, v), 0.0),
+    ("delta_target", lambda v: calibrate_sigma(v, 1.0, 1.0), 1.0),
+    ("epsilon", lambda v: calibrate_sigma(1e-5, v, 1.0), 0.0),
+    ("sensitivity", lambda v: calibrate_sigma(1e-5, 1.0, v), 0.0),
     ("epsilon", lambda v: profile(MECH, v), -1.0),
     ("epsilon", lambda v: group_profile(MECH, 2, v), -1.0),
     *[(name, lambda v, name=name: SGDConfig(**{**SGD, name: v}), bad)
