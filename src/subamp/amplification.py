@@ -4,10 +4,12 @@ For a base mechanism with profile delta(eps), subsampling maps eps to
 eps' = log(1 + eta*(e^eps - 1)) where eta is the probability that a fixed
 element appears in the final subsample. delta maps to the sum of the group
 profiles delta_u(eps) weighted by the distribution of the element's
-multiplicity u in the subsample handed to the mechanism. For the set-output
-schemes (Poisson, WOR) that distribution is the single weight P[u = 1] =
-eta, so delta' = eta*delta; the multiset-output schemes (WR and the
-two-stage variants) can repeat an element, and their weights run to u = m.
+multiplicity u in the subsample handed to the mechanism. `_thinned` states
+that law for each scheme, as WR's or MUSTww's thinned by the chance that the
+element reaches the last stage. For the set-output schemes (Poisson, WOR) it
+is the single weight P[u = 1] = eta, so delta' = eta*delta; the multiset
+schemes (WR and the two-stage variants) can repeat an element, and their
+weights run to u = m.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ from scipy.special import logsumexp
 
 from .mechanisms import MechanismSpec, group_profile, profile
 from .numerics import _epsilon, _real, _reals, log_binom_pmf, stable_sum
-from .schemes import (
-    MUSTow,
-    MUSTwo,
-    MUSTww,
-    Poisson,
-    SamplingScheme,
-    WOR,
-    WR,
-)
+from .schemes import MUSTow, MUSTwo, MUSTww, Poisson, SamplingScheme, WOR, WR
 
 __all__ = [
     "PAClass",
@@ -83,52 +77,58 @@ def _log_none_of(draws: int, p: float) -> float:
     return draws * math.log1p(-p) if p < 1.0 else -math.inf
 
 
-def eta(scheme: SamplingScheme) -> float:
-    """Probability that a fixed element appears in the final subsample."""
+def _thinned(scheme: SamplingScheme) -> tuple[float, int, int, int | None]:
+    """A record's multiplicity law, as (thin, n, m, b).
+
+    The record reaches the last stage with probability thin; its count there
+    follows WR(n, m)'s law, or MUSTww(n, b, m)'s when b is not None. A set
+    holds a record at most once, as WR(1, 1) does.
+    """
     match scheme:
         case Poisson(gamma=g):
-            return g
+            return g, 1, 1, None
         case WOR(n=n, m=m):
-            return m / n
+            return m / n, 1, 1, None
         case WR(n=n, m=m) | MUSTwo(n=n, m=m):
-            # MUSTwo collapses to WR's eta exactly.
-            return -math.expm1(_log_none_of(m, 1.0 / n))
+            # MUSTwo keeps m of the b draws without looking at them: the m
+            # kept are i.i.d. uniform over n, the law of WR(n, m).
+            return 1.0, n, m, None
         case MUSTow(n=n, b=b, m=m):
-            with np.errstate(divide="ignore"):
-                inner = -np.expm1(m * np.log1p(-1.0 / b))
-            return (b / n) * float(inner)
+            # In stage I with probability b/n, then WR(b, m) over the b picks.
+            return b / n, b, m, None
         case MUSTww(n=n, b=b, m=m):
-            j, logw = _stage1_log_weights(n, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hit = -np.expm1(m * np.log1p(-j / b))
-            return min(stable_sum(np.exp(logw) * hit), 1.0)
+            return 1.0, n, m, b
     raise TypeError(f"not a sampling scheme: {scheme!r}")
+
+
+def eta(scheme: SamplingScheme) -> float:
+    """Probability that a fixed element appears in the final subsample."""
+    thin, n, m, b = _thinned(scheme)
+    if b is None:
+        hit = -math.expm1(_log_none_of(m, 1.0 / n))
+    else:
+        j, logw = _stage1_log_weights(n, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hit_j = -np.expm1(m * np.log1p(-j / b))
+        hit = min(stable_sum(np.exp(logw) * hit_j), 1.0)
+    return thin * hit
 
 
 def log_miss_probability(scheme: SamplingScheme) -> float:
     """log P[element absent from the subsample], computed without 1 - eta."""
-    match scheme:
-        case Poisson(gamma=g):
-            return math.log1p(-g)
-        case WOR(n=n, m=m):
-            if m == n:
-                return -math.inf
-            return math.log1p(-m / n)
-        case WR(n=n, m=m) | MUSTwo(n=n, m=m):
-            return _log_none_of(m, 1.0 / n)
-        case MUSTow(n=n, b=b, m=m):
-            # Missed by stage II of WR(b, m) if in stage I, else missed outright.
-            in_stage1 = math.log(b / n) + log_miss_probability(WR(b, m))
-            if b == n:
-                return in_stage1
-            return float(np.logaddexp(in_stage1, math.log1p(-b / n)))
-        case MUSTww(n=n, b=b, m=m):
-            j, logw = _stage1_log_weights(n, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = logw + m * np.log1p(-j / b)
-            selected = logsumexp(terms)
-            return float(np.logaddexp(selected, _log_none_of(b, 1.0 / n)))
-    raise TypeError(f"not a sampling scheme: {scheme!r}")
+    thin, n, m, b = _thinned(scheme)
+    if b is None:
+        core = _log_none_of(m, 1.0 / n)
+    else:
+        # Missed by stage II after j stage-I picks, or never picked in stage I.
+        j, logw = _stage1_log_weights(n, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = logw + m * np.log1p(-j / b)
+        core = float(np.logaddexp(logsumexp(terms), _log_none_of(b, 1.0 / n)))
+    if thin == 1.0:
+        return core
+    # Missed in the last stage, or never reached it.
+    return float(np.logaddexp(math.log(thin) + core, math.log1p(-thin)))
 
 
 def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
@@ -138,25 +138,15 @@ def multiplicity_weights(scheme: SamplingScheme) -> np.ndarray:
     single weight P[u = 1] = eta; the multiset schemes run to u = m. The
     weights sum to eta(scheme).
     """
-    match scheme:
-        case Poisson() | WOR():
-            return np.array([eta(scheme)])
-        case WR(n=n, m=m) | MUSTwo(n=n, m=m):
-            # MUSTwo keeps m of the b draws without looking at them: the m
-            # kept are i.i.d. uniform over n, the law of WR(n, m).
-            u = np.arange(1, m + 1, dtype=float)
-            return np.exp(log_binom_pmf(u, float(m), 1.0 / n))
-        case MUSTow(n=n, b=b, m=m):
-            # In stage I with probability b/n, then WR(b, m) over the b picks.
-            return (b / n) * multiplicity_weights(WR(b, m))
-        case MUSTww(n=n, b=b, m=m):
-            u = np.arange(1, m + 1, dtype=float)
-            j, logw = _stage1_log_weights(n, b)
-            log_terms = logw[:, None] + log_binom_pmf(
-                u[None, :], float(m), (j / b)[:, None]
-            )
-            return np.exp(log_terms).sum(axis=0)
-    raise TypeError(f"not a sampling scheme: {scheme!r}")
+    thin, n, m, b = _thinned(scheme)
+    u = np.arange(1, m + 1, dtype=float)
+    if b is None:
+        w = np.exp(log_binom_pmf(u, float(m), 1.0 / n))
+    else:
+        j, logw = _stage1_log_weights(n, b)
+        log_terms = logw[:, None] + log_binom_pmf(u[None, :], float(m), (j / b)[:, None])
+        w = np.exp(log_terms).sum(axis=0)
+    return thin * w
 
 
 def _check_eta(eta_value: float) -> float:

@@ -352,9 +352,14 @@ def cmd_experiment(args) -> int:
         seed = _integer("config field 'seed'", cfg.get("seed", 0), low=0)
         n = _integer("config field 'n'", cfg["n"])
         repeats = _integer("config field 'repeats'", cfg.get("repeats", 20))
+        schemes = list(map(scheme_from_dict, cfg["schemes"]))
+        for i, scheme in enumerate(schemes):
+            if scheme.n != n:  # the runs draw from n records
+                raise ValueError(f"config field 'schemes'[{i}] must have n equal to "
+                                 f"config field 'n' ({n}), got {scheme.n}")
         rows = [
             [rep, scheme.label, *run(cfg, scheme, n, seed + 1000 * rep)]
-            for scheme in map(scheme_from_dict, cfg["schemes"])
+            for scheme in schemes
             for rep in range(repeats)
         ]
     except KeyError as exc:

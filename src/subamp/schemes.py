@@ -11,9 +11,9 @@ A fixed-size scheme states its stage structure once, in the class constant
 per stage. Stage I draws from the n records; each later stage draws
 positions into the stage before it. Validation and the samplers read
 `stages`, the CLI the dataclass fields. The amplification formulas, which
-the loss models read, keep one closed form per multiplicity law: MUSTwo
-hands the mechanism WR(n, m)'s law and reads WR's form, and MUSTow reads
-WR(b, m)'s, thinned by b/n. Poisson has no stages.
+the loss models read, state each scheme's multiplicity law once, in
+`amplification._thinned`: MUSTwo hands the mechanism WR(n, m)'s law, and
+MUSTow WR(b, m)'s thinned by b/n. Poisson has no stages.
 """
 
 from __future__ import annotations

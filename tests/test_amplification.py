@@ -39,9 +39,10 @@ class TestEta:
         assert eta(Poisson(0.37)) == 0.37
 
     def test_mustow_degenerates_to_wr_at_full_first_stage(self):
-        assert eta(MUSTow(1000, 1000, 400)) == pytest.approx(
-            eta(WR(1000, 400)), rel=1e-14
-        )
+        full, wr = MUSTow(1000, 1000, 400), WR(1000, 400)
+        assert eta(full) == eta(wr)
+        assert log_miss_probability(full) == log_miss_probability(wr)
+        assert multiplicity_weights(full).tolist() == multiplicity_weights(wr).tolist()
 
     def test_mustwo_equals_wr_closed_form(self):
         assert eta(MUSTwo(1000, 500, 400)) == eta(WR(1000, 400))
@@ -138,8 +139,9 @@ class TestMultiplicityWeights:
             assert w.tolist() == [eta(scheme)]
 
     def test_rejects_non_schemes(self):
-        with pytest.raises(TypeError):
-            multiplicity_weights((10, 3))
+        for closed_form in (eta, log_miss_probability, multiplicity_weights):
+            with pytest.raises(TypeError, match="not a sampling scheme"):
+                closed_form((10, 3))
 
 
 def _reference_log_binom_pmf(k, n, p):
@@ -196,9 +198,7 @@ def _reference_eta(scheme):
         case WR(n=n, m=m):
             return -math.expm1(m * math.log1p(-1.0 / n) if n > 1 else -math.inf)
         case MUSTow(n=n, b=b, m=m):
-            with np.errstate(divide="ignore"):
-                inner = -np.expm1(m * np.log1p(-1.0 / b))
-            return (b / n) * float(inner)
+            return (b / n) * -math.expm1(m * math.log1p(-1.0 / b) if b > 1 else -math.inf)
         case MUSTww(n=n, b=b, m=m):
             j, logw = _reference_stage1(n, b)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -230,6 +230,24 @@ def _same_bits(got, want) -> bool:
     return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _assert_same_bits(cases, moved=()) -> None:
+    """Fail once, naming every moved case: the labels in moved, then those of
+    the (label, got, want) cases whose values differ in bits. (pytest cuts an
+    assert's message at 640 characters.)"""
+    moved = [*moved, *(label for label, got, want in cases if not _same_bits(got, want))]
+    if moved:
+        pytest.fail(f"{len(moved)} moved: " + ", ".join(map(repr, moved)))
+
+
+def _thinned_wr(thin, n, m):
+    """eta, log P[miss] and weights of WR(n, m), reached with probability thin."""
+    wr = WR(n, m)
+    log_miss = log_miss_probability(wr)
+    if thin != 1.0:
+        log_miss = float(np.logaddexp(math.log(thin) + log_miss, math.log1p(-thin)))
+    return thin * eta(wr), log_miss, thin * multiplicity_weights(wr)
+
+
 class TestLogGammaRows:
     """log_binom_pmf, the multiset weights, eta and the miss probability
     against reference forms written out in full: the same bits from one
@@ -243,15 +261,16 @@ class TestLogGammaRows:
     def test_log_binom_pmf_bit_for_bit(self):
         ks = np.arange(-1, 12, dtype=float)  # k outside [0, n] included
         ps = np.array(self.PS)
+        cases = []
         for n in (0.0, 1.0, 5.0, 10.0, 11.0):
             for p in self.PS:
-                for k in ks:
-                    assert _same_bits(log_binom_pmf(k, n, p), _reference_log_binom_pmf(k, n, p))
-                for args in ((ks, n, p), (ks, np.full(ks.size, n), p), (ks[:, None], n, ps)):
-                    assert _same_bits(log_binom_pmf(*args), _reference_log_binom_pmf(*args))
+                cases += [(k, n, p) for k in ks]
+                cases += [(ks, n, p), (ks, np.full(ks.size, n), p), (ks[:, None], n, ps)]
             # A row of k against a column of p, as MUSTww's second stage asks.
-            args = (ks[None, :], n, ps[:, None])
-            assert _same_bits(log_binom_pmf(*args), _reference_log_binom_pmf(*args))
+            cases.append((ks[None, :], n, ps[:, None]))
+        _assert_same_bits(
+            (args, log_binom_pmf(*args), _reference_log_binom_pmf(*args)) for args in cases
+        )
 
     def grid(self, cls):
         """Every valid scheme of class cls on GRID_N x GRID_B x GRID_M."""
@@ -265,36 +284,47 @@ class TestLogGammaRows:
 
     @pytest.mark.parametrize("cls", [WR, MUSTww, MUSTwo, MUSTow], ids=lambda c: c.label)
     def test_weights_bit_for_bit_on_grid(self, cls):
+        cases, moved = [], []
         for scheme in self.grid(cls):
             got, want = multiplicity_weights(scheme), _reference_weights(scheme)
             if cls is MUSTwo:
                 # WR(n, m)'s formula against the two-stage sum: round-off only
                 # (2.9e-12 at most on this grid).
-                assert np.max(np.abs(got - want)) <= 1e-11, scheme
+                if not np.max(np.abs(got - want)) <= 1e-11:
+                    moved.append(("weights", scheme))
             else:
-                assert _same_bits(got, want), scheme
+                cases.append((("weights", scheme), got, want))
             if cls is not WR:
                 n, b = scheme.n, scheme.b
-                for got, want in zip(_stage1_log_weights(n, b), _reference_stage1(n, b)):
-                    assert _same_bits(got, want), scheme
+                stage1 = zip(_stage1_log_weights(n, b), _reference_stage1(n, b))
+                cases += [(("stage I", scheme), got, want) for got, want in stage1]
+        _assert_same_bits(cases, moved)
 
     @pytest.mark.parametrize(
         "cls, wr_form",
-        [(MUSTwo, lambda n, b, m: multiplicity_weights(WR(n, m))),
-         (MUSTow, lambda n, b, m: (b / n) * multiplicity_weights(WR(b, m)))],
+        [(MUSTwo, lambda n, b, m: _thinned_wr(1.0, n, m)),
+         (MUSTow, lambda n, b, m: _thinned_wr(b / n, b, m))],
         ids=["mustwo", "mustow"],
     )
     def test_weights_read_wr_bit_for_bit(self, cls, wr_form):
         # MUSTwo hands the mechanism WR(n, m)'s law; MUSTow is WR(b, m)
-        # thinned by P[record in stage I] = b/n.
-        for scheme in self.grid(cls):
-            assert _same_bits(multiplicity_weights(scheme), wr_form(*astuple(scheme))), scheme
+        # thinned by P[record in stage I] = b/n. Its eta, miss probability
+        # and weights all read that law.
+        closed_forms = (eta, log_miss_probability, multiplicity_weights)
+        _assert_same_bits(
+            ((f.__name__, scheme), f(scheme), want)
+            for scheme in self.grid(cls)
+            for f, want in zip(closed_forms, wr_form(*astuple(scheme)))
+        )
 
     @pytest.mark.parametrize("cls", [WR, MUSTww, MUSTow], ids=lambda c: c.label)
     def test_eta_and_miss_probability_bit_for_bit_on_grid(self, cls):
-        for scheme in self.grid(cls):
-            assert _same_bits(eta(scheme), _reference_eta(scheme)), scheme
-            assert _same_bits(log_miss_probability(scheme), _reference_log_miss(scheme)), scheme
+        references = ((eta, _reference_eta), (log_miss_probability, _reference_log_miss))
+        _assert_same_bits(
+            ((f.__name__, scheme), f(scheme), reference(scheme))
+            for scheme in self.grid(cls)
+            for f, reference in references
+        )
 
     @pytest.mark.parametrize(
         "scheme", [MUSTww(1000, 175, 120), MUSTwo(1000, 175, 120), MUSTww(1000, 500, 400)],

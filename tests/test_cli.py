@@ -369,11 +369,24 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
     (["experiment", "--config", '{"experiment": "dpsgd_linear", "n": 300, "repeats": 1, '
       '"n_test": 0, "schemes": [{"scheme": "wor", "n": 300, "m": 30}]}'],
      "n_test must be a positive integer, got 0"),
+    (["experiment", "--config", '{"experiment": "bootstrap", "n": 100, '
+      '"schemes": [{"scheme": "poisson", "gamma": 0.1}]}'],
+     "config field 'schemes'[0] must have n equal to config field 'n' (100), got None"),
+    (["experiment", "--config", '{"experiment": "bootstrap", "n": 100, '
+      '"schemes": [{"scheme": "wor", "n": 50, "m": 10}]}'],
+     "config field 'schemes'[0] must have n equal to config field 'n' (100), got 50"),
+    (["experiment", "--config", '{"experiment": "dpsgd_linear", "n": 100, '
+      '"schemes": [{"scheme": "poisson", "gamma": 0.1}]}'],
+     "config field 'schemes'[0] must have n equal to config field 'n' (100), got None"),
+    (["experiment", "--config", '{"experiment": "dpsgd_linear", "n": 100, '
+      '"schemes": [{"scheme": "wor", "n": 100, "m": 10}, {"scheme": "wor", "n": 50, "m": 10}]}'],
+     "config field 'schemes'[1] must have n equal to config field 'n' (100), got 50"),
 ], ids=["empty_eps_grid", "empty_b_range", "amplify_eps_zero", "contour_eps_zero",
         "config_not_json", "unknown_experiment", "profile_eps_negative",
         "profile_eps_grid_negative", "profile_eps_grid_nan", "sample_stats_poisson_without_n",
         "contour_eps_negative", "account_k_zero", "account_eps_negative",
-        "experiment_n_test_zero"])
+        "experiment_n_test_zero", "bootstrap_poisson_without_n", "bootstrap_scheme_n_differs",
+        "dpsgd_poisson_without_n", "dpsgd_scheme_n_differs"])
 def test_validation_error_exits_2(capsys, tmp_path, argv, message):
     out_dir = tmp_path / "D"
     if argv[0] == "contour":
