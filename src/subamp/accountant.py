@@ -4,15 +4,18 @@ The 1-fold composition is the exact cell masses themselves, so k = 1 reads
 them with no transform. For k >= 2 the masses, being real, have a Hermitian
 spectrum: they are transformed once with a real FFT, each of the r/2+1
 frequencies of the half-spectrum is raised to the k-th power, and one real
-inverse FFT per k >= 2 gives the composed masses. Either array is tail
-summed against (1 - e^{eps - s}). Only frequencies with |spectrum| above
-exp(-750/k) are powered; the others are set to exactly 0. Their k-th
-power is at most e^-750, under 1% of the smallest subnormal 2^-1074,
-which pow rounds to +0, so the skip changes no output bit. The per-k
+inverse FFT per k >= 2 gives the composed masses. Only frequencies with
+|spectrum| above exp(-750/k) are powered; the others are set to exactly
+0. Their k-th power is at most e^-750, under 1% of the smallest subnormal
+2^-1074, which pow rounds to +0, so the skip changes no output bit.
+Either array is tail summed against (1 - e^{eps - s}) by _tail: one
+expm1 pass over the cells above eps, and a segment of about k/2 cells
+for each of the cell's two lower thresholds. The per-k
 work (power, inverse, floor, tails) runs on one thread per CPU in the
 process's affinity mask, one k per task, and reduces with numpy's own
 sums, never BLAS, so the output bits do not depend on the number of CPUs
-or of BLAS threads.
+or of BLAS threads. Each cell's tails are read on their own, so its bits
+depend on (pld, k, eps) alone, not on the other k or eps of the call.
 
 The composed array places each loss at its cell's left edge. Placing the
 same masses at the right edges shifts the composed array by k dx, so the
@@ -152,17 +155,41 @@ def _powered(polar: tuple[np.ndarray, ...], k: int, grid_r: int) -> np.ndarray:
     return out
 
 
-def _tail(s: np.ndarray, u: np.ndarray, epsilons: tuple[float, ...]) -> list[float]:
-    """sum over s_i > eps of (1 - e^{eps - s_i}) u_i, for each eps.
+def _tail(s: np.ndarray, u: np.ndarray, thresholds: tuple[float, ...]) -> list[float]:
+    """T(theta) = sum over s_i > theta of (1 - e^{theta - s_i}) u_i, for each
+    theta of a descending tuple, in one chained read.
 
-    Every sum runs over the same slice of u in the same order, with weights
-    that are 0 below their eps, so a larger eps never gives a larger sum.
-    numpy sums the weighted terms: a BLAS dot product splits its sum by the
-    BLAS thread count, so its bits would depend on the CPUs.
+    One expm1 pass over the slice above the first theta gives its tail T and
+    W(theta) = sum over s_i > theta of e^{theta - s_i} u_i. Each next theta'
+    reads only its segment theta' < s_i <= theta and rolls the rest down:
+
+        T(theta') = T(theta) + segment tail + (1 - e^{theta' - theta}) W(theta)
+        W(theta') = e^{theta' - theta} W(theta) + segment W
+
+    Every increment is >= 0, so a lower theta never gives a smaller sum, and
+    the rounding is that of sums of nonnegative terms. Only differences of
+    thresholds are exponentiated, never a threshold: at huge k the lower
+    thresholds lie near -k dx, where e^{theta} is 0 and e^{-theta} inf, so
+    a product of the two would be NaN. numpy sums the weighted terms: a
+    BLAS dot product splits its sum by the BLAS thread count, so its bits
+    would depend on the CPUs.
     """
-    start = int(np.searchsorted(s, min(epsilons), side="right"))
-    tail, mass = s[start:], u[start:]
-    return [float((np.maximum(-np.expm1(eps - tail), 0.0) * mass).sum()) for eps in epsilons]
+    tails: list[float] = []
+    stop, prev, tail, weight = s.size, thresholds[0], 0.0, 0.0
+    for theta in thresholds:
+        start = int(np.searchsorted(s, theta, side="right"))
+        step = theta - prev  # 0 at the first theta, where W is still 0
+        tail -= math.expm1(step) * weight
+        weight *= math.exp(step)
+        terms = np.subtract(theta, s[start:stop])
+        np.expm1(terms, out=terms)
+        np.multiply(terms, u[start:stop], out=terms)  # -(1 - e^{theta - s_i}) u_i <= 0
+        tail -= float(terms.sum())
+        terms += u[start:stop]  # e^{theta - s_i} u_i >= 0
+        weight += float(terms.sum())
+        tails.append(tail)
+        stop, prev = start, theta
+    return tails
 
 
 def compose(pld: DiscretizedPLD, k: int, epsilon: float) -> AccountantResult:
@@ -186,7 +213,8 @@ def _cell(
     The composed masses u place each loss at the sum of its cells' left
     edges, so the true sum lies in [s_i, s_i + k dx). The tail at eps is
     delta_lower (left edges), at eps - k dx/2 delta_approx (centres) and at
-    eps - k dx delta_upper (right edges). delta_upper adds what the grid
+    eps - k dx delta_upper (right edges), read by one chained _tail call per
+    cell, never shared with another eps. delta_upper adds what the grid
     does not dominate, by a union bound over the k terms: mass_outside for
     a loss below -L, and for a loss above L (held in the last cell, at L)
     its excess over placing it at L, at most c[-1] e^{eps - L} M^{k-1} with
@@ -258,9 +286,10 @@ def compose_many(
     The values of k run on one thread per CPU in the affinity mask, each
     writing its own slot, and the cells come back in k-list order. Memory
     is the kept half-spectrum plus threads x one k's arrays: the powered
-    half-spectrum (8 (r + 2) bytes), the composed masses (8 r) and the
-    tail sums' temporaries, 16 MB per thread at r = 2^20 (a tracemalloc
-    peak of 24 MB at one thread and 41 MB at two).
+    half-spectrum (8 (r + 2) bytes) and the composed masses (8 r), 16 MiB
+    per thread at r = 2^20; the tail read's one temporary, 8 bytes per
+    cell above eps, stays below that. On curve_poisson (r = 2^20) the tracemalloc peak is 28.5
+    MiB at one thread, set by the forward transform, and 40 MiB at two.
     """
     k_values = [_integer("k", k) for k in k_list]
     eps_values = [_epsilon("epsilon", e) for e in eps_grid]

@@ -522,20 +522,23 @@ def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> n
     """
     l_vals, log_w = model._mixture
     weights = np.exp(log_w)
-    sign = np.where(np.arange(t.size) < split, 1.0, -1.0) / model.sigma
     out = np.empty(t.size)
 
     def block(rows: slice) -> None:
         t_rows = t[rows]
         keep = slice(None)
         if rows.stop <= split or rows.start >= split:
+            sign = (1.0 if rows.stop <= split else -1.0) / model.sigma
             ends = np.subtract.outer(np.array([t_rows.min(), t_rows.max()]), l_vals)
-            ends *= sign[rows.start]
+            ends *= sign
             ends = ndtr(ends, out=ends) * weights
             floor = ends.sum(axis=1).min() * _CDF_WINDOW / l_vals.size
             keep = np.flatnonzero(ends.max(axis=0) > floor)
+        else:  # the block that straddles the split: one sign per row
+            row = np.arange(rows.start, rows.start + t_rows.size)
+            sign = np.where(row < split, 1.0, -1.0)[:, None] / model.sigma
         z = np.subtract.outer(t_rows, l_vals[keep])
-        z *= sign[rows, None]
+        z *= sign
         out[rows] = ndtr(z, out=z) @ weights[keep]
 
     _map_blocks(block, t.size, max(1, _CELLS // l_vals.size))
@@ -566,10 +569,10 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
         t[half:] = t_pos[:half]
         np.negative(t_pos[half:0:-1], out=t[:half])
     else:
-        edges = edges[:-1]
-        inside = edges > model.loss_domain_low
+        # The edges are sorted: those above the floor are one slice.
+        first = int(np.searchsorted(edges[:-1], model.loss_domain_low, side="right"))
         t = np.full(grid_r, -math.inf)
-        t[inside] = _inverse(model, edges[inside])
+        t[first:] = _inverse(model, edges[first:-1])
     prob = _edge_probabilities(model, t, half)
     cdf = prob[: half + 1].copy()
     cdf[half] = 1.0 - prob[half]

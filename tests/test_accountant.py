@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import multiprocessing
 import os
 import subprocess
@@ -11,17 +12,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subamp
 from subamp.accountant import (
     AccountantResult,
     EpsilonBeyondGridError,
     _cell,
+    _tail as _tail_read,
     compose,
     compose_many,
     delta_direct,
 )
-from subamp.pld import PrivacyLossModel, discretize
+from subamp.pld import PrivacyLossModel, _edges, discretize
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
 from oracles import gaussian_delta
@@ -180,19 +184,13 @@ def _full_power(c, k):
 def _deltas(pld, u, k, eps):
     """(delta_lower, delta_approx, delta_upper) and floored mass of composed u.
 
-    u is floored at 0 and tail summed at eps, eps - k dx / 2 and eps - k dx
-    over the slice that starts at the lowest of the three.
+    u is floored at 0 and read by the production tail read at eps,
+    eps - k dx / 2 and eps - k dx, so a comparison pins the composed masses.
     """
     negative = u < 0.0
     floored = float(-u[negative].sum()) if negative.any() else 0.0
     u = np.where(negative, 0.0, u)
-    shifted = (eps, eps - k * pld.dx / 2.0, eps - k * pld.dx)
-    start = int(np.searchsorted(pld.s, shifted[-1], side="right"))
-    tails = [
-        float((np.maximum(-np.expm1(e - pld.s[start:]), 0.0) * u[start:]).sum())
-        for e in shifted
-    ]
-    lo, mid, hi = tails
+    lo, mid, hi = _tail_read(pld.s, u, (eps, eps - k * pld.dx / 2.0, eps - k * pld.dx))
     return (min(lo, 1.0), min(mid, 1.0), min(hi + _outside(pld, k, eps), 1.0)), floored
 
 
@@ -256,6 +254,79 @@ class TestNoTransformAtK1:
         for cell in cells:
             assert cell.result.diagnostics.floored_mass == 0.0
             assert cell == _cell(fig_pld, s, c, 1, cell.epsilon, m_right, cell.result.diagnostics)
+
+
+def _grid(trunc_L, grid_r):
+    return 2.0 * trunc_L / grid_r, _edges(trunc_L, grid_r)[:-1]
+
+
+def _masses(seed, grid_r):
+    # Nonnegative masses over 40 decades, about a third of the cells empty.
+    rng = np.random.default_rng(seed)
+    u = rng.random(grid_r) * np.exp(-rng.uniform(0.0, 92.0, grid_r))
+    u[rng.random(grid_r) < 1.0 / 3.0] = 0.0
+    return u
+
+
+def _check_tail_read(s, u, k, dx, eps):
+    """The chained read against an exact per-threshold fsum of its terms."""
+    thresholds = (eps, eps - k * dx / 2.0, eps - k * dx)
+    got = _tail_read(s, u, thresholds)
+    for value, theta in zip(got, thresholds):
+        above = s > theta
+        exact = math.fsum(-np.expm1(theta - s[above]) * u[above])
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0), (k, eps, theta)
+    assert 0.0 <= got[0] <= got[1] <= got[2]
+
+
+class TestChainedTailRead:
+    """_tail reads the three thresholds of a cell with one expm1 pass over
+    the slice above eps and two short segments; it must agree with an
+    exact sum at each threshold alone."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        half=st.integers(1, 2048),
+        trunc_L=st.floats(0.5, 20.0),
+        k=st.one_of(st.integers(1, 5000), st.integers(1, 10**20)),
+        place=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_masses(self, seed, half, trunc_L, k, place):
+        dx, s = _grid(trunc_L, 2 * half)
+        _check_tail_read(s, _masses(seed, 2 * half), k, dx, place * s[-1])
+
+    @pytest.mark.parametrize("k", [1, 7, 10**20])
+    @pytest.mark.parametrize("at", ["on_edge", "below_edge", "mid_cell"])
+    def test_all_mass_in_the_cell_just_above_eps(self, k, at):
+        dx, s = _grid(6.0, 4096)
+        i = 2500
+        eps = {"on_edge": s[i - 1], "below_edge": np.nextafter(s[i], 0.0),
+               "mid_cell": s[i - 1] + dx / 2.0}[at]
+        u = np.zeros(s.size)
+        u[int(np.searchsorted(s, eps, side="right"))] = 1.0
+        _check_tail_read(s, u, k, dx, float(eps))
+
+    @pytest.mark.parametrize("k, eps", [
+        (3 * 4096, 0.0),  # the two lower thresholds below -L
+        (4096 + 2, 0.0),  # only delta_upper's threshold below -L
+        (10**20, 1.0),  # the lower thresholds near -1.5e17 and -2.9e17
+        (10**20, 0.0),
+    ])
+    def test_thresholds_below_the_grid(self, k, eps):
+        dx, s = _grid(6.0, 4096)
+        assert eps - k * dx < s[0]
+        _check_tail_read(s, _masses(k, s.size), k, dx, eps)
+
+    @pytest.mark.parametrize("k", [1, 1000, 10**20])
+    def test_eps_just_below_the_last_point(self, k):
+        dx, s = _grid(6.0, 4096)
+        _check_tail_read(s, _masses(k, s.size), k, dx, float(np.nextafter(s[-1], 0.0)))
+
+    def test_composed_masses(self, fig_pld):
+        u = np.fft.irfft(_full_power(fig_pld.c, 1000), n=fig_pld.grid_r)
+        for eps in (0.0, 0.5, 1.0, 2.0, 9.0):
+            _check_tail_read(fig_pld.s, np.maximum(u, 0.0), 1000, fig_pld.dx, eps)
 
 
 class TestRealPipeline:
