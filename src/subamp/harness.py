@@ -9,6 +9,8 @@ variance.
 
 Each run draws all its subsamples from one generator, as rows of per-record
 multiplicities in blocks of at most 4e6 counts, so memory is bounded at any n.
+A DP-SGD step adds N(0, sigma^2 I) to the mean clipped gradient: the stated
+noise (|Y|/m) N(0, (m sigma)^2 I), divided by |Y|, with m cancelled.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .amplification import deamplify_epsilon, eta
 from .mechanisms import calibrate_sigma
 from .numerics import _NumericalFailure, _epsilon, _integer, _positive, _probability, _real
 from .sampling import _count_blocks
-from .schemes import Poisson, SamplingScheme, population_size
+from .schemes import SamplingScheme, population_size
 
 __all__ = [
     "SGDConfig",
@@ -72,7 +74,8 @@ class SGDConfig:
 @dataclass(frozen=True)
 class BootstrapConfig:
     """One run of `run_bootstrap`; repeats is validated but never read (the
-    experiment driver repeats runs). It stays: callers pass it by keyword."""
+    experiment driver repeats runs). It stays because perfbench's drivers
+    workload passes it by keyword; its deletion waits for ROADMAP item 22."""
 
     scheme: SamplingScheme
     t_boot: int
@@ -99,13 +102,6 @@ class BootstrapConfig:
         object.__setattr__(self, "eps_prime", _positive("eps_prime", self.eps_prime))
         object.__setattr__(self, "delta_base", _probability("delta_base", self.delta_base))
         object.__setattr__(self, "seed", _integer("seed", self.seed, low=0))
-
-
-def _subsample_size(scheme: SamplingScheme) -> int:
-    """Nominal subsample size m (expected size for Poisson)."""
-    if isinstance(scheme, Poisson):
-        return max(1, round(scheme.gamma * population_size(scheme)))
-    return scheme.m
 
 
 def calibrate_for_scheme(
@@ -192,7 +188,6 @@ def _dpsgd_loop(
         raise ValueError("scheme population size must match the data size")
 
     scheme = config.scheme
-    m = _subsample_size(scheme)
     if config.sigma_override is not None:
         sigma = float(config.sigma_override)
     else:
@@ -229,7 +224,7 @@ def _dpsgd_loop(
             np.linalg.norm(clipped, axis=1) <= config.clip_c * (1.0 + 1e-12)
         ), "clipped gradient exceeded the sensitivity bound"
         grad_sum = (counts[:, None] * clipped).sum(axis=0)
-        noise = (total / m) * rng.normal(0.0, m * sigma, size=p)
+        noise = rng.normal(0.0, total * sigma, size=p)
         beta = beta - config.learning_rate * (grad_sum + noise) / total
 
     return {"beta_hat": beta, "loss_trace": loss_trace, "sigma_used": sigma}
@@ -268,8 +263,9 @@ def run_dpsgd_linear(config: SGDConfig, design: np.ndarray, response: np.ndarray
     """DP-SGD on squared loss with per-example clipping.
 
     Gradients of distinct elements are clipped first and then weighted by
-    their multiplicity; noise follows the stated protocol
-    g~ = |Y|^{-1} (sum g-bar + (|Y|/m) N(0, (m sigma)^2 I)).
+    their multiplicity. The stated protocol
+    g~ = |Y|^{-1} (sum g-bar + (|Y|/m) N(0, (m sigma)^2 I)) is drawn with m
+    cancelled, as g~ = |Y|^{-1} sum g-bar + N(0, sigma^2 I).
     """
     return _dpsgd_loop(config, design, response, _linear_grads, _linear_loss)
 
@@ -293,15 +289,8 @@ def make_synthetic(kind: str, n: int, seed: int):
     rng = np.random.default_rng([seed, kinds[kind]])
     if kind == "gaussian_univariate":
         return rng.normal(0.0, 1.0, size=n)
+    design = np.column_stack([np.ones(n), rng.normal(0.0, 1.0, size=(n, 2))])
     if kind == "linear_regression":
-        x = rng.normal(0.0, 1.0, size=(n, 2))
-        design = np.column_stack([np.ones(n), x])
-        y = design @ np.array([1.0, 0.5, 0.2]) + rng.normal(0.0, 1.0, size=n)
-        return design, y
-    if kind == "logistic_2class":
-        x = rng.normal(0.0, 1.0, size=(n, 2))
-        design = np.column_stack([np.ones(n), x])
-        probs = _sigmoid(design @ np.array([0.3, 0.8, -0.6]))
-        y = (rng.random(n) < probs).astype(float)
-        return design, y
-    raise AssertionError("unreachable")
+        return design, design @ np.array([1.0, 0.5, 0.2]) + rng.normal(0.0, 1.0, size=n)
+    probs = _sigmoid(design @ np.array([0.3, 0.8, -0.6]))
+    return design, (rng.random(n) < probs).astype(float)

@@ -95,7 +95,8 @@ def _draw_values_block(scheme: SamplingScheme, rng: np.random.Generator, rows: i
     """Final-subsample element values, one row per trial (fixed-size schemes).
 
     One draw per stage of scheme.stages: stage I from range(n), each later
-    stage positions into the one before.
+    stage positions into the one before, overwritten in place by the values
+    at those positions, so a block holds two stages' draws at most.
     """
     values = None
     for population, draws, with_replacement in scheme.stages:
@@ -104,7 +105,10 @@ def _draw_values_block(scheme: SamplingScheme, rng: np.random.Generator, rows: i
             picks = rng.integers(0, size, size=(rows, k))
         else:
             picks = _subsets(rng, rows, size, k)
-        values = picks if values is None else np.take_along_axis(values, picks, axis=1)
+        if values is not None:
+            picks += values.shape[1] * np.arange(rows)[:, None]
+            np.take(values, picks, out=picks, mode="clip")  # "raise" buffers out
+        values = picks
     return values
 
 

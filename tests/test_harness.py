@@ -13,7 +13,6 @@ from subamp.harness import (
     DivergenceError,
     SGDConfig,
     _clip_rows,
-    _subsample_size,
     calibrate_for_scheme,
     make_synthetic,
     run_bootstrap,
@@ -276,6 +275,20 @@ class TestDPSGDLinear:
         assert np.array_equal(trace[[0, 2]], runs[2]["loss_trace"])
         assert np.array_equal(runs[3]["beta_hat"], runs[2]["beta_hat"])
 
+    @pytest.mark.parametrize("total", [1, 3, 40])
+    def test_step_noise_is_sigma_at_any_subsample_size(self, monkeypatch, total):
+        # Zero data makes every gradient 0, so one step from beta = 0 at
+        # rate 1 is -N(0, (|Y| sigma)^2 I) / |Y|: N(0, sigma^2 I) for any |Y|.
+        rows = np.zeros((1, 40), dtype=np.int64)
+        rows[0, :2] = [total - 1, 1]  # |Y| = total; record 0 drawn total - 1 times
+        monkeypatch.setattr(subamp.harness, "_count_blocks", lambda *_: iter([rows]))
+        cfg = self.config(
+            Poisson(0.5, n=40), sigma_override=2.0, learning_rate=1.0, iterations=1
+        )
+        beta = run_dpsgd_linear(cfg, np.zeros((40, 2000)), np.zeros(40))["beta_hat"]
+        _, p_value = sps.kstest(beta / 2.0, "norm")
+        assert p_value > 0.01
+
 
 class TestDPSGDLogistic:
     def test_smoke_classification_beats_chance(self):
@@ -316,9 +329,6 @@ class TestCalibrationPlumbing:
     def test_other_calibration_raises(self, calibration):
         with pytest.raises(ValueError, match="^calibration must be 'classical', got "):
             calibrate_for_scheme(WOR(300, 30), 0.1, 1 / 300, 8 / 300, calibration)
-
-    def test_poisson_uses_expected_size(self):
-        assert _subsample_size(Poisson(0.1, n=300)) == 30
 
     def test_sigma_ordering_across_schemes(self):
         n, b, m = 1000, 200, 100
