@@ -9,8 +9,9 @@ import argparse
 import sys
 
 from subamp.amplification import amplify_delta, amplify_epsilon, eta
-from subamp.cli import _emit
+from subamp.cli import _emit, _exit_code, _number_list
 from subamp.mechanisms import MechanismSpec, profile
+from subamp.numerics import _epsilon, _positive
 from subamp.schemes import MUSTow, MUSTww, WOR, WR
 
 
@@ -22,16 +23,18 @@ def main(argv=None) -> int:
     parser.add_argument("--eps", default="0.05,0.5,1,2,3,4.5")
     parser.add_argument("--thetas", default="0.25,1")
     parser.add_argument("--output", default=None)
-    args = parser.parse_args(argv)
+    return _exit_code(_table, parser.parse_args(argv))
 
+
+def _table(args) -> int:
     schemes = {
         "wor": WOR(args.n, args.m),
         "wr": WR(args.n, args.m),
         "mustow": MUSTow(args.n, args.b, args.m),
         "mustww": MUSTww(args.n, args.b, args.m),
     }
-    eps_values = [float(v) for v in args.eps.split(",")]
-    thetas = [float(v) for v in args.thetas.split(",")]
+    eps_values = _number_list(args.eps, "--eps", float, _epsilon)
+    thetas = _number_list(args.thetas, "--thetas", float, _positive)
 
     rows = []
     for family in ("laplace", "gaussian"):

@@ -9,7 +9,7 @@ the slowest.
 import argparse
 import sys
 
-from subamp.cli import _emit
+from subamp.cli import _emit, _exit_code
 from subamp.sampling import mc_stats
 from subamp.schemes import MUSTow, MUSTww, Poisson, WOR, WR
 
@@ -26,8 +26,10 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--output", default=None)
-    args = parser.parse_args(argv)
+    return _exit_code(_table, parser.parse_args(argv))
 
+
+def _table(args) -> int:
     rows = []
     for n, b, m in CONFIGS:
         for tag, scheme in (

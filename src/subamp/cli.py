@@ -202,6 +202,8 @@ def cmd_contour(args) -> int:
     mech = None
     if args.family is not None:
         mech = _mech_from_args(args)
+        if args.eps is None:
+            raise ValueError("--eps is required when --family is given")
         _positive("--eps", args.eps)
     elif args.theta is not None:
         raise ValueError("--theta needs --family")
@@ -456,11 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _exit_code(func, args) -> int:
+    """func(args), with a failure turned into one stderr line and exit code 2 or 3."""
     try:
-        return args.func(args)
+        return func(args)
     except _NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
@@ -470,6 +471,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return _exit_code(args.func, args)
 
 
 if __name__ == "__main__":

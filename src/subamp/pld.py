@@ -505,40 +505,33 @@ class DiscretizedPLD:
         return _edges(self.trunc_L, self.grid_r)[:-1]
 
 
-def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, split: int) -> np.ndarray:
-    """P[L < s_j] for j < split and P[L >= s_j] from split on, at t_j = L^{-1}(s_j).
+def _edge_probabilities(model: PrivacyLossModel, t: np.ndarray, sign: float) -> np.ndarray:
+    """P[L < s_j] for sign 1 and P[L >= s_j] for sign -1, at t_j = L^{-1}(s_j).
 
     The mixture CDF (survival function) of f_X at t_j: ndtr per component
-    and one product with the weights, in blocks of _CELLS // K rows.
-
-    Within one half every term w_l ndtr(+-(t - l) / sigma) is monotone in
-    t, so over a block it lies between its values at the block's smallest
-    and largest t, and the edge probability is at least the smaller of the
-    two end totals. A block drops each component whose larger end value is
-    at most 2^-60 / K of that smaller total: at most 2^-60 of any edge's
-    probability, under one ulp, goes. Where that total is 0 (Poisson's -inf
-    edges) only terms that are 0 at both ends, and so on every row, go. The
-    block that straddles the split keeps every component.
+    and one product with the weights, in blocks of _CELLS // K rows. Every
+    term w_l ndtr(sign (t - l) / sigma) is monotone in t, so over a block it
+    lies between its values at the block's smallest and largest t, and the
+    edge probability is at least the smaller of the two end totals. A block
+    drops each component whose larger end value is at most 2^-60 / K of
+    that smaller total: at most 2^-60 of any edge's probability, under one
+    ulp, goes. Where that total is 0 (Poisson's -inf edges) only terms that
+    are 0 at both ends, and so on every row, go.
     """
     l_vals, log_w = model._mixture
     weights = np.exp(log_w)
+    scale = sign / model.sigma
     out = np.empty(t.size)
 
     def block(rows: slice) -> None:
         t_rows = t[rows]
-        keep = slice(None)
-        if rows.stop <= split or rows.start >= split:
-            sign = (1.0 if rows.stop <= split else -1.0) / model.sigma
-            ends = np.subtract.outer(np.array([t_rows.min(), t_rows.max()]), l_vals)
-            ends *= sign
-            ends = ndtr(ends, out=ends) * weights
-            floor = ends.sum(axis=1).min() * _CDF_WINDOW / l_vals.size
-            keep = np.flatnonzero(ends.max(axis=0) > floor)
-        else:  # the block that straddles the split: one sign per row
-            row = np.arange(rows.start, rows.start + t_rows.size)
-            sign = np.where(row < split, 1.0, -1.0)[:, None] / model.sigma
+        ends = np.subtract.outer(np.array([t_rows.min(), t_rows.max()]), l_vals)
+        ends *= scale
+        ends = ndtr(ends, out=ends) * weights
+        floor = ends.sum(axis=1).min() * _CDF_WINDOW / l_vals.size
+        keep = np.flatnonzero(ends.max(axis=0) > floor)
         z = np.subtract.outer(t_rows, l_vals[keep])
-        z *= sign
+        z *= scale
         out[rows] = ndtr(z, out=z) @ weights[keep]
 
     _map_blocks(block, t.size, max(1, _CELLS // l_vals.size))
@@ -551,12 +544,13 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
     The left cell edges s_j = dx (j - r/2) (_edges) are inverted once, t_j =
     L^{-1}(s_j) (-inf below Poisson's loss floor log(1-q)), and each cell's
     mass is a difference of mixture CDFs at its two edges left of s = 0 and
-    of survival functions right of it, so no tail mass cancels against 1.
-    The last cell's mass is the survival function at its left edge. L is
-    odd for the symmetric schemes, so they invert only the r/2 + 1 edges
-    s = 0, dx, ..., L and take t_{-j} = -t_j: half the inversions, where
-    _inverse's own mirror would invert every edge's magnitude. Poisson
-    inverts every edge above its floor.
+    of survival functions right of it, so no tail mass cancels against 1;
+    each half is one _edge_probabilities pass of one sign. The last cell's
+    mass is the survival function at its left edge. L is odd for the
+    symmetric schemes, so they invert only the r/2 + 1 edges s = 0, dx,
+    ..., L and take t_{-j} = -t_j: half the inversions, where _inverse's
+    own mirror would invert every edge's magnitude. Poisson inverts every
+    edge above its floor.
     """
     _check_grid(trunc_L, grid_r)
     half = grid_r // 2
@@ -573,10 +567,8 @@ def discretize(model: PrivacyLossModel, trunc_L: float, grid_r: int) -> Discreti
         first = int(np.searchsorted(edges[:-1], model.loss_domain_low, side="right"))
         t = np.full(grid_r, -math.inf)
         t[first:] = _inverse(model, edges[first:-1])
-    prob = _edge_probabilities(model, t, half)
-    cdf = prob[: half + 1].copy()
-    cdf[half] = 1.0 - prob[half]
-    survival = prob[half:]
+    survival = _edge_probabilities(model, t[half:], -1.0)
+    cdf = np.append(_edge_probabilities(model, t[:half], 1.0), 1.0 - survival[0])
     c = np.concatenate((np.diff(cdf), -np.diff(survival), survival[-1:]))
     return DiscretizedPLD(
         trunc_L=float(trunc_L),

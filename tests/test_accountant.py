@@ -20,6 +20,7 @@ from subamp.accountant import (
     AccountantResult,
     EpsilonBeyondGridError,
     _cell,
+    _delta_direct,
     _tail as _tail_read,
     compose,
     compose_many,
@@ -28,7 +29,7 @@ from subamp.accountant import (
 from subamp.pld import PrivacyLossModel, _edges, discretize
 from subamp.schemes import MUSTow, MUSTwo, MUSTww, Poisson, WOR, WR
 
-from oracles import gaussian_delta
+from oracles import delta_k1, gaussian_delta
 
 POISSON_MODEL = PrivacyLossModel(Poisson(0.02, n=100), 2.0)
 WOR_MODEL = PrivacyLossModel(WOR(1000, 200), 2.0)
@@ -573,10 +574,16 @@ class TestBoundsContainQuadrature:
     def test_large_mixture_upper_dominates_quadrature(self):
         # Formerly delta_upper 2.45e-36 against delta_direct 9.96e-3, with
         # cell masses summing to 2.2e-26. The mass above L carries the delta.
+        # The exact delta lies 9e-15 inside the upper bound; quadrature lies
+        # about as far above the exact value, inside its own error estimate,
+        # so the bracket is checked against the exact value.
         model = PrivacyLossModel(MUSTww(1000, 10, 2000), 4.0)
         pld = discretize(model, 10.0, 20_000)
         res = compose(pld, 1, 1.0)
-        assert res.delta_lower <= delta_direct(model, 1.0) <= res.delta_upper
+        exact = float(delta_k1(model.scheme, model.sigma, 1.0)[0])
+        assert res.delta_lower <= exact <= res.delta_upper
+        quad, err = _delta_direct(model, 1.0)
+        assert abs(quad - exact) <= err
 
     @pytest.mark.parametrize(
         "model, trunc_L, eps_list",

@@ -362,6 +362,9 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
      "--n is required for scheme poisson"),
     (["contour", "--schemes", "mustow", "--n", "1000", "--b-range", "150:150",
       "--m-range", "100:100", "--eps", "-1"], "--eps must be finite and >= 0, got -1.0"),
+    (["contour", "--schemes", "mustow", "--n", "1000", "--b-range", "150:150",
+      "--m-range", "100:100", "--family", "gaussian", "--theta", "1"],
+     "--eps is required when --family is given"),
     (["account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "2",
       "--k-list", "1,0", "--eps-list", "1"], "--k-list must be a positive integer, got 0"),
     (["account", "--scheme", "wor", "--n", "100", "--m", "10", "--sigma", "2",
@@ -384,7 +387,7 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
 ], ids=["empty_eps_grid", "empty_b_range", "amplify_eps_zero", "contour_eps_zero",
         "config_not_json", "unknown_experiment", "profile_eps_negative",
         "profile_eps_grid_negative", "profile_eps_grid_nan", "sample_stats_poisson_without_n",
-        "contour_eps_negative", "account_k_zero", "account_eps_negative",
+        "contour_eps_negative", "contour_family_without_eps", "account_k_zero", "account_eps_negative",
         "experiment_n_test_zero", "bootstrap_poisson_without_n", "bootstrap_scheme_n_differs",
         "dpsgd_poisson_without_n", "dpsgd_scheme_n_differs"])
 def test_validation_error_exits_2(capsys, tmp_path, argv, message):
@@ -398,6 +401,21 @@ def test_validation_error_exits_2(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("run_pa_table.py", ["--eps", "-1"], "--eps must be finite and >= 0, got -1.0"),
+    ("run_pa_table.py", ["--eps", ""], "--eps expects a comma list of numbers, got ''"),
+    ("run_pa_table.py", ["--thetas", "1,0"], "--thetas must be positive and finite, got 0.0"),
+    ("run_pa_table.py", ["--n", "10", "--m", "400"],
+     "WOR requires m <= n (stage I is without replacement), got m=400, n=10"),
+    ("run_unique_sample_stats.py", ["--trials", "0"], "trials must be a positive integer, got 0"),
+], ids=["pa_eps_negative", "pa_eps_empty", "pa_theta_zero", "pa_m_above_n", "unique_trials_zero"])
+def test_script_validation_error_exits_2(capsys, script, argv, message):
+    # The scripts that do not go through main map errors as main does.
+    code = load_script(script).main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -297,12 +297,11 @@ class TestEdgeProbabilities:
     """The windowed CDF pass against a full sum over every component."""
 
     @staticmethod
-    def _full(model: PrivacyLossModel, t: np.ndarray, split: int) -> np.ndarray:
+    def _full(model: PrivacyLossModel, t: np.ndarray, sign: float) -> np.ndarray:
         l_vals, log_w = model._mixture
-        sign = np.where(np.arange(t.size) < split, 1.0, -1.0) / model.sigma
         chunks = [slice(start, start + 4096) for start in range(0, t.size, 4096)]
         return np.concatenate([
-            ndtr(np.subtract.outer(t[rows], l_vals) * sign[rows, None]) @ np.exp(log_w)
+            ndtr(np.subtract.outer(t[rows], l_vals) * (sign / model.sigma)) @ np.exp(log_w)
             for rows in chunks
         ])
 
@@ -314,7 +313,8 @@ class TestEdgeProbabilities:
             # half is -inf below log(0.98), so whole blocks sum to 0.
             (MODELS["poisson"], 8.0, 1 << 18),
             (MODELS["wor"], 8.0, 1 << 18),
-            # 501 components, 261-row blocks: the split at 10000 lies inside one.
+            # 501 components, 261-row blocks: the survival half's blocks start
+            # at r/2 = 10000, off the full grid's block boundaries.
             (PrivacyLossModel(MUSTww(1000, 10, 500), 4.0), 10.0, 20_000),
         ],
         ids=["wr", "mustow", "mustww", "mustwo", "poisson", "wor", "mixture"],
@@ -328,9 +328,11 @@ class TestEdgeProbabilities:
             assert np.isneginf(t[:step]).all()
         if isinstance(model.scheme, MUSTww) and model.scheme.m == 500:
             assert half % step != 0
-        np.testing.assert_allclose(
-            _edge_probabilities(model, t, half), self._full(model, t, half), rtol=1e-14, atol=0.0
-        )
+        for part, sign in ((t[:half], 1.0), (t[half:], -1.0)):
+            np.testing.assert_allclose(
+                _edge_probabilities(model, part, sign), self._full(model, part, sign),
+                rtol=1e-14, atol=0.0,
+            )
 
     def test_window_engages(self, monkeypatch):
         # MUSTow(10000, 118, 200), sigma=4 reaches only some of its
@@ -634,9 +636,8 @@ class TestDiscretize:
         half = grid_r // 2
         edges = pld.dx * (np.arange(grid_r) - half)
         t = np.concatenate((_illinois_inverse(model, edges[:half]), _inverse(model, edges[half:])))
-        prob = _edge_probabilities(model, t, half)
-        cdf = np.append(prob[:half], 1.0 - prob[half])
-        survival = prob[half:]
+        survival = _edge_probabilities(model, t[half:], -1.0)
+        cdf = np.append(_edge_probabilities(model, t[:half], 1.0), 1.0 - survival[0])
         c = np.concatenate((np.diff(cdf), -np.diff(survival), survival[-1:]))
         assert pld.mass_outside == pytest.approx(cdf[0], rel=1e-8, abs=0.0)
         cells = c >= 1e-250
