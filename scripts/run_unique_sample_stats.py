@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from subamp.cli import _emit, _exit_code
+from subamp.numerics import _integer
 from subamp.sampling import mc_stats
 from subamp.schemes import MUSTow, MUSTww, Poisson, WOR, WR
 
@@ -30,6 +31,8 @@ def main(argv=None) -> int:
 
 
 def _table(args) -> int:
+    trials = _integer("--trials", args.trials)
+    seed = _integer("--seed", args.seed, low=0)
     rows = []
     for n, b, m in CONFIGS:
         for tag, scheme in (
@@ -39,7 +42,7 @@ def _table(args) -> int:
             ("mustow", MUSTow(n, b, m)),
             ("mustww", MUSTww(n, b, m)),
         ):
-            s = mc_stats(scheme, args.trials, args.seed)
+            s = mc_stats(scheme, trials, seed)
             rows.append([
                 n, b, m, tag, s.trials, s.unique_min, s.unique_mean, s.unique_max, s.eta_hat,
             ])

@@ -7,15 +7,18 @@ frequencies of the half-spectrum is raised to the k-th power, and one real
 inverse FFT per k >= 2 gives the composed masses. Only frequencies with
 |spectrum| above exp(-750/k) are powered; the others are set to exactly
 0. Their k-th power is at most e^-750, under 1% of the smallest subnormal
-2^-1074, which pow rounds to +0, so the skip changes no output bit.
-Either array is tail summed against (1 - e^{eps - s}) by _tail: one
-expm1 pass over the cells above eps, and a segment of about k/2 cells
-for each of the cell's two lower thresholds. The per-k
-work (power, inverse, floor, tails) runs on one thread per CPU in the
-process's affinity mask, one k per task, and reduces with numpy's own
-sums, never BLAS, so the output bits do not depend on the number of CPUs
-or of BLAS threads. Each cell's tails are read on their own, so its bits
-depend on (pld, k, eps) alone, not on the other k or eps of the call.
+2^-1074, which pow rounds to +0, so the skip changes no output bit. The
+powered array stops at the last kept frequency, and the inverse pads the
+rest with zeros: on the curve grids (r = 2^20) it holds at most 7,281 of
+the 524,289 frequencies. Either array is tail summed against
+(1 - e^{eps - s}) by _tail: one expm1 pass over the cells above eps, and
+a segment of about k/2 cells for each of the cell's two lower
+thresholds. The per-k work (power, inverse, floor, tails) runs on one
+thread per CPU in the process's affinity mask, the calling thread among
+them, one k per task, and reduces with numpy's own sums, never BLAS, so
+the output bits do not depend on the number of CPUs or of BLAS threads.
+Each cell's tails are read on their own, so its bits depend on
+(pld, k, eps) alone, not on the other k or eps of the call.
 
 The composed array places each loss at its cell's left edge. Placing the
 same masses at the right edges shifts the composed array by k dx, so the
@@ -136,21 +139,25 @@ def _spectrum(vec: np.ndarray, k_min: int) -> tuple[np.ndarray, ...]:
     return idx, mag[idx], log_mag[idx], np.angle(spec[idx])
 
 
-def _powered(polar: tuple[np.ndarray, ...], k: int, grid_r: int) -> np.ndarray:
-    """The half-spectrum of the k-fold composed masses, half-swapped back.
+def _powered(polar: tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    """The half-spectrum of the k-fold composed masses, half-swapped back,
+    up to its last kept frequency.
 
     The elementwise power runs in polar form (magnitude^k, angle*k) to limit
     error growth at large k, on the frequencies with magnitude above
     exp(-750/k) only; every other entry is set to +0, the value pow gives
-    it. Half-swapping the inverse transform multiplies frequency f by
-    (-1)^f, which is applied to the powered entries instead.
+    it. The array stops at the last kept frequency (one +0 entry when none
+    is kept), and irfft(..., n=r) pads the rest of the r/2 + 1 with zeros,
+    so the inverse is that of the full half-spectrum. Half-swapping the
+    inverse transform multiplies frequency f by (-1)^f, which is applied
+    to the powered entries instead.
     """
     idx, mag, log_mag, ang = polar
     keep = _survives(log_mag, k)
     freq = idx[keep]
     values = mag[keep] ** k * np.exp(1j * k * ang[keep])
     np.negative(values, out=values, where=freq % 2 == 1)
-    out = np.zeros(grid_r // 2 + 1, dtype=complex)
+    out = np.zeros(freq[-1] + 1 if freq.size else 1, dtype=complex)
     out[freq] = values
     return out
 
@@ -283,21 +290,31 @@ def compose_many(
     (non-finite) failures abort, as the whole composition for that k is
     meaningless.
 
-    The values of k run on one thread per CPU in the affinity mask, each
-    writing its own slot, and the cells come back in k-list order. Memory
-    is the kept half-spectrum plus threads x one k's arrays: the powered
-    half-spectrum (8 (r + 2) bytes) and the composed masses (8 r), 16 MiB
-    per thread at r = 2^20; the tail read's one temporary, 8 bytes per
-    cell above eps, stays below that. On curve_poisson (r = 2^20) the tracemalloc peak is 28.5
-    MiB at one thread, set by the forward transform, and 40 MiB at two.
+    The values of k run on one thread per CPU in the affinity mask, the
+    calling thread among them, each writing its own slot, and the cells
+    come back in k-list order. Memory is the kept half-spectrum plus
+    threads x one k's arrays: the powered half-spectrum up to its last
+    kept frequency (16 bytes a frequency, at most 114 KiB on the curve
+    grids) and the composed masses (8 r), 8 MiB per thread at r = 2^20;
+    the tail read's one temporary, 8 bytes per cell above eps, stays below
+    that. On curve_poisson (r = 2^20) the tracemalloc peak is 28.5 MiB at
+    one thread, set by the forward transform, and 32.6 MiB at two.
     """
     k_values = [_integer("k", k) for k in k_list]
     eps_values = [_epsilon("epsilon", e) for e in eps_grid]
 
     context = f"grid_r={pld.grid_r}, trunc_L={pld.trunc_L:g}, scheme={pld.scheme.label}"
     s, dx, c = pld.s, pld.dx, pld.c
-    # e^-(s+dx) <= e^L is finite: DiscretizedPLD caps trunc_L at 350.
-    m_right = float((c * np.exp(-(s + dx))).sum())
+    # e^-(s+dx) <= e^L is finite: DiscretizedPLD caps trunc_L at 350. The
+    # terms c e^-(s+dx) are built in one r-length buffer by the ops of that
+    # expression in its order, so the sum has its bits, and the buffer is
+    # freed before the per-k work.
+    terms = np.add(s, dx)
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    np.multiply(c, terms, out=terms)
+    m_right = float(terms.sum())
+    del terms
     diagnostics = partial(
         Diagnostics, grid_r=pld.grid_r, trunc_L=pld.trunc_L, mass_defect=pld.mass_outside,
         max_cell_mass=float(c.max()), occupied_cells=int(np.count_nonzero(c)),
@@ -312,7 +329,7 @@ def compose_many(
             if k == 1:  # the 1-fold composition is the masses themselves
                 u, floored = c, 0.0
             else:
-                u = np.fft.irfft(_powered(spectrum, k, pld.grid_r), n=pld.grid_r)
+                u = np.fft.irfft(_powered(spectrum, k), n=pld.grid_r)
                 _check_finite("intensities", u, context)
                 negative = u < 0.0
                 floored = float(-u[negative].sum()) if negative.any() else 0.0

@@ -283,7 +283,9 @@ def cmd_sample_stats(args) -> int:
     scheme = _scheme(args.scheme, args)
     if scheme.n is None:  # Poisson needs its population size to draw
         raise ValueError(f"--n is required for scheme {args.scheme}")
-    stats = mc_stats(scheme, args.trials, args.seed)
+    trials = _integer("--trials", args.trials)
+    seed = _integer("--seed", args.seed, low=0)
+    stats = mc_stats(scheme, trials, seed)
     cols = _scheme_columns(scheme)
     header = [
         "scheme", "n", "b", "m", "trials",

@@ -10,9 +10,10 @@ configurations this package targets (b up to a few thousand, m up to a
 couple thousand) overflow direct factorials long before the probabilities
 themselves underflow.
 
-_map_blocks runs independent slices of a loop on one thread per CPU: the
-row blocks of `pld`'s Newton kernel and CDF pass, the per-k transforms of
-`accountant.compose_many`, and the trial blocks of `sampling.mc_stats`.
+_map_blocks runs independent slices of a loop on one thread per CPU, the
+calling thread among them: the row blocks of `pld`'s Newton kernel and CDF
+pass, the per-k transforms of `accountant.compose_many`, and the trial
+blocks of `sampling.mc_stats`.
 
 _NumericalFailure is the base of every numerical failure of the package
 (the CLI's exit 3); each subclass states its numbers in its message.
@@ -133,16 +134,20 @@ def _map_blocks(block: Callable[[slice], None], n_rows: int, step: int) -> None:
 
     The blocks run on one thread per CPU in the process's affinity mask, at
     most one per block, and inline when that is one thread (as under
-    `taskset -c 0`). Thread i runs blocks i, i + threads, ... as one task,
-    so the caller waits on one future per thread, not one per block. Each
-    call writes only its own rows of preallocated outputs (`compose_many`
-    passes step 1, one k per block), and the slices are those of the serial
-    loop, so the outputs are bit-identical for any number of threads.
-    Blocks run in a copy of the caller's context, so the caller's
-    np.errstate holds in them, and an exception raised in a block reaches
-    the caller. The pool lives for one call: a pool kept between calls
-    would leave a child made by fork waiting on threads that were not
-    copied into it.
+    `taskset -c 0`). Thread i runs blocks i, i + threads, ... as one share:
+    the calling thread runs share 0 itself and a pool of threads - 1
+    workers the others, so the caller waits on one future per worker, not
+    one per block. The arrays a block allocates on the calling thread
+    reuse the memory of the main heap; on a pool thread they come from
+    that thread's own malloc arena, which the next call's pool maps and
+    faults in again. Each call writes only its own rows of preallocated
+    outputs (`compose_many` passes step 1, one k per block), and the slices
+    are those of the serial loop, so the outputs are bit-identical for any
+    number of threads. Workers run their shares in a copy of the caller's
+    context, so the caller's np.errstate holds in them, and an exception
+    raised in a block reaches the caller once every worker has finished.
+    The pool lives for one call: a pool kept between calls would leave a
+    child made by fork waiting on threads that were not copied into it.
     """
     blocks = [slice(begin, begin + step) for begin in range(0, n_rows, step)]
     try:
@@ -158,10 +163,11 @@ def _map_blocks(block: Callable[[slice], None], n_rows: int, step: int) -> None:
     if threads <= 1:
         run(blocks)
         return
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(threads - 1) as pool:
         futures = [
             pool.submit(contextvars.copy_context().run, run, blocks[i::threads])
-            for i in range(threads)
+            for i in range(1, threads)
         ]
+        run(blocks[::threads])
         for future in futures:
             future.result()

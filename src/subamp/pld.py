@@ -22,15 +22,16 @@ meets the tolerance at once, so the kernel passes over the edges once.
 The Newton kernel writes L = log N - log D over the K mixture components
 and takes one exponential per side. It and the CDF pass work in blocks of
 _CELLS // K rows, which run on one thread per CPU in the process's
-affinity mask. Their temporaries hold a few blocks of _CELLS cells per
-thread, so memory is bounded for any K, and the outputs are bit-identical
-to one CPU (`taskset -c 0` gives the serial path). Each block sums only
-the components that can reach its rows, chosen from every component's
-term at the block's smallest and largest t: a kernel term is linear in t,
-so one more than 40 nats below the largest of the terms' smaller end values
-is under e^-40 of the peak on every row; a CDF term is monotone in t within
-one half of the grid, so one whose larger end value is at most 2^-60 / K of
-the smaller end total is under 2^-60 of every row's probability. The
+affinity mask, the calling thread among them. Their temporaries hold a
+few blocks of _CELLS cells per thread, so memory is bounded for any K, and
+the outputs are bit-identical to one CPU (`taskset -c 0` gives the serial
+path). Each block sums only the components that can reach its rows,
+chosen from every component's term at the block's smallest and largest t:
+a kernel term is linear in t, so one more than 40 nats below the largest
+of the terms' smaller end values is under e^-40 of the peak on every row;
+a CDF term is monotone in t within one half of the grid, so one whose
+larger end value is at most 2^-60 / K of the smaller end total is under
+2^-60 of every row's probability. The
 loss_at, log_output_density and quadrature routes keep full sums.
 
 Discretization follows the accountant's grid contract: c_i is the exact
@@ -81,12 +82,13 @@ _NEWTON_MAX_ITER = 200
 # Rows x components in one block of the Newton kernel (one exponential per
 # side) and of the CDF pass, which bounds every temporary of bracketing,
 # presolve, Newton and the cell masses for any mixture size: threads x one
-# block's temporaries, one thread per CPU in the affinity mask. 1 MB of
-# float64 stays in a core's L2 cache across the kernel's passes; 8 MB made
-# it 1.5x slower. The block boundaries fix the BLAS calls and so the output
-# bits: changing _CELLS can change them (doubling the block did). Blocks
-# are sized from the full K, though each sums only the components its rows
-# can reach, so the windows below leave the boundaries where they were.
+# block's temporaries, one thread per CPU in the affinity mask (the caller
+# and a pool of one fewer). 1 MB of float64 stays in a core's L2 cache
+# across the kernel's passes; 8 MB made it 1.5x slower. The block
+# boundaries fix the BLAS calls and so the output bits: changing _CELLS can
+# change them (doubling the block did). Blocks are sized from the full K,
+# though each sums only the components its rows can reach, so the windows
+# below leave the boundaries where they were.
 _CELLS = 1 << 17
 # A kernel term more than _WINDOW_NATS below a floor under its block's peak
 # is dropped: each sum moves by at most K e^-40 of itself, 2e-15 at K = 501,

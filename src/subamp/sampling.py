@@ -4,9 +4,10 @@ This module is the Monte-Carlo ground truth for the closed-form eta and
 multiplicity weights in :mod:`subamp.amplification`, and the source of the
 unique-sample statistics. Draws are deterministic given a seed. mc_stats
 derives one substream per fixed-size block of trials from (seed, block
-index) and runs the blocks on one thread per CPU (numerics._map_blocks),
-each writing only its own trials, so results are the same for any number
-of threads. Memory is the number of threads times one block's draws.
+index) and runs the blocks on one thread per CPU, the calling thread
+among them (numerics._map_blocks), each writing only its own trials, so
+results are the same for any number of threads. Memory is the number of
+threads times one block's draws.
 
 Poisson draws one uniform per element. A fixed-size scheme draws its
 ``stages`` in order: stage I from range(n), then each later stage as

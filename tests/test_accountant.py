@@ -21,6 +21,8 @@ from subamp.accountant import (
     EpsilonBeyondGridError,
     _cell,
     _delta_direct,
+    _powered,
+    _spectrum,
     _tail as _tail_read,
     compose,
     compose_many,
@@ -236,6 +238,35 @@ class TestSkippedFrequencies:
         # At k = 1000 most frequencies underflow, so the skip is exercised.
         powered = _full_power(pld.c, 1000)
         assert np.count_nonzero(powered) < powered.size // 4
+
+    @pytest.mark.parametrize("k", [200, 1000])
+    def test_powered_stops_at_last_kept_frequency(self, k, fig_pld):
+        # The powered half-spectrum ends at its last frequency with k log|z|
+        # above -750; every later entry of the full power is 0, which
+        # irfft(..., n=r) pads in.
+        c = fig_pld.c
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.abs(np.fft.rfft(np.roll(c, c.size // 2))))
+        kept = np.flatnonzero(k * log_mag > -750.0)
+        full = _full_power(c, k)
+        powered = _powered(_spectrum(c, 2), k)
+        assert powered.size == kept[-1] + 1 < full.size // 40
+        np.testing.assert_array_equal(powered, full[: powered.size])
+        assert not full[powered.size :].any()
+
+    def test_nothing_kept_gives_one_zero_entry(self):
+        # The zero frequency of these masses is 1 - 2^-53, whose 10^20-th
+        # power underflows with every other frequency: the powered array is
+        # one +0 entry and the composed masses are all +0.
+        pld = discretize(PrivacyLossModel(WOR(100, 5), 1.0), 10.0, 1024)
+        k = 10**20
+        powered = _powered(_spectrum(pld.c, 2), k)
+        assert powered.size == 1 and powered[0] == 0.0
+        u = np.fft.irfft(powered, n=pld.grid_r)
+        assert not u.any() and not np.signbit(u).any()
+        (cell,) = compose_many(pld, [k], [1.0])
+        assert cell.result.delta_lower == cell.result.delta_approx == 0.0
+        assert cell.result.diagnostics.floored_mass == 0.0
 
 
 class TestNoTransformAtK1:

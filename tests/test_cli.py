@@ -360,6 +360,10 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
      "--eps-grid must be finite and >= 0, got '1:nan:3'"),
     (["sample-stats", "--scheme", "poisson", "--gamma", "0.5"],
      "--n is required for scheme poisson"),
+    (["sample-stats", "--scheme", "wor", "--n", "10", "--m", "3", "--trials", "0"],
+     "--trials must be a positive integer, got 0"),
+    (["sample-stats", "--scheme", "wor", "--n", "10", "--m", "3", "--trials", "5",
+      "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
     (["contour", "--schemes", "mustow", "--n", "1000", "--b-range", "150:150",
       "--m-range", "100:100", "--eps", "-1"], "--eps must be finite and >= 0, got -1.0"),
     (["contour", "--schemes", "mustow", "--n", "1000", "--b-range", "150:150",
@@ -387,6 +391,7 @@ def test_file_system_error_exits_2(capsys, tmp_path, argv, target):
 ], ids=["empty_eps_grid", "empty_b_range", "amplify_eps_zero", "contour_eps_zero",
         "config_not_json", "unknown_experiment", "profile_eps_negative",
         "profile_eps_grid_negative", "profile_eps_grid_nan", "sample_stats_poisson_without_n",
+        "sample_stats_trials_zero", "sample_stats_seed_negative",
         "contour_eps_negative", "contour_family_without_eps", "account_k_zero", "account_eps_negative",
         "experiment_n_test_zero", "bootstrap_poisson_without_n", "bootstrap_scheme_n_differs",
         "dpsgd_poisson_without_n", "dpsgd_scheme_n_differs"])
@@ -409,8 +414,11 @@ def test_validation_error_exits_2(capsys, tmp_path, argv, message):
     ("run_pa_table.py", ["--thetas", "1,0"], "--thetas must be positive and finite, got 0.0"),
     ("run_pa_table.py", ["--n", "10", "--m", "400"],
      "WOR requires m <= n (stage I is without replacement), got m=400, n=10"),
-    ("run_unique_sample_stats.py", ["--trials", "0"], "trials must be a positive integer, got 0"),
-], ids=["pa_eps_negative", "pa_eps_empty", "pa_theta_zero", "pa_m_above_n", "unique_trials_zero"])
+    ("run_unique_sample_stats.py", ["--trials", "0"],
+     "--trials must be a positive integer, got 0"),
+    ("run_unique_sample_stats.py", ["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+], ids=["pa_eps_negative", "pa_eps_empty", "pa_theta_zero", "pa_m_above_n", "unique_trials_zero",
+        "unique_seed_negative"])
 def test_script_validation_error_exits_2(capsys, script, argv, message):
     # The scripts that do not go through main map errors as main does.
     code = load_script(script).main(argv)
@@ -767,13 +775,6 @@ class TestSampleStatsCommand:
         row = dict(zip(header, rows[0]))
         assert row["unique_min"] == row["unique_max"] == "30"
         assert float(row["eta_hat"]) == pytest.approx(0.1, abs=0.03)
-
-    def test_negative_seed_is_named(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sample-stats", "--scheme", "wor", "--n", "10", "--m", "3",
-            "--trials", "5", "--seed", "-1",
-        )
-        assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
 
 
 class TestExperimentCommand:

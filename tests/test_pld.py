@@ -681,10 +681,11 @@ def _discretize_in_child(expected: bytes) -> None:
 class TestMapBlocks:
     """The row-block helper of the Newton kernel and the CDF pass."""
 
-    @pytest.fixture(params=[1, 4], ids=["one_cpu", "four_cpus"])
+    @pytest.fixture(params=[1, 2, 4], ids=["one_cpu", "two_cpus", "four_cpus"])
     def cpus(self, request, monkeypatch):
         # The helper sizes its pool from the affinity mask; a fixed mask
-        # runs the threaded path on any host.
+        # runs the threaded path on any host. Two CPUs is the benchmark
+        # host's mask: the caller and one pool thread.
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False
         )
@@ -701,15 +702,33 @@ class TestMapBlocks:
         _map_blocks(block, 0, 64)  # no rows, no blocks
 
     def test_block_exception_reaches_caller(self, cpus):
-        error = ArithmeticError("block 7")
+        # Block 0 runs on the calling thread, block 7 on a pool thread when
+        # there is one; either error leaves no thread behind.
+        baseline = threading.active_count()
+        for bad in (0, 7):
+            error = ArithmeticError(f"block {bad}")
+
+            def block(rows):
+                if rows.start == bad * 10:
+                    raise error
+
+            with pytest.raises(ArithmeticError) as info:
+                _map_blocks(block, 200, 10)
+            assert info.value is error
+            assert threading.active_count() == baseline
+
+    def test_caller_runs_share_zero(self, cpus):
+        runner = {}
 
         def block(rows):
-            if rows.start == 7 * 10:
-                raise error
+            runner[rows.start // 10] = threading.get_ident()
 
-        with pytest.raises(ArithmeticError) as info:
-            _map_blocks(block, 200, 10)
-        assert info.value is error
+        _map_blocks(block, 100, 10)
+        caller = threading.get_ident()
+        assert sorted(i for i, ident in runner.items() if ident == caller) == list(
+            range(0, 10, cpus)
+        )
+        assert len(set(runner.values()) - {caller}) <= cpus - 1
 
     def test_callers_errstate_holds_in_blocks(self, cpus):
         def block(rows):
